@@ -4,7 +4,7 @@ Exit codes: 0 = computation ran and every requested check passed; 1 = the
 computation ran but a check failed (a witness is included in the payload);
 2 = invalid input.  All emitted numbers are integers or decimal-string
 rationals, and rerunning the same spec produces a byte-identical payload
-section regardless of --threads.
+section.
 """
 
 from __future__ import annotations
@@ -378,7 +378,13 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
         if spec.potential is None:
             raise SpecError("spec.potential: required for the theta oracle")
         d = spec.potential.quasi_degree((1,) * spec.dim) - 1
-        oracle_series = chi_closed_form(d, spec.weight_max, (-(d + 1), 1))
+        # F = theta(z^d)/theta(z) has F(qz) = +-q^-c z^(1-d^2) F(z) with
+        # c = d(d-1)/2, so the q-order v(n) of its z^n coefficient obeys
+        # v(n + d^2 - 1) = v(n) + n + c; as v >= 0, v(n) >= -(n + c) and
+        # v(n) >= n - (d^2 - 1) + c.  Row q^j of -z^-d F therefore lies in
+        # z^-(d + c + j) .. z^(c - 1 + j), the window taken here at j = weight_max.
+        c, w = d * (d - 1) // 2, spec.weight_max
+        oracle_series = chi_closed_form(d, w, (-(d + c + w), c - 1 + w))
         # z-collapse of the oracle: total Euler number per q row
         collapsed = {
             j: sum(oracle_series.rows.get(j, {}).values())
@@ -557,12 +563,6 @@ def main(argv=None) -> int:
     parser.add_argument("--spec", required=True, help="path to the problem spec JSON")
     parser.add_argument("--out", default=None, help="write the result document here")
     parser.add_argument("--oracle", choices=["theta", "none"], default="none")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="bigrade parallelism; the payload is identical for any value",
-    )
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     args = parser.parse_args(argv)
 
@@ -571,9 +571,6 @@ def main(argv=None) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
         return 2
 
     start = time.monotonic()

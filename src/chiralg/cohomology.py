@@ -64,7 +64,7 @@ class CohomologyTable:
 
     def euler(self, weight: int) -> int:
         return sum(
-            (-1) ** k * dim for (q, k), dim in self.dims.items() if q == weight
+            -dim if k % 2 else dim for (q, k), dim in self.dims.items() if q == weight
         )
 
 
@@ -125,14 +125,6 @@ def boundary_matrix(
     return MatrixBlock(domain, codomain, entries)
 
 
-def _degree_range(space: SpaceSpec, weight: int) -> range:
-    # fermionic letters are bounded: per direction at most one of each mode,
-    # and positive-index fermions carry weight
-    lo = -(weight + space.dim)
-    hi = weight + space.dim
-    return range(lo, hi + 1)
-
-
 def cohomology_dims_torus(
     charge: SymbolicCharge,
     space: SpaceSpec,
@@ -161,6 +153,7 @@ def cohomology_dims_torus(
             for mono in full:
                 bases.setdefault((t, mono.degree), []).append(mono)
         cols_cache: Dict[Tuple[int, int], list] = {}
+        rank_cache: Dict[Tuple[int, int], int] = {}
 
         def out_cols(t, k):
             key = (t, k)
@@ -168,13 +161,21 @@ def cohomology_dims_torus(
                 cols_cache[key] = _image_columns(op, bases.get(key, []))
             return cols_cache[key]
 
+        # each block is ranked once: as the outgoing map at (t, k) and as the
+        # incoming map at (t + shift, k + dshift)
+        def out_rank(t, k):
+            key = (t, k)
+            if key not in rank_cache:
+                rank_cache[key] = rank(out_cols(t, k))
+            return rank_cache[key]
+
         for t in range(lo, hi + 1):
             degrees = sorted({k for (tt, k) in bases if tt == t})
             for k in degrees:
                 n = len(bases.get((t, k), []))
                 out = out_cols(t, k)
-                r_out = rank(out)
-                r_in = rank(out_cols(t - shift, k - dshift))
+                r_out = out_rank(t, k)
+                r_in = out_rank(t - shift, k - dshift)
                 h = n - r_out - r_in
                 if h < 0:
                     raise CohomologyError(

@@ -1,91 +1,86 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of columns, each column a dict row_key -> Fraction (sparse
-in the rows, which are arbitrary hashable keys).  Sizes here are desk scale,
-so plain fraction Gaussian elimination is enough.
+in the rows, which are arbitrary hashable keys).  One sparse elimination in
+exact fractions serves both rank and kernel.  It walks the columns in order
+and reduces each against the pivot vectors found so far; what is left becomes
+a new pivot vector, scaled to 1 at one of its entries.  The pivot columns are
+therefore the first linearly independent columns, as in reduced row echelon
+form, and a column that reduces to zero yields the unique relation expressing
+it through earlier pivot columns with coefficient 1 on itself: the same
+kernel vector that Gauss-Jordan elimination gives for that free column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Sequence
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 Column = Dict[Hashable, Fraction]
 
 
-def _to_dense(columns: Sequence[Column]):
-    rows = sorted({r for col in columns for r in col}, key=repr)
-    idx = {r: i for i, r in enumerate(rows)}
-    dense = [[Fraction(0)] * len(columns) for _ in rows]
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            dense[idx[r]][c] = v
-    return dense
+def _eliminate(
+    columns: Sequence[Column], n_cols: int, track: bool
+) -> Tuple[int, List[Dict[int, Fraction]]]:
+    """Rank of the first ``n_cols`` columns (missing ones are zero) and, when
+    ``track`` is set, the relation {column: coefficient} of each column that
+    depends on earlier ones."""
+    index: Dict[Hashable, int] = {}  # row keys are hashed once, then ints
+    # (pivot row, vector with its implicit 1 at that row left out, combination
+    # of columns it equals); each is reduced against all earlier pivots, so
+    # reducing in this order never brings back a row already cleared
+    pivots: List[Tuple[int, Dict[int, Fraction], Optional[Dict[int, Fraction]]]] = []
+    relations = []
+    for c in range(n_cols):
+        col = columns[c] if c < len(columns) else {}
+        vec = {index.setdefault(r, len(index)): v for r, v in col.items() if v}
+        comb = {c: Fraction(1)}
+        for row, pvec, pcomb in pivots:
+            f = vec.pop(row, None)
+            if f is None:
+                continue
+            for r, v in pvec.items():
+                new = vec.get(r, 0) - f * v
+                if new:
+                    vec[r] = new
+                else:
+                    del vec[r]
+            if track:
+                for j, v in pcomb.items():
+                    new = comb.get(j, 0) - f * v
+                    if new:
+                        comb[j] = new
+                    else:
+                        del comb[j]
+        if vec:
+            row = next(iter(vec))
+            inv = 1 / vec.pop(row)
+            scaled = {j: v * inv for j, v in comb.items()} if track else None
+            pivots.append((row, {r: v * inv for r, v in vec.items()}, scaled))
+        elif track:
+            relations.append(comb)
+    return len(pivots), relations
 
 
 def rank(columns: Sequence[Column]) -> int:
-    m = _to_dense(columns)
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
-            break
-    return r
+    return _eliminate(columns, len(columns), track=False)[0]
 
 
-def kernel_basis(columns: Sequence[Column], n_cols: int = None) -> List[List[Fraction]]:
-    """Basis of the right kernel, as coefficient vectors over the columns."""
+def kernel_basis(
+    columns: Sequence[Column], n_cols: Optional[int] = None
+) -> List[List[Fraction]]:
+    """Basis of the right kernel, as coefficient vectors over the columns.
+
+    One vector per column that depends on earlier ones, in column order,
+    with 1 on that column and the rest on earlier pivot columns.
+    """
     if n_cols is None:
         n_cols = len(columns)
-    m = _to_dense(columns)
-    if not m:
-        # zero matrix: whole domain is the kernel
-        basis = []
-        for c in range(n_cols):
-            v = [Fraction(0)] * n_cols
-            v[c] = Fraction(1)
-            basis.append(v)
-        return basis
-    n_rows = len(m)
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == n_rows:
-            break
-    pivot_cols = {c for _, c in pivots}
     basis = []
-    for free in range(n_cols):
-        if free in pivot_cols:
-            continue
+    for relation in _eliminate(columns, n_cols, track=True)[1]:
         v = [Fraction(0)] * n_cols
-        v[free] = Fraction(1)
-        for row, c in pivots:
-            v[c] = -m[row][free]
+        for j, x in relation.items():
+            v[j] = x
         basis.append(v)
     return basis
 

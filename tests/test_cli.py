@@ -88,22 +88,20 @@ def test_payload_determinism(tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def test_threads_flag_does_not_change_payload(tmp_path):
-    spec = {"dim": 1, "caps": {"weight_max": 2, "x0_cap": 2}}
-    _, single = run(tmp_path, "basis", spec, "--threads", "1")
-    _, multi = run(tmp_path, "basis", spec, "--threads", "4")
-    assert json.loads(single)["payload"] == json.loads(multi)["payload"]
-
-
 def test_no_floats_in_output(tmp_path):
-    spec = {
+    capped = {
         "dim": 1,
         "side": "theta",
         "potential": {"terms": [{"coeff": "3/2", "exps": [2]}]},
         "caps": {"weight_max": 1, "x0_cap": 2},
     }
-    code, text = run(tmp_path, "cohomology", spec)
-    assert code == 0
+    # torus cohomology of sl2 sits in negative degrees, odd and even
+    torus = {
+        "dim": 3,
+        "lie": SL2,
+        "torus_weights": {"x": [1, 1, 1], "phi": [0, 0, 0]},
+        "caps": {"weight_max": 0, "z_window": [0, 1]},
+    }
 
     def walk(node):
         assert not isinstance(node, float)
@@ -114,7 +112,10 @@ def test_no_floats_in_output(tmp_path):
             for v in node:
                 walk(v)
 
-    walk(json.loads(text)["payload"])
+    for spec in (capped, torus):
+        code, text = run(tmp_path, "cohomology", spec)
+        assert code == 0
+        walk(json.loads(text)["payload"])
 
 
 def test_cohomology_csv_format(tmp_path):
@@ -143,6 +144,22 @@ def test_chi_van_with_theta_oracle(tmp_path):
     payload = json.loads(text)["payload"]
     assert payload["oracle_rows"] == {"0": -1, "1": 0, "2": 0}
     assert payload["series"]["rows"]["0"] == {"0": "-1"}
+
+
+def test_chi_van_theta_oracle_degree_2_and_3(tmp_path):
+    # for d >= 2 the closed form's rows at q >= 1 reach beyond z^-(d+1)..z^1
+    for exps, cap, euler in (([3], 4, -2), ([4], 6, -3)):
+        spec = {
+            "dim": 1,
+            "side": "omega",
+            "potential": {"terms": [{"coeff": "1", "exps": exps}]},
+            "caps": {"weight_max": 2, "x0_cap": cap},
+        }
+        code, text = run(tmp_path, "chi-van", spec, "--oracle", "theta")
+        assert code == 0, text
+        payload = json.loads(text)["payload"]
+        assert payload["oracle_rows"] == {"0": euler, "1": 0, "2": 0}
+        assert "witness" not in payload
 
 
 def test_anticommute_command(tmp_path):
