@@ -27,7 +27,6 @@ from .oper import (
     SymbolicCharge,
     apply_mode,
     apply_term,
-    apply_terms,
     instantiate_charge,
     normal_order,
     translate,
@@ -49,8 +48,6 @@ from .charges import (
 from .cohomology import (
     CohomologyError,
     CohomologyTable,
-    MatrixBlock,
-    boundary_matrix,
     chi_van,
     cohomology_dims,
     euler_series,

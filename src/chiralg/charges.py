@@ -26,7 +26,6 @@ from .fock import (
 from .oper import (
     OperatorTerm,
     SymbolicCharge,
-    apply_terms,
     charge_operator,
     combine_terms,
     instantiate_charge,
@@ -238,12 +237,6 @@ class CheckReport:
         return self.passed
 
 
-def _capped_basis(space, weight, x0_cap, zero_fermion_allowed=True):
-    return enumerate_basis(
-        space, weight, x0_cap=x0_cap, zero_fermion_allowed=zero_fermion_allowed
-    )
-
-
 def _annihilated_weight(space, modes) -> int:
     return sum(-m.index for m in modes if not space.is_creator(m))
 
@@ -269,19 +262,51 @@ def _conjugate_probe(space, term: OperatorTerm) -> Monomial:
     return Monomial(conj)
 
 
-def _witness_from_terms(space, charge, window, surviving) -> CheckReport:
-    op = charge_operator(charge, space, window)
-    # a probe built from a minimal surviving annihilator part always works
-    for term in sorted(
-        surviving,
-        key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),
-    ):
-        mono = _conjugate_probe(space, term)
-        image = op(op(State.of(mono)))
+def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
+    """Verify c1 c2 + c2 c1, or c1 c1 when ``c2`` is None, vanishes on weight
+    <= window, by either method of ``check_nilpotent``."""
+    if method == "operator":
+        t1s = instantiate_charge(c1, space, window)
+        t2s = t1s if c2 is None else instantiate_charge(c2, space, window)
+        raw = []
+        for t1 in t1s:
+            for t2 in t2s:
+                raw.extend(_product_terms(space, t1, t2))
+                if c2 is not None:
+                    raw.extend(_product_terms(space, t2, t1))
+        surviving = [
+            t
+            for t in combine_terms(raw)
+            if _annihilated_weight(space, t.modes) <= window
+        ]
+        if not surviving:
+            return CheckReport(True)
+        # a probe built from a minimal surviving annihilator part always works
+        probes = (
+            _conjugate_probe(space, t)
+            for t in sorted(
+                surviving,
+                key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),
+            )
+        )
+    else:
+        probes = (
+            mono
+            for q in range(window + 1)
+            for mono in enumerate_basis(space, q, x0_cap=x0_cap)
+        )
+    o1 = charge_operator(c1, space, window)
+    o2 = o1 if c2 is None else charge_operator(c2, space, window)
+    for mono in probes:
+        v = State.of(mono)
+        image = o1(o2(v))
+        if c2 is not None:
+            image = image + o2(o1(v))
         if not image.is_zero():
             return CheckReport(False, witness=mono, image=image)
-    # unreachable in theory; report the raw term if probing ever fails
-    return CheckReport(False, witness=None, image=None)
+    # every basis probe passed; for the operator method this is unreachable
+    # in theory, as the probe of a surviving term always witnesses it
+    return CheckReport(method != "operator")
 
 
 def check_nilpotent(
@@ -298,30 +323,9 @@ def check_nilpotent(
     term able to act on weight <= window cancels; this covers all basis
     monomials regardless of any x_0 cap.  The basis method applies the charge
     twice to each capped basis monomial directly (images are never capped; the
-    cap only bounds the probed basis).
+    cap only bounds the probed basis).  A witness image is Q(Q(v)).
     """
-    if method == "operator":
-        terms = instantiate_charge(charge, space, window)
-        raw = []
-        for t1 in terms:
-            for t2 in terms:
-                raw.extend(_product_terms(space, t1, t2))
-        surviving = [
-            t
-            for t in combine_terms(raw)
-            if _annihilated_weight(space, t.modes) <= window
-        ]
-        if not surviving:
-            return CheckReport(True)
-        return _witness_from_terms(space, charge, window, surviving)
-    op = charge_operator(charge, space, window)
-    for q in range(window + 1):
-        for mono in _capped_basis(space, q, x0_cap):
-            once = op(State.of(mono))
-            twice = op(once)
-            if not twice.is_zero():
-                return CheckReport(False, witness=mono, image=twice)
-    return CheckReport(True)
+    return _check_bracket(charge, None, space, window, x0_cap, method)
 
 
 def check_anticommute(
@@ -337,47 +341,7 @@ def check_anticommute(
 
     Same two strategies as ``check_nilpotent``.
     """
-    if method == "operator":
-        t1s = instantiate_charge(c1, space, window)
-        t2s = instantiate_charge(c2, space, window)
-        raw = []
-        for t1 in t1s:
-            for t2 in t2s:
-                raw.extend(_product_terms(space, t1, t2))
-                raw.extend(_product_terms(space, t2, t1))
-        surviving = [
-            t
-            for t in combine_terms(raw)
-            if _annihilated_weight(space, t.modes) <= window
-        ]
-        if not surviving:
-            return CheckReport(True)
-        o1 = charge_operator(c1, space, window)
-        o2 = charge_operator(c2, space, window)
-        for term in sorted(
-            surviving,
-            key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),
-        ):
-            mono = _conjugate_probe(space, term)
-            v = State.of(mono)
-            image = o1(o2(v)) + o2(o1(v))
-            if not image.is_zero():
-                return CheckReport(False, witness=mono, image=image)
-        return CheckReport(False, witness=None, image=None)
-    o1 = charge_operator(c1, space, window)
-    o2 = charge_operator(c2, space, window)
-    for q in range(window + 1):
-        for mono in _capped_basis(space, q, x0_cap):
-            v = State.of(mono)
-            anti = o1(o2(v)) + o2(o1(v))
-            if not anti.is_zero():
-                return CheckReport(False, witness=mono, image=anti)
-    return CheckReport(True)
-
-
-def validate_homogeneity(charge: SymbolicCharge, weights: TorusWeights) -> bool:
-    """True iff every pattern has total torus weight zero."""
-    return charge.torus_shift(weights) == 0
+    return _check_bracket(c1, c2, space, window, x0_cap, method)
 
 
 def random_potential(rng: random.Random, dim: int, max_degree: int) -> Potential:

@@ -51,7 +51,7 @@ from .modfun import (
     singular_vectors,
     zero_modes_from_json,
 )
-from .oper import apply_terms, instantiate_charge
+from .oper import charge_operator
 from .qseries import SeriesError, chi_closed_form, compare
 
 # Fixed conventions the numbers depend on; hashed into every result document
@@ -337,19 +337,21 @@ def cmd_theta_check(spec: ProblemSpec):
     return payload, 0 if report else 1, None
 
 
+def _regime(spec: ProblemSpec, command: str) -> dict:
+    """Keyword arguments choosing torus or capped cohomology for the spec."""
+    if spec.torus_weights is not None and spec.z_window is not None:
+        return {"torus_weights": spec.torus_weights, "torus_window": spec.z_window}
+    if spec.x0_cap is not None:
+        return {"x0_cap": spec.x0_cap}
+    raise SpecError(
+        f"spec.caps: need x0_cap, or torus_weights with z_window, for '{command}'"
+    )
+
+
 def cmd_cohomology(spec: ProblemSpec):
     space = spec.space()
     charge = spec.charge()
-    kwargs = {}
-    if spec.torus_weights is not None and spec.z_window is not None:
-        kwargs = {"torus_weights": spec.torus_weights, "torus_window": spec.z_window}
-    elif spec.x0_cap is not None:
-        kwargs = {"x0_cap": spec.x0_cap}
-    else:
-        raise SpecError(
-            "spec.caps: need x0_cap, or torus_weights with z_window, for 'cohomology'"
-        )
-    table = cohomology_dims(charge, space, spec.weight_max, **kwargs)
+    table = cohomology_dims(charge, space, spec.weight_max, **_regime(spec, "cohomology"))
     code = 0 if all(table.stabilization.values()) else 1
     return {"table": _table_json(table)}, code, table
 
@@ -357,15 +359,16 @@ def cmd_cohomology(spec: ProblemSpec):
 def cmd_chi_van(spec: ProblemSpec, oracle: str):
     space = spec.space()
     charge = spec.charge()
-    kwargs = {}
-    if spec.torus_weights is not None and spec.z_window is not None:
-        kwargs = {"torus_weights": spec.torus_weights, "torus_window": spec.z_window}
-    elif spec.x0_cap is not None:
-        kwargs = {"x0_cap": spec.x0_cap}
-    else:
-        raise SpecError(
-            "spec.caps: need x0_cap, or torus_weights with z_window, for 'chi-van'"
-        )
+    kwargs = _regime(spec, "chi-van")
+    if oracle == "theta":
+        if spec.potential is None:
+            raise SpecError("spec.potential: required for the theta oracle")
+        # -z^-d theta(z^d)/theta(z) is the twisted de Rham character; the
+        # theta side's complex has Euler number +d at q^0, not -d.
+        if spec.side is not Side.OMEGA:
+            raise SpecError(
+                f"spec.side: the theta oracle needs side 'omega', got '{spec.side.value}'"
+            )
     series, table = chi_van(
         charge, space, spec.weight_max, require_stable=False, **kwargs
     )
@@ -375,8 +378,6 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
     }
     code = 0 if all(table.stabilization.values()) else 1
     if oracle == "theta":
-        if spec.potential is None:
-            raise SpecError("spec.potential: required for the theta oracle")
         d = spec.potential.quasi_degree((1,) * spec.dim) - 1
         # F = theta(z^d)/theta(z) has F(qz) = +-q^-c z^(1-d^2) F(z) with
         # c = d(d-1)/2, so the q-order v(n) of its z^n coefficient obeys
@@ -469,12 +470,12 @@ def cmd_reconstruct_check(spec: ProblemSpec):
     charge = spec.charge()
     brst = residue_charge(space, _brst_vector(spec, space))
     cap = spec.x0_cap if spec.x0_cap is not None else 2
-    terms = instantiate_charge(charge, space, spec.weight_max)
+    op = charge_operator(charge, space, spec.weight_max)
     for q in range(spec.weight_max + 1):
         for mono in enumerate_basis(space, q, x0_cap=cap):
             v = State.of(mono)
             via_field = brst(v)
-            via_charge = apply_terms(space, terms, v)
+            via_charge = op(v)
             if via_field != via_charge:
                 return (
                     {
@@ -515,43 +516,18 @@ def cmd_epsilon_check(spec: ProblemSpec):
     return payload, 0 if report else 1, None
 
 
-_COMMANDS = (
-    "basis",
-    "char",
-    "theta-check",
-    "cohomology",
-    "chi-van",
-    "nilpotency",
-    "anticommute",
-    "reconstruct-check",
-    "singular",
-    "epsilon-check",
-)
-
-
-def _dispatch(command: str, spec: ProblemSpec, oracle: str):
-    if command == "basis":
-        return cmd_basis(spec)
-    if command == "char":
-        payload, code, _ = cmd_char(spec)
-        return payload, code, None
-    if command == "theta-check":
-        return cmd_theta_check(spec)
-    if command == "cohomology":
-        return cmd_cohomology(spec)
-    if command == "chi-van":
-        return cmd_chi_van(spec, oracle)
-    if command == "nilpotency":
-        return cmd_nilpotency(spec)
-    if command == "anticommute":
-        return cmd_anticommute(spec)
-    if command == "reconstruct-check":
-        return cmd_reconstruct_check(spec)
-    if command == "singular":
-        return cmd_singular(spec)
-    if command == "epsilon-check":
-        return cmd_epsilon_check(spec)
-    raise SpecError(f"unknown command {command!r}")
+_COMMANDS = {
+    "basis": cmd_basis,
+    "char": cmd_char,
+    "theta-check": cmd_theta_check,
+    "cohomology": cmd_cohomology,
+    "chi-van": cmd_chi_van,
+    "nilpotency": cmd_nilpotency,
+    "anticommute": cmd_anticommute,
+    "reconstruct-check": cmd_reconstruct_check,
+    "singular": cmd_singular,
+    "epsilon-check": cmd_epsilon_check,
+}
 
 
 def main(argv=None) -> int:
@@ -576,7 +552,8 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         spec = ProblemSpec(doc, validate_lie=(args.command != "nilpotency"))
-        payload, code, extra = _dispatch(args.command, spec, args.oracle)
+        options = {"oracle": args.oracle} if args.command == "chi-van" else {}
+        payload, code, extra = _COMMANDS[args.command](spec, **options)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,36 +24,16 @@ table metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from .fock import (
-    BiGrade,
-    FockError,
-    Monomial,
-    SpaceSpec,
-    State,
-    TorusWeights,
-    enumerate_basis,
-)
+from .fock import Monomial, SpaceSpec, State, TorusWeights, enumerate_basis
 from .linalg import intersection_dim, kernel_basis, rank
-from .oper import SymbolicCharge, apply_terms, charge_operator, instantiate_charge
+from .oper import ChargeOperator, SymbolicCharge, charge_operator
 from .qseries import TruncatedSeries
 
 
 class CohomologyError(ValueError):
     pass
-
-
-@dataclass
-class MatrixBlock:
-    domain: List[Monomial]
-    codomain: List[Monomial]
-    entries: Dict[Tuple[int, int], Fraction]  # (row, col) -> value
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.codomain), len(self.domain))
 
 
 @dataclass
@@ -68,61 +48,39 @@ class CohomologyTable:
         )
 
 
-def _image_columns(op, basis):
-    cols = []
-    for mono in basis:
-        img = op(State.of(mono))
-        cols.append({m: c for m, c in img.terms.items()})
-    return cols
+class _WeightBlocks:
+    """The basis of one weight bucketed by grade key, (torus, degree) or
+    degree, with the charge's image columns and their rank memoised per key."""
+
+    def __init__(self, op: ChargeOperator):
+        self.op = op
+        self.bases: Dict[Hashable, List[Monomial]] = {}
+        self._cols: Dict[Hashable, list] = {}
+        self._ranks: Dict[Hashable, int] = {}
+
+    def add(self, key, mono: Monomial):
+        self.bases.setdefault(key, []).append(mono)
+
+    def basis(self, key) -> List[Monomial]:
+        return self.bases.get(key, [])
+
+    def cols(self, key) -> list:
+        """Image of each basis monomial of the key, as a sparse column."""
+        if key not in self._cols:
+            self._cols[key] = [self.op(State.of(m)).terms for m in self.basis(key)]
+        return self._cols[key]
+
+    def rank(self, key) -> int:
+        if key not in self._ranks:
+            self._ranks[key] = rank(self.cols(key))
+        return self._ranks[key]
 
 
-def boundary_matrix(
-    charge: SymbolicCharge,
-    space: SpaceSpec,
-    from_grade: BiGrade,
-    *,
-    x0_cap: Optional[int] = None,
-    torus_weights: Optional[TorusWeights] = None,
-) -> MatrixBlock:
-    """Exact matrix of the charge between graded pieces at fixed weight.
-
-    Image components outside the capped codomain are dropped (the cap defines
-    a quotient in the directed case); use ``cohomology_dims`` for dimension
-    computations, which treat the cap more carefully.
-    """
-    q, k, t = from_grade.weight, from_grade.degree, from_grade.torus
-    shift = 0
-    if t is not None:
-        if torus_weights is None:
-            raise CohomologyError("torus grade requested without torus weights")
-        shift = charge.torus_shift(torus_weights)
-        if shift is None:
-            raise CohomologyError("charge is not torus homogeneous")
+def _degree_shift(charge: SymbolicCharge) -> int:
     dshift = charge.degree_shift()
     if dshift is None:
         raise CohomologyError("charge is not homogeneous in cohomological degree")
-    domain = enumerate_basis(
-        space, q, degree=k, torus=t, torus_weights=torus_weights, x0_cap=x0_cap
-    )
-    codomain = enumerate_basis(
-        space,
-        q,
-        degree=k + dshift,
-        torus=None if t is None else t + shift,
-        torus_weights=torus_weights,
-        x0_cap=x0_cap,
-    )
-    window = max(q, 0)
-    terms = instantiate_charge(charge, space, window)
-    index = {m: r for r, m in enumerate(codomain)}
-    entries = {}
-    for c, mono in enumerate(domain):
-        img = apply_terms(space, terms, State.of(mono))
-        for m, val in img.terms.items():
-            r = index.get(m)
-            if r is not None:
-                entries[(r, c)] = val
-    return MatrixBlock(domain, codomain, entries)
+    return dshift
 
 
 def cohomology_dims_torus(
@@ -131,63 +89,35 @@ def cohomology_dims_torus(
     max_weight: int,
     torus_weights: TorusWeights,
     torus_window: Tuple[int, int],
-    *,
-    check_nilpotency: bool = True,
 ) -> CohomologyTable:
     """Exact cohomology dimensions per (weight, degree, torus) bigrade."""
     shift = charge.torus_shift(torus_weights)
     if shift is None:
         raise CohomologyError("charge is not torus homogeneous")
-    dshift = charge.degree_shift()
-    if dshift is None:
-        raise CohomologyError("charge is not homogeneous in cohomological degree")
+    dshift = _degree_shift(charge)
     lo, hi = torus_window
     dims: Dict[Tuple[int, int], int] = {}
     per_bigrade: Dict[Tuple[int, int, int], int] = {}
     for q in range(max_weight + 1):
-        op = charge_operator(charge, space, q)
-        # bases per (torus, degree); one extra torus column for incoming maps
-        bases: Dict[Tuple[int, int], list] = {}
+        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        # one extra torus column on each side for the incoming maps
         for t in range(lo - abs(shift), hi + abs(shift) + 1):
-            full = enumerate_basis(space, q, torus=t, torus_weights=torus_weights)
-            for mono in full:
-                bases.setdefault((t, mono.degree), []).append(mono)
-        cols_cache: Dict[Tuple[int, int], list] = {}
-        rank_cache: Dict[Tuple[int, int], int] = {}
-
-        def out_cols(t, k):
-            key = (t, k)
-            if key not in cols_cache:
-                cols_cache[key] = _image_columns(op, bases.get(key, []))
-            return cols_cache[key]
-
-        # each block is ranked once: as the outgoing map at (t, k) and as the
-        # incoming map at (t + shift, k + dshift)
-        def out_rank(t, k):
-            key = (t, k)
-            if key not in rank_cache:
-                rank_cache[key] = rank(out_cols(t, k))
-            return rank_cache[key]
-
+            for mono in enumerate_basis(space, q, torus=t, torus_weights=torus_weights):
+                blocks.add((t, mono.degree), mono)
         for t in range(lo, hi + 1):
-            degrees = sorted({k for (tt, k) in bases if tt == t})
-            for k in degrees:
-                n = len(bases.get((t, k), []))
-                out = out_cols(t, k)
-                r_out = out_rank(t, k)
-                r_in = out_rank(t - shift, k - dshift)
-                h = n - r_out - r_in
+            for k in sorted(k for (tt, k) in blocks.bases if tt == t):
+                basis = blocks.basis((t, k))
+                r_in = blocks.rank((t - shift, k - dshift))  # the map into (t, k)
+                h = len(basis) - blocks.rank((t, k)) - r_in
                 if h < 0:
                     raise CohomologyError(
                         f"negative dimension at weight {q}, torus {t}, degree {k}"
                     )
-                if check_nilpotency:
-                    for col, mono in zip(out, bases.get((t, k), [])):
-                        sq = op(State(col))
-                        if not sq.is_zero():
-                            raise CohomologyError(
-                                f"charge not nilpotent; witness {mono.text(space.dim)}"
-                            )
+                for col, mono in zip(blocks.cols((t, k)), basis):
+                    if not blocks.op(State(col)).is_zero():
+                        raise CohomologyError(
+                            f"charge not nilpotent; witness {mono.text(space.dim)}"
+                        )
                 if h:
                     per_bigrade[(q, k, t)] = h
                 dims[(q, k)] = dims.get((q, k), 0) + h
@@ -205,35 +135,32 @@ def cohomology_dims_torus(
     )
 
 
+def _x0_peak(mono: Monomial) -> int:
+    """Largest x_0 exponent over the directions: what ``enumerate_basis`` caps."""
+    return max([mono.x0_degree(m.direction) for m in mono.modes], default=0)
+
+
 def _capped_dims_once(
-    charge: SymbolicCharge,
-    space: SpaceSpec,
-    max_weight: int,
-    x0_cap: int,
-    image_margin: int,
+    blocks: _WeightBlocks, q: int, dshift: int, x0_cap: int, image_margin: int
 ) -> Dict[Tuple[int, int], int]:
+    """dim K - dim(K intersect I) per degree at one weight: K is the kernel on
+    x_0 degree <= x0_cap, I the image of the basis capped at x0_cap +
+    image_margin per direction.  ``blocks`` may hold a larger cap."""
+    reach = x0_cap + image_margin
     dims: Dict[Tuple[int, int], int] = {}
-    for q in range(max_weight + 1):
-        op = charge_operator(charge, space, q)
-        by_degree: Dict[int, list] = {}
-        for mono in enumerate_basis(space, q, x0_cap=x0_cap + image_margin):
-            by_degree.setdefault(mono.degree, []).append(mono)
-        dshift = charge.degree_shift()
-        if dshift is None:
-            raise CohomologyError("charge is not homogeneous in cohomological degree")
-        for k in sorted(by_degree):
-            small = [m for m in by_degree.get(k, []) if m.x0_degree() <= x0_cap]
-            out_small = _image_columns(op, small)
-            kern = kernel_basis(out_small, n_cols=len(small))
-            k_cols = [
-                {small[i]: v for i, v in enumerate(vec) if v} for vec in kern
-            ]
-            in_cols = [
-                c for c in _image_columns(op, by_degree.get(k - dshift, [])) if c
-            ]
-            h = len(k_cols) - intersection_dim(k_cols, in_cols)
-            if h:
-                dims[(q, k)] = h
+    for k in sorted(blocks.bases):
+        basis, cols = blocks.basis(k), blocks.cols(k)
+        small = [i for i, mono in enumerate(basis) if mono.x0_degree() <= x0_cap]
+        kern = kernel_basis([cols[i] for i in small], n_cols=len(small))
+        k_cols = [{basis[small[i]]: v for i, v in enumerate(vec) if v} for vec in kern]
+        in_cols = [
+            col
+            for mono, col in zip(blocks.basis(k - dshift), blocks.cols(k - dshift))
+            if col and _x0_peak(mono) <= reach
+        ]
+        h = len(k_cols) - intersection_dim(k_cols, in_cols)
+        if h:
+            dims[(q, k)] = h
     return dims
 
 
@@ -243,23 +170,27 @@ def cohomology_dims_capped(
     max_weight: int,
     x0_cap: int,
     *,
-    image_margin: Optional[int] = None,
     stabilize: bool = True,
 ) -> CohomologyTable:
-    """Capped-kernel / image-intersection estimate with stabilization flags."""
-    if image_margin is None:
-        image_margin = charge.max_y_letters() + 1
-    dims = _capped_dims_once(charge, space, max_weight, x0_cap, image_margin)
+    """Capped-kernel / image-intersection estimate with stabilization flags.
+
+    The cap and cap+1 passes share each weight's operator and image columns.
+    """
+    image_margin = charge.max_y_letters() + 1
+    dshift = _degree_shift(charge)
+    top = x0_cap + image_margin + (1 if stabilize else 0)
+    dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
-    if stabilize:
-        bigger = _capped_dims_once(
-            charge, space, max_weight, x0_cap + 1, image_margin
-        )
-        for q in range(max_weight + 1):
-            row_a = {k: v for (qq, k), v in dims.items() if qq == q}
-            row_b = {k: v for (qq, k), v in bigger.items() if qq == q}
-            stab[q] = row_a == row_b
-        dims = bigger
+    for q in range(max_weight + 1):
+        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        for mono in enumerate_basis(space, q, x0_cap=top):
+            blocks.add(mono.degree, mono)
+        row = _capped_dims_once(blocks, q, dshift, x0_cap, image_margin)
+        if stabilize:
+            bigger = _capped_dims_once(blocks, q, dshift, x0_cap + 1, image_margin)
+            stab[q] = row == bigger
+            row = bigger
+        dims.update(row)
     return CohomologyTable(
         dims=dims,
         stabilization=stab,
@@ -280,7 +211,6 @@ def cohomology_dims(
     x0_cap: Optional[int] = None,
     torus_weights: Optional[TorusWeights] = None,
     torus_window: Optional[Tuple[int, int]] = None,
-    image_margin: Optional[int] = None,
     stabilize: bool = True,
 ) -> CohomologyTable:
     if torus_weights is not None and torus_window is not None:
@@ -289,14 +219,7 @@ def cohomology_dims(
         )
     if x0_cap is None:
         raise CohomologyError("need either an x0 cap or a torus window")
-    return cohomology_dims_capped(
-        charge,
-        space,
-        max_weight,
-        x0_cap,
-        image_margin=image_margin,
-        stabilize=stabilize,
-    )
+    return cohomology_dims_capped(charge, space, max_weight, x0_cap, stabilize=stabilize)
 
 
 def euler_series(
@@ -332,7 +255,6 @@ def chi_van(
     x0_cap: Optional[int] = None,
     torus_weights: Optional[TorusWeights] = None,
     torus_window: Optional[Tuple[int, int]] = None,
-    image_margin: Optional[int] = None,
     require_stable: bool = True,
 ) -> Tuple[TruncatedSeries, CohomologyTable]:
     """q-series of Euler characteristics of fixed-weight cohomology."""
@@ -343,7 +265,6 @@ def chi_van(
         x0_cap=x0_cap,
         torus_weights=torus_weights,
         torus_window=torus_window,
-        image_margin=image_margin,
     )
     unstable = [q for q, ok in table.stabilization.items() if not ok]
     if require_stable and unstable:

@@ -329,11 +329,6 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
     return State.of(Monomial(ordered), Fraction(coeff) * sign)
 
 
-def grade(monomial: Monomial, weights: Optional[TorusWeights] = None) -> BiGrade:
-    """Bigrade of a normalized monomial."""
-    return monomial.grade(weights)
-
-
 def _positive_weight_creators(space: SpaceSpec, weight: int):
     gens = []
     for direction in range(1, space.dim + 1):

@@ -94,13 +94,6 @@ def apply_term(space: SpaceSpec, term: OperatorTerm, state: State) -> State:
     return out.scale(term.coefficient)
 
 
-def apply_terms(space: SpaceSpec, terms: Sequence[OperatorTerm], state: State) -> State:
-    out = State.zero()
-    for term in terms:
-        out = out + apply_term(space, term, state)
-    return out
-
-
 def _contraction(a: ModeKey, b: ModeKey) -> Fraction:
     """Scalar a b -+ b a for the free-field (super-)commutation relations."""
     if a.direction != b.direction or a.index + b.index != 0:

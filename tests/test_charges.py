@@ -16,7 +16,6 @@ from chiralg.charges import (
     lie_charge,
     potential_charge,
     random_potential,
-    validate_homogeneity,
 )
 from chiralg.fock import (
     FockError,
@@ -69,6 +68,11 @@ def test_potential_theta_weight0_contraction():
     f = Potential.single_variable(2)
     op = charge_operator(potential_charge(f, Side.THETA), THETA1, 0)
     assert op(st(THETA1, PSI(0))) == st(THETA1, X(0), coeff=2)
+    # iota_df for f = z^3 multiplies by 3 x0^2: x0^k psi_0 -> 3 x0^(k+2)
+    op = charge_operator(potential_charge(Potential.single_variable(3), Side.THETA), THETA1, 0)
+    for k in range(4):
+        v = st(THETA1, *([X(0)] * k + [PSI(0)]))
+        assert op(v) == st(THETA1, *([X(0)] * (k + 2)), coeff=3)
 
 
 def test_potential_omega_weight0_wedge():
@@ -167,13 +171,13 @@ def test_check_anticommute_examples():
 def test_validate_homogeneity_examples():
     f = Potential.single_variable(3)
     good = TorusWeights.from_x_and_phi((1,), (-2,))
-    assert validate_homogeneity(potential_charge(f, Side.THETA), good)
+    assert potential_charge(f, Side.THETA).torus_shift(good) == 0
     bad = TorusWeights.from_x_and_phi((1,), (-1,))
-    assert not validate_homogeneity(potential_charge(f, Side.THETA), bad)
+    assert potential_charge(f, Side.THETA).torus_shift(bad) != 0
     g = Potential.from_terms(2, [(1, (2, 1))])
     tw = default_torus_weights(g, wx=(1, 2))
     assert tw.wpsi == (3, 2)
-    assert validate_homogeneity(potential_charge(g, Side.OMEGA), tw)
+    assert potential_charge(g, Side.OMEGA).torus_shift(tw) == 0
 
 
 def test_degree_shift_constants():

@@ -123,13 +123,17 @@ def test_cohomology_csv_format(tmp_path):
         "dim": 1,
         "side": "theta",
         "potential": {"terms": [{"coeff": "1", "exps": [2]}]},
-        "caps": {"weight_max": 1, "x0_cap": 2},
+        "caps": {"weight_max": 1, "x0_cap": 2, "q_max": 1, "z_window": [-2, 2]},
     }
-    code, text = run(tmp_path, "cohomology", spec, "--format", "csv")
-    assert code == 0
-    lines = text.strip().splitlines()
-    assert lines[0] == "weight,degree,dim,stable"
-    assert "0,0,1,1" in lines
+    for command, header, row in (
+        ("cohomology", "weight,degree,dim,stable", "0,0,1,1"),
+        ("char", "q,z,coeff", "0,0,1"),
+    ):
+        code, text = run(tmp_path, command, spec, "--format", "csv")
+        assert code == 0
+        lines = text.strip().splitlines()
+        assert lines[0] == header
+        assert row in lines
 
 
 def test_chi_van_with_theta_oracle(tmp_path):
@@ -144,6 +148,11 @@ def test_chi_van_with_theta_oracle(tmp_path):
     payload = json.loads(text)["payload"]
     assert payload["oracle_rows"] == {"0": -1, "1": 0, "2": 0}
     assert payload["series"]["rows"]["0"] == {"0": "-1"}
+    # the closed form is the omega-side character; a theta-side spec is refused
+    theta_side = dict(spec, side="theta", caps={"weight_max": 2, "x0_cap": 4})
+    theta_side["potential"] = {"terms": [{"coeff": "1", "exps": [3]}]}
+    code, text = run(tmp_path, "chi-van", theta_side, "--oracle", "theta")
+    assert code == 2
 
 
 def test_chi_van_theta_oracle_degree_2_and_3(tmp_path):

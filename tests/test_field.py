@@ -13,7 +13,7 @@ from chiralg.fock import (
     enumerate_basis,
     make_space,
 )
-from chiralg.oper import apply_mode, apply_terms, instantiate_charge, translate
+from chiralg.oper import charge_operator, translate
 from conftest import X, Y, PHI, PSI, st
 
 THETA1 = make_space(Side.THETA, 1)
@@ -86,18 +86,18 @@ def test_residue_charge_contract():
 def test_residue_matches_chiral_de_rham():
     a = st(OMEGA1, Y(1), PHI(0))
     brst = residue_charge(OMEGA1, a)
-    terms = instantiate_charge(chiral_de_rham(1), OMEGA1, 2)
+    op = charge_operator(chiral_de_rham(1), OMEGA1, 2)
     for v in _basis_states(OMEGA1, 2):
-        assert brst(v) == apply_terms(OMEGA1, terms, v)
+        assert brst(v) == op(v)
 
 
 def test_residue_matches_potential_charge():
     f = Potential.single_variable(2)
     a = st(THETA1, X(0), PHI(1), coeff=2)
     brst = residue_charge(THETA1, a)
-    terms = instantiate_charge(potential_charge(f, Side.THETA), THETA1, 2)
+    op = charge_operator(potential_charge(f, Side.THETA), THETA1, 2)
     for v in _basis_states(THETA1, 2):
-        assert brst(v) == apply_terms(THETA1, terms, v)
+        assert brst(v) == op(v)
 
 
 def test_residue_derivation_property():

@@ -15,7 +15,6 @@ from chiralg.fock import (
     TorusWeights,
     UnboundedBasisError,
     enumerate_basis,
-    grade,
     make_space,
     normalize,
 )
@@ -106,7 +105,7 @@ def test_grade_examples():
 
 def test_grade_requires_weights_for_torus():
     m = Monomial()
-    assert grade(m).torus is None
+    assert m.grade().torus is None
 
 
 def test_torus_weights_conjugacy_enforced():

@@ -21,7 +21,7 @@ from chiralg.oper import (
     OperatorTerm,
     apply_mode,
     apply_term,
-    apply_terms,
+    charge_operator,
     instantiate_charge,
     normal_order,
     translate,
@@ -151,10 +151,10 @@ def test_apply_mode_shifts_grades():
 
 def test_window_enlargement_invariance():
     charge = potential_charge(Potential.single_variable(3), Side.THETA)
-    small = instantiate_charge(charge, THETA1, 2)
-    large = instantiate_charge(charge, THETA1, 4)
+    small = charge_operator(charge, THETA1, 2)
+    large = charge_operator(charge, THETA1, 4)
     for v in _basis_states(THETA1, 2, cap=2):
-        assert apply_terms(THETA1, small, v) == apply_terms(THETA1, large, v)
+        assert small(v) == large(v)
 
 
 def test_translation_covariance_of_modes():
