@@ -22,12 +22,34 @@ from chiralg.cohomology import (
     cohomology_dims_torus,
     euler_series,
 )
-from chiralg.fock import Side, TorusWeights, enumerate_basis, make_space
+from chiralg.fock import Side, State, TorusWeights, enumerate_basis, make_space
 from chiralg.linalg import intersection_dim, kernel_basis, rank
+from chiralg.oper import charge_operator
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
 THETA3 = make_space(Side.THETA, 3)
+
+
+def test_boundary_matrix_multiplication_pattern():
+    """iota_df for f = z^3 at weight 0 is multiplication by 3 x0^2."""
+    charge = potential_charge(Potential.single_variable(3), Side.THETA)
+    op = charge_operator(charge, THETA1, 0)
+    domain = enumerate_basis(THETA1, 0, degree=-1, x0_cap=3)
+    codomain = enumerate_basis(THETA1, 0, degree=0, x0_cap=3)
+    assert (len(codomain), len(domain)) == (4, 4)
+    assert {m.text() for m in domain} == {
+        "psi_0", "x_0 psi_0", "x_0 x_0 psi_0", "x_0 x_0 x_0 psi_0"
+    }
+    # entries: x0^k psi_0 -> 3 x0^{k+2}, truncated by the cap
+    dom = {m.x0_degree(): c for c, m in enumerate(domain)}
+    cod = {m.x0_degree(): r for r, m in enumerate(codomain)}
+    entries = {}
+    for c, mono in enumerate(domain):
+        for image, coeff in op(State.of(mono)).terms.items():
+            if image.x0_degree() <= 3:
+                entries[(cod[image.x0_degree()], c)] = coeff
+    assert entries == {(cod[k + 2], dom[k]): Fraction(3) for k in (0, 1)}
 
 
 def test_linalg_rank_shuffle_invariance():
