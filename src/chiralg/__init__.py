@@ -19,6 +19,7 @@ from .fock import (
     UnboundedBasisError,
     VACUUM,
     enumerate_basis,
+    enumerate_torus_window,
     make_space,
     normalize,
 )

@@ -39,6 +39,7 @@ from .fock import (
     TorusWeights,
     UnboundedBasisError,
     enumerate_basis,
+    enumerate_torus_window,
     make_space,
     normalize,
 )
@@ -299,10 +300,9 @@ def cmd_basis(spec: ProblemSpec):
         else:
             tw = spec.default_weights()
             lo, hi = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)
-            for t in range(lo, hi + 1):
-                for mono in enumerate_basis(space, q, torus=t, torus_weights=tw):
-                    key = (q, mono.degree)
-                    dims[key] = dims.get(key, 0) + 1
+            for _, mono in enumerate_torus_window(space, q, tw, (lo, hi)):
+                key = (q, mono.degree)
+                dims[key] = dims.get(key, 0) + 1
     payload = {
         "dims": {f"{q},{k}": v for (q, k), v in sorted(dims.items())},
         "regularization": "x0_cap" if spec.x0_cap is not None else "torus",
@@ -320,7 +320,20 @@ def cmd_char(spec: ProblemSpec):
     return {"series": series.to_json_dict(zwindow)}, 0, series
 
 
+def _require_closed_form_scope(spec: ProblemSpec, what: str) -> None:
+    """-z^-d theta(z^d)/theta(z) is the character of the one-variable twisted
+    de Rham complex.  The theta side has Euler number +d at q^0, not -d, and
+    more variables have other characters, so ``what`` refuses both."""
+    if spec.side is not Side.OMEGA:
+        raise SpecError(
+            f"spec.side: {what} needs side 'omega', got '{spec.side.value}'"
+        )
+    if spec.dim != 1:
+        raise SpecError(f"spec.dim: {what} needs dim 1, got {spec.dim}")
+
+
 def cmd_theta_check(spec: ProblemSpec):
+    _require_closed_form_scope(spec, "'theta-check'")
     if spec.potential is None:
         raise SpecError("spec.potential: required for 'theta-check'")
     d = spec.potential.quasi_degree((1,) * spec.dim) - 1
@@ -363,12 +376,7 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
     if oracle == "theta":
         if spec.potential is None:
             raise SpecError("spec.potential: required for the theta oracle")
-        # -z^-d theta(z^d)/theta(z) is the twisted de Rham character; the
-        # theta side's complex has Euler number +d at q^0, not -d.
-        if spec.side is not Side.OMEGA:
-            raise SpecError(
-                f"spec.side: the theta oracle needs side 'omega', got '{spec.side.value}'"
-            )
+        _require_closed_form_scope(spec, "the theta oracle")
     series, table = chi_van(
         charge, space, spec.weight_max, require_stable=False, **kwargs
     )
@@ -516,6 +524,10 @@ def cmd_epsilon_check(spec: ProblemSpec):
     return payload, 0 if report else 1, None
 
 
+# Commands with a CSV rendering, and the commands that take an oracle.
+_CSV_COMMANDS = ("char", "cohomology", "chi-van")
+_ORACLE_COMMANDS = ("chi-van",)
+
 _COMMANDS = {
     "basis": cmd_basis,
     "char": cmd_char,
@@ -541,6 +553,12 @@ def main(argv=None) -> int:
     parser.add_argument("--oracle", choices=["theta", "none"], default="none")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command not in _CSV_COMMANDS:
+        print(f"error: '{args.command}' has no CSV output", file=sys.stderr)
+        return 2
+    if args.oracle != "none" and args.command not in _ORACLE_COMMANDS:
+        print(f"error: '{args.command}' takes no oracle", file=sys.stderr)
+        return 2
 
     try:
         with open(args.spec) as fh:
@@ -552,7 +570,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         spec = ProblemSpec(doc, validate_lie=(args.command != "nilpotency"))
-        options = {"oracle": args.oracle} if args.command == "chi-van" else {}
+        options = {"oracle": args.oracle} if args.command in _ORACLE_COMMANDS else {}
         payload, code, extra = _COMMANDS[args.command](spec, **options)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -562,9 +580,9 @@ def main(argv=None) -> int:
         return 2
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
-    if args.format == "csv" and extra is not None and hasattr(extra, "dims"):
+    if args.format == "csv" and hasattr(extra, "dims"):
         text = _table_csv(extra)
-    elif args.format == "csv" and extra is not None:
+    elif args.format == "csv":
         text = _series_csv(extra, spec.z_window)
     else:
         result = {

@@ -26,7 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from .fock import Monomial, SpaceSpec, State, TorusWeights, enumerate_basis
+from .fock import (
+    Monomial,
+    SpaceSpec,
+    State,
+    TorusWeights,
+    enumerate_basis,
+    enumerate_torus_window,
+)
 from .linalg import intersection_dim, kernel_basis, rank
 from .oper import ChargeOperator, SymbolicCharge, charge_operator
 from .qseries import TruncatedSeries
@@ -101,9 +108,11 @@ def cohomology_dims_torus(
     for q in range(max_weight + 1):
         blocks = _WeightBlocks(charge_operator(charge, space, q))
         # one extra torus column on each side for the incoming maps
-        for t in range(lo - abs(shift), hi + abs(shift) + 1):
-            for mono in enumerate_basis(space, q, torus=t, torus_weights=torus_weights):
-                blocks.add((t, mono.degree), mono)
+        reach = (lo - abs(shift), hi + abs(shift))
+        for t, mono in enumerate_torus_window(space, q, torus_weights, reach):
+            blocks.add((t, mono.degree), mono)
+        for basis in blocks.bases.values():
+            basis.sort(key=Monomial.sort_key)
         for t in range(lo, hi + 1):
             for k in sorted(k for (tt, k) in blocks.bases if tt == t):
                 basis = blocks.basis((t, k))
@@ -236,14 +245,10 @@ def euler_series(
     lo, hi = torus_window
     rows: Dict[int, Dict[int, int]] = {}
     for q in range(max_weight + 1):
-        row = {}
-        for t in range(lo, hi + 1):
-            chi = 0
-            for mono in enumerate_basis(space, q, torus=t, torus_weights=weights):
-                chi += -1 if mono.degree % 2 else 1
-            if chi:
-                row[t] = chi
-        rows[q] = row
+        chi: Dict[int, int] = {}
+        for t, mono in enumerate_torus_window(space, q, weights, torus_window):
+            chi[t] = chi.get(t, 0) + (-1 if mono.degree % 2 else 1)
+        rows[q] = {t: chi[t] for t in sorted(chi) if chi[t]}
     return TruncatedSeries(max_weight, rows, None, lo, hi)
 
 

@@ -10,6 +10,15 @@ Which modes are creators depends on the side:
 
 The conformal weight of a mode equals its index.  All coefficients are exact
 rationals; nothing in this module ever touches floating point.
+
+The x_0 modes have weight 0, so a fixed-weight piece is finite only under an
+x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
+one sign).  ``enumerate_torus_window`` yields every monomial of one weight
+whose torus value lies in a closed window, in one pass over the weight: each
+base of positive modes and weight-0 fermions is built once, and one
+recursion gives all its x_0 exponent vectors that land in the window.
+``enumerate_basis`` returns one canonically ordered piece, either capped or
+the window (t, t).
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 
 class FockError(ValueError):
@@ -359,14 +368,22 @@ def _positive_multisets(gens, weight: int) -> Iterator[tuple]:
     yield from rec(0, weight, [])
 
 
-def _x0_exponent_vectors(
-    wx: Sequence[int], target: int, dim: int
-) -> Iterator[tuple]:
-    """Solutions k >= 0 of sum_j k_j * wx[j] = target.
+def _bases(space: SpaceSpec, weight: int, zero_fermion_allowed: bool) -> Iterator[tuple]:
+    """The basis monomials of the weight with their x_0 letters left out: each
+    positive-index creator multiset, times each set of weight-0 fermions."""
+    zeros = [ModeKey(space.zero_fermion_family, j + 1, 0) for j in range(space.dim)]
+    subsets = [
+        tuple(z for j, z in enumerate(zeros) if mask >> j & 1)
+        for mask in range(2**space.dim if zero_fermion_allowed else 1)
+    ]
+    for pos in _positive_multisets(_positive_weight_creators(space, weight), weight):
+        for zf in subsets:
+            yield pos + zf
 
-    Requires every wx[j] nonzero and of one common sign, so the solution set
-    is finite.
-    """
+
+def _check_regularizing(wx: Sequence[int]) -> None:
+    """Raise unless the x_0 torus weights are nonzero and of one sign, which
+    leaves each torus value finitely many x_0 exponent vectors."""
     if any(w == 0 for w in wx):
         j = next(j for j, w in enumerate(wx) if w == 0)
         raise UnboundedBasisError(
@@ -376,22 +393,75 @@ def _x0_exponent_vectors(
         raise UnboundedBasisError(
             "mixed-sign torus weights on x_0 generators; weight-0 piece unbounded"
         )
-    flip = -1 if wx[0] < 0 else 1
-    weights = [flip * w for w in wx]
-    goal = flip * target
 
-    def rec(j: int, remaining: int, acc: list):
-        if j == dim:
-            if remaining == 0:
-                yield tuple(acc)
+
+def _with_x0_letters(
+    base: tuple, x0: Sequence[ModeKey], steps: Sequence[int], lo: int, hi: int
+) -> Iterator[tuple]:
+    """Pairs (s, modes): ``base`` times x_0 letters, k_j of them in direction
+    j, with s = sum_j k_j * steps[j] in lo..hi, as a canonically ordered mode
+    tuple.  Every step must be positive.
+
+    x{j}_0 sorts after every x letter of a lower direction and before every
+    other letter of direction j, so one recursion over the directions both
+    solves for the k_j and places the letters.
+    """
+    ordered = sorted(base, key=ModeKey.sort_key)
+    # x letters come first in the mode order, grouped by direction
+    segments = [[] for _ in steps]
+    n_x = 0
+    for m in ordered:
+        if m.family is not Family.X:
+            break
+        segments[m.direction - 1].append(m)
+        n_x += 1
+    segments = [tuple(seg) for seg in segments]
+    tail = tuple(ordered[n_x:])
+
+    def rec(j: int, total: int, acc: tuple):
+        if j == len(steps):
+            if total >= lo:
+                yield total, acc + tail
             return
-        w = weights[j]
-        for k in range(remaining // w + 1):
-            yield from rec(j + 1, remaining - k * w, acc + [k])
+        w = steps[j]
+        for k in range((hi - total) // w + 1):
+            yield from rec(j + 1, total + k * w, acc + (x0[j],) * k + segments[j])
 
-    if goal < 0:
-        return
-    yield from rec(0, goal, [])
+    yield from rec(0, 0, ())
+
+
+def enumerate_torus_window(
+    space: SpaceSpec,
+    weight: int,
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+    *,
+    degree: Optional[int] = None,
+    zero_fermion_allowed: bool = True,
+) -> Iterator[Tuple[int, Monomial]]:
+    """Yield ``(t, monomial)`` for every basis monomial of the weight whose
+    torus value t lies in the closed window ``lo..hi``; unsorted.
+
+    One pass per weight: each x_0-free base (positive modes and weight-0
+    fermions) is built once, with its degree and partial torus value, and
+    one recursion gives all its x_0 exponent vectors that land in the
+    window.  The x_0 weights must be nonzero and of one sign, so that the
+    window is finite; otherwise ``UnboundedBasisError`` is raised.
+    """
+    wx = torus_weights.wx
+    _check_regularizing(wx)
+    # solve in units u = flip * t, in which every x_0 weight is positive
+    flip = -1 if wx[0] < 0 else 1
+    steps = [flip * w for w in wx]
+    lo, hi = window if flip > 0 else (-window[1], -window[0])
+    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
+    for base in _bases(space, weight, zero_fermion_allowed):
+        # x_0 letters have degree 0, so the degree is the base's
+        if degree is not None and sum(m.degree for m in base) != degree:
+            continue
+        partial = flip * sum(torus_weights.of_mode(m) for m in base)
+        for s, modes in _with_x0_letters(base, x0, steps, lo - partial, hi - partial):
+            yield flip * (partial + s), Monomial(modes)
 
 
 def enumerate_basis(
@@ -409,6 +479,9 @@ def enumerate_basis(
     The weight-0 generators x_0 (and the weight-0 fermion) make fixed-weight
     pieces infinite dimensional, so every query must either cap the x_0 degree
     (per direction) or fix a torus weight under a regularizing assignment.
+    A torus query without a cap is ``enumerate_torus_window`` on the window
+    ``(torus, torus)``, sorted; for a range of torus values, call that
+    generator once on the whole range rather than this once per value.
     """
     if weight < 0:
         return []
@@ -419,36 +492,31 @@ def enumerate_basis(
             "unbounded request: no x_0 degree cap and no torus constraint "
             "(runaway generator x_0)"
         )
+    if x0_cap is None:
+        window = enumerate_torus_window(
+            space,
+            weight,
+            torus_weights,
+            (torus, torus),
+            degree=degree,
+            zero_fermion_allowed=zero_fermion_allowed,
+        )
+        return sorted((mono for _, mono in window), key=Monomial.sort_key)
 
-    zero_fam = space.zero_fermion_family
     out = []
-    for pos in _positive_multisets(_positive_weight_creators(space, weight), weight):
-        for fermion_mask in range(2**space.dim if zero_fermion_allowed else 1):
-            zf = tuple(
-                ModeKey(zero_fam, j + 1, 0)
+    for base in _bases(space, weight, zero_fermion_allowed):
+        for exps in _cartesian_exponents(space.dim, x0_cap):
+            x0s = tuple(
+                ModeKey(Family.X, j + 1, 0)
                 for j in range(space.dim)
-                if fermion_mask >> j & 1
+                for _ in range(exps[j])
             )
-            base = pos + zf
-            if x0_cap is not None:
-                ranges = _cartesian_exponents(space.dim, x0_cap)
-            else:
-                partial = sum(torus_weights.of_mode(m) for m in base)
-                ranges = _x0_exponent_vectors(
-                    torus_weights.wx, torus - partial, space.dim
-                )
-            for exps in ranges:
-                x0s = tuple(
-                    ModeKey(Family.X, j + 1, 0)
-                    for j in range(space.dim)
-                    for _ in range(exps[j])
-                )
-                mono = Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key)))
-                if degree is not None and mono.degree != degree:
-                    continue
-                if torus is not None and mono.torus(torus_weights) != torus:
-                    continue
-                out.append(mono)
+            mono = Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key)))
+            if degree is not None and mono.degree != degree:
+                continue
+            if torus is not None and mono.torus(torus_weights) != torus:
+                continue
+            out.append(mono)
     out.sort(key=Monomial.sort_key)
     return out
 

@@ -10,13 +10,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_bench_run_is_correct():
+# zero_mode_modules runs the linalg and modfun path, theta_character the
+# fock, cohomology and qseries path
+@pytest.mark.parametrize("workload", ["zero_mode_modules", "theta_character"])
+def test_traced_bench_run_is_correct(workload):
     proc = subprocess.run(
         [
-            sys.executable, "bench/run.py", "--workload", "zero_mode_modules",
+            sys.executable, "bench/run.py", "--workload", workload,
             "--seed", "1", "--seconds", "2", "--trace", "1",
         ],
         cwd=ROOT, capture_output=True, text=True, timeout=120,

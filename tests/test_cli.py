@@ -35,6 +35,43 @@ def test_theta_check_passes(tmp_path):
     assert json.loads(text)["payload"]["equal"] is True
 
 
+def test_theta_check_refuses_other_sides_and_dims(tmp_path, capsys):
+    # the closed form is the one-variable, omega-side character: these specs
+    # would otherwise exit 1 with a false witness
+    def potential(*exps):
+        return {"terms": [{"coeff": "1", "exps": list(e)} for e in exps]}
+
+    cases = [
+        ({"dim": 1, "side": "theta", "potential": potential([3])}, "spec.side"),
+        ({"dim": 2, "side": "omega", "potential": potential([1, 1])}, "spec.dim"),
+        ({"dim": 2, "side": "omega", "potential": potential([3, 0], [0, 3])}, "spec.dim"),
+    ]
+    for spec, field in cases:
+        spec["caps"] = {"q_max": 2, "weight_max": 2, "z_window": [-6, 3]}
+        code, _ = run(tmp_path, "theta-check", spec)
+        assert code == 2, spec
+        assert field in capsys.readouterr().err
+
+
+def test_flags_refused_where_ignored(tmp_path, capsys):
+    spec = {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "1", "exps": [2]}]},
+        "caps": {"weight_max": 1, "x0_cap": 2, "q_max": 1, "z_window": [-3, 1]},
+    }
+    for command, flag in (
+        ("anticommute", ["--format", "csv"]),
+        ("basis", ["--format", "csv"]),
+        ("theta-check", ["--format", "csv"]),
+        ("cohomology", ["--oracle", "theta"]),
+        ("char", ["--oracle", "theta"]),
+    ):
+        code, _ = run(tmp_path, command, spec, *flag)
+        assert code == 2, (command, flag)
+        assert "error:" in capsys.readouterr().err
+
+
 def test_nilpotency_sl2(tmp_path):
     spec = {"dim": 3, "lie": SL2, "caps": {"weight_max": 3}}
     code, text = run(tmp_path, "nilpotency", spec)
@@ -152,6 +189,11 @@ def test_chi_van_with_theta_oracle(tmp_path):
     theta_side = dict(spec, side="theta", caps={"weight_max": 2, "x0_cap": 4})
     theta_side["potential"] = {"terms": [{"coeff": "1", "exps": [3]}]}
     code, text = run(tmp_path, "chi-van", theta_side, "--oracle", "theta")
+    assert code == 2
+    # so is a two-variable one: f = xy has Euler number +1 at q^0, not -1
+    two_vars = dict(spec, dim=2, caps={"weight_max": 0, "x0_cap": 2})
+    two_vars["potential"] = {"terms": [{"coeff": "1", "exps": [1, 1]}]}
+    code, text = run(tmp_path, "chi-van", two_vars, "--oracle", "theta")
     assert code == 2
 
 

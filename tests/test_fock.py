@@ -15,6 +15,7 @@ from chiralg.fock import (
     TorusWeights,
     UnboundedBasisError,
     enumerate_basis,
+    enumerate_torus_window,
     make_space,
     normalize,
 )
@@ -130,6 +131,11 @@ def test_unbounded_torus_weights_rejected():
     tw = TorusWeights((0,), (1,), (-1,))
     with pytest.raises(UnboundedBasisError):
         enumerate_basis(THETA1, 0, torus=0, torus_weights=tw)
+    theta2 = make_space(Side.THETA, 2)
+    for wx in ((1, 0), (1, -1)):
+        tw = TorusWeights.from_x_and_phi(wx, (0, 0))
+        with pytest.raises(UnboundedBasisError):
+            list(enumerate_torus_window(theta2, 1, tw, (-2, 2)))
 
 
 _CREATORS = [X(0), X(1), X(2), Y(1), Y(2), PSI(0), PSI(1), PHI(1), PHI(2)]
@@ -179,3 +185,56 @@ def test_state_arithmetic_is_exact():
     v = State.vacuum(Fraction(1, 3)) + State.vacuum(Fraction(2, 3))
     assert v == State.vacuum()
     assert (v - v).is_zero()
+
+
+# (side, wx, wphi, window, max weight); dims 1-3, both sides, both signs of wx
+_WINDOW_CASES = [
+    (Side.THETA, (1,), (-2,), (-4, 3), 3),
+    (Side.OMEGA, (-2,), (3,), (-3, 5), 3),
+    (Side.THETA, (1, 2), (0, -1), (-1, 2), 1),
+    (Side.OMEGA, (-1, -1), (1, 0), (-2, 1), 2),
+    (Side.THETA, (1, 1, 1), (0, 0, 1), (-1, 1), 1),
+    (Side.OMEGA, (-1, -1, -1), (1, 0, 0), (-1, 1), 1),
+]
+
+
+@pytest.mark.parametrize("side, wx, wphi, window, max_weight", _WINDOW_CASES)
+def test_torus_window_matches_capped_enumeration(side, wx, wphi, window, max_weight):
+    space = make_space(side, len(wx))
+    tw = TorusWeights.from_x_and_phi(wx, wphi)
+    lo, hi = window
+    bound = max(abs(w) for w in wx + wphi)
+    for q in range(max_weight + 1):
+        # a base of weight q has at most q + dim letters, each of torus value
+        # at most `bound` in size, and every x_0 letter moves the torus value
+        # by at least 1 in one direction: no monomial in the window has more
+        # x_0 letters than this cap
+        cap = max(abs(lo), abs(hi)) + (q + space.dim) * bound
+        for zero_fermions in (True, False):
+            capped = [
+                (m.torus(tw), m)
+                for m in enumerate_basis(
+                    space, q, x0_cap=cap, zero_fermion_allowed=zero_fermions
+                )
+            ]
+            for degree in (None, -1, 0):
+                got = {}
+                for t, mono in enumerate_torus_window(
+                    space, q, tw, window,
+                    degree=degree, zero_fermion_allowed=zero_fermions,
+                ):
+                    got.setdefault(t, []).append(mono)
+                for t in range(lo, hi + 1):
+                    want = [
+                        m for tm, m in capped
+                        if tm == t and degree in (None, m.degree)
+                    ]
+                    assert sorted(got.pop(t, []), key=Monomial.sort_key) == want
+                assert not got, f"torus values outside the window: {sorted(got)}"
+
+
+def test_empty_torus_window_yields_nothing():
+    tw = TorusWeights.from_x_and_phi((1,), (0,))
+    assert list(enumerate_torus_window(THETA1, 2, tw, (1, 0))) == []
+    # weight 0 of the theta side with these weights has torus values >= 0
+    assert list(enumerate_torus_window(THETA1, 0, tw, (-5, -1))) == []
