@@ -7,7 +7,6 @@ All arithmetic is exact rational.
 """
 
 from .fock import (
-    BiGrade,
     Family,
     FockError,
     ModeKey,

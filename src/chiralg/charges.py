@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 from .fock import (
     Family,
     FockError,
-    ModeKey,
     Monomial,
     Side,
     SpaceSpec,
@@ -24,10 +23,11 @@ from .fock import (
     enumerate_basis,
 )
 from .oper import (
-    OperatorTerm,
     SymbolicCharge,
+    annihilated_weight,
     charge_operator,
     combine_terms,
+    conjugate_creators,
     instantiate_charge,
     normal_order,
 )
@@ -237,29 +237,8 @@ class CheckReport:
         return self.passed
 
 
-def _annihilated_weight(space, modes) -> int:
-    return sum(-m.index for m in modes if not space.is_creator(m))
-
-
 def _product_terms(space, t1, t2):
     return normal_order(space, t1.coefficient * t2.coefficient, t1.modes + t2.modes)
-
-
-def _conjugate_probe(space, term: OperatorTerm) -> Monomial:
-    """The monomial of conjugate creators of a term's annihilator part."""
-    from .oper import _CONJUGATE  # local import avoids a public-name cycle
-
-    conj = tuple(
-        sorted(
-            (
-                ModeKey(_CONJUGATE[m.family], m.direction, -m.index)
-                for m in term.modes
-                if not space.is_creator(m)
-            ),
-            key=ModeKey.sort_key,
-        )
-    )
-    return Monomial(conj)
 
 
 def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
@@ -277,13 +256,13 @@ def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
         surviving = [
             t
             for t in combine_terms(raw)
-            if _annihilated_weight(space, t.modes) <= window
+            if annihilated_weight(space, t.modes) <= window
         ]
         if not surviving:
             return CheckReport(True)
         # a probe built from a minimal surviving annihilator part always works
         probes = (
-            _conjugate_probe(space, t)
+            Monomial(conjugate_creators(space, t.modes))
             for t in sorted(
                 surviving,
                 key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),

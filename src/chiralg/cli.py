@@ -2,9 +2,10 @@
 
 Exit codes: 0 = computation ran and every requested check passed; 1 = the
 computation ran but a check failed (a witness is included in the payload);
-2 = invalid input.  All emitted numbers are integers or decimal-string
-rationals, and rerunning the same spec produces a byte-identical payload
-section.
+2 = invalid input; 3 = internal error, an unexpected exception inside the
+program, reported on stderr and never as a failed check.  All emitted
+numbers are integers or decimal-string rationals, and rerunning the same
+spec produces a byte-identical payload section.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -37,7 +39,6 @@ from .fock import (
     Side,
     State,
     TorusWeights,
-    UnboundedBasisError,
     enumerate_basis,
     enumerate_torus_window,
     make_space,
@@ -300,9 +301,8 @@ def cmd_basis(spec: ProblemSpec):
         else:
             tw = spec.default_weights()
             lo, hi = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)
-            for _, mono in enumerate_torus_window(space, q, tw, (lo, hi)):
-                key = (q, mono.degree)
-                dims[key] = dims.get(key, 0) + 1
+            for _, degree, _ in enumerate_torus_window(space, q, tw, (lo, hi)):
+                dims[(q, degree)] = dims.get((q, degree), 0) + 1
     payload = {
         "dims": {f"{q},{k}": v for (q, k), v in sorted(dims.items())},
         "regularization": "x0_cap" if spec.x0_cap is not None else "torus",
@@ -572,12 +572,13 @@ def main(argv=None) -> int:
         spec = ProblemSpec(doc, validate_lie=(args.command != "nilpotency"))
         options = {"oracle": args.oracle} if args.command in _ORACLE_COMMANDS else {}
         payload, code, extra = _COMMANDS[args.command](spec, **options)
-    except SpecError as exc:
+    except (SpecError, FockError, SeriesError, CohomologyError, ModuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FockError, SeriesError, CohomologyError, ModuleError, UnboundedBasisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # exit 1 is reserved for a failed check
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     if args.format == "csv" and hasattr(extra, "dims"):
@@ -597,8 +598,12 @@ def main(argv=None) -> int:
         text = json.dumps(result, sort_keys=True, indent=2) + "\n"
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -109,8 +109,8 @@ def cohomology_dims_torus(
         blocks = _WeightBlocks(charge_operator(charge, space, q))
         # one extra torus column on each side for the incoming maps
         reach = (lo - abs(shift), hi + abs(shift))
-        for t, mono in enumerate_torus_window(space, q, torus_weights, reach):
-            blocks.add((t, mono.degree), mono)
+        for t, degree, mono in enumerate_torus_window(space, q, torus_weights, reach):
+            blocks.add((t, degree), mono)
         for basis in blocks.bases.values():
             basis.sort(key=Monomial.sort_key)
         for t in range(lo, hi + 1):
@@ -246,8 +246,8 @@ def euler_series(
     rows: Dict[int, Dict[int, int]] = {}
     for q in range(max_weight + 1):
         chi: Dict[int, int] = {}
-        for t, mono in enumerate_torus_window(space, q, weights, torus_window):
-            chi[t] = chi.get(t, 0) + (-1 if mono.degree % 2 else 1)
+        for t, degree, _ in enumerate_torus_window(space, q, weights, torus_window):
+            chi[t] = chi.get(t, 0) + (-1 if degree % 2 else 1)
         rows[q] = {t: chi[t] for t in sorted(chi) if chi[t]}
     return TruncatedSeries(max_weight, rows, None, lo, hi)
 

@@ -36,10 +36,6 @@ def _genbinom(m: int, j: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _state_min_weight(v: State) -> int:
-    return min((m.weight for m in v.terms), default=0)
-
-
 def _monomial_field_mode(space: SpaceSpec, modes: tuple, n: int, v: State) -> State:
     """Mode at z-power n of the reconstructed field of the monomial state."""
     if v.is_zero():

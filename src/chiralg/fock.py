@@ -13,18 +13,18 @@ rationals; nothing in this module ever touches floating point.
 
 The x_0 modes have weight 0, so a fixed-weight piece is finite only under an
 x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
-one sign).  ``enumerate_torus_window`` yields every monomial of one weight
-whose torus value lies in a closed window, in one pass over the weight: each
-base of positive modes and weight-0 fermions is built once, and one
-recursion gives all its x_0 exponent vectors that land in the window.
-``enumerate_basis`` returns one canonically ordered piece, either capped or
-the window (t, t).
+one sign).  ``enumerate_basis`` returns the canonically ordered piece under
+an x_0 cap.  ``enumerate_torus_window`` yields every monomial of one weight
+whose torus value lies in a closed window, with its torus value and degree,
+in one pass over the weight: each base of positive modes and weight-0
+fermions is built once, and one recursion gives all its x_0 exponent vectors
+that land in the window.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -178,13 +178,6 @@ class TorusWeights:
 
 
 @dataclass(frozen=True)
-class BiGrade:
-    weight: int
-    degree: int
-    torus: Optional[int] = None
-
-
-@dataclass(frozen=True)
 class Monomial:
     """Canonically ordered product of creator modes applied to the vacuum.
 
@@ -207,10 +200,6 @@ class Monomial:
 
     def torus(self, weights: TorusWeights) -> int:
         return sum(weights.of_mode(m) for m in self.modes)
-
-    def grade(self, weights: Optional[TorusWeights] = None) -> BiGrade:
-        t = self.torus(weights) if weights is not None else None
-        return BiGrade(self.weight, self.degree, t)
 
     def x0_degree(self, direction: Optional[int] = None) -> int:
         return sum(
@@ -435,12 +424,9 @@ def enumerate_torus_window(
     weight: int,
     torus_weights: TorusWeights,
     window: Tuple[int, int],
-    *,
-    degree: Optional[int] = None,
-    zero_fermion_allowed: bool = True,
-) -> Iterator[Tuple[int, Monomial]]:
-    """Yield ``(t, monomial)`` for every basis monomial of the weight whose
-    torus value t lies in the closed window ``lo..hi``; unsorted.
+) -> Iterator[Tuple[int, int, Monomial]]:
+    """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
+    whose torus value t lies in the closed window ``lo..hi``; unsorted.
 
     One pass per weight: each x_0-free base (positive modes and weight-0
     fermions) is built once, with its degree and partial torus value, and
@@ -455,54 +441,27 @@ def enumerate_torus_window(
     steps = [flip * w for w in wx]
     lo, hi = window if flip > 0 else (-window[1], -window[0])
     x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
-    for base in _bases(space, weight, zero_fermion_allowed):
+    for base in _bases(space, weight, True):
         # x_0 letters have degree 0, so the degree is the base's
-        if degree is not None and sum(m.degree for m in base) != degree:
-            continue
+        degree = sum(m.degree for m in base)
         partial = flip * sum(torus_weights.of_mode(m) for m in base)
         for s, modes in _with_x0_letters(base, x0, steps, lo - partial, hi - partial):
-            yield flip * (partial + s), Monomial(modes)
+            yield flip * (partial + s), degree, Monomial(modes)
 
 
 def enumerate_basis(
-    space: SpaceSpec,
-    weight: int,
-    *,
-    degree: Optional[int] = None,
-    torus: Optional[int] = None,
-    torus_weights: Optional[TorusWeights] = None,
-    x0_cap: Optional[int] = None,
-    zero_fermion_allowed: bool = True,
+    space: SpaceSpec, weight: int, *, x0_cap: int, zero_fermion_allowed: bool = True
 ) -> list:
-    """Exhaustive, canonically ordered basis of a graded piece.
+    """Exhaustive, canonically ordered basis of the weight's piece with at
+    most ``x0_cap`` x_0 letters per direction.
 
-    The weight-0 generators x_0 (and the weight-0 fermion) make fixed-weight
-    pieces infinite dimensional, so every query must either cap the x_0 degree
-    (per direction) or fix a torus weight under a regularizing assignment.
-    A torus query without a cap is ``enumerate_torus_window`` on the window
-    ``(torus, torus)``, sorted; for a range of torus values, call that
-    generator once on the whole range rather than this once per value.
+    The weight-0 generators x_0 make fixed-weight pieces infinite
+    dimensional, hence the required cap; for a torus-regularized piece use
+    ``enumerate_torus_window``.  Without the weight-0 fermions and with cap
+    0 the basis is the free positive-mode part.
     """
     if weight < 0:
         return []
-    if torus is not None and torus_weights is None:
-        raise FockError("torus constraint requires a TorusWeights assignment")
-    if x0_cap is None and torus is None:
-        raise UnboundedBasisError(
-            "unbounded request: no x_0 degree cap and no torus constraint "
-            "(runaway generator x_0)"
-        )
-    if x0_cap is None:
-        window = enumerate_torus_window(
-            space,
-            weight,
-            torus_weights,
-            (torus, torus),
-            degree=degree,
-            zero_fermion_allowed=zero_fermion_allowed,
-        )
-        return sorted((mono for _, mono in window), key=Monomial.sort_key)
-
     out = []
     for base in _bases(space, weight, zero_fermion_allowed):
         for exps in _cartesian_exponents(space.dim, x0_cap):
@@ -511,12 +470,7 @@ def enumerate_basis(
                 for j in range(space.dim)
                 for _ in range(exps[j])
             )
-            mono = Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key)))
-            if degree is not None and mono.degree != degree:
-                continue
-            if torus is not None and mono.torus(torus_weights) != torus:
-                continue
-            out.append(mono)
+            out.append(Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key))))
     out.sort(key=Monomial.sort_key)
     return out
 

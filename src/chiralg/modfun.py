@@ -3,19 +3,23 @@
 A ZeroModeModule is a finite, degree-capped approximation of a module over
 the zero-mode algebra on the odd cotangent bundle of the affine line
 (generators x0, y0, phi0, psi0 with [y0, x0] = 1 and {psi0, phi0} = 1).
-Induction adjoins free positive modes of all four families; negative modes
-act by derivations pairing against the positive creators and never touch the
-zero-mode factor.  Only d = 1 is implemented; products of lines reduce to it.
+Induction adjoins free positive modes of all four families: the induced
+module is (free positive part) x (zero-mode module).  Modes of nonzero index
+act on the positive factor through ``oper.apply_mode``, the action on Fock
+spaces, and never touch the zero-mode factor; zero modes act on the
+zero-mode factor with the Koszul sign of the positive modes they pass.  Only
+d = 1 is implemented; products of lines reduce to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from .fock import Family, FockError, ModeKey
+from .fock import Family, ModeKey, Side, State, enumerate_basis, make_space
 from .linalg import kernel_basis, rank
+from .oper import apply_mode
 
 Vector = Dict[int, Fraction]  # basis index -> coefficient
 
@@ -168,90 +172,78 @@ def zero_modes_from_json(doc: dict) -> ZeroModeModule:
         raw = doc["actions"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleError(f"malformed zero-mode module: {exc}")
+    if not isinstance(raw, dict):
+        raise ModuleError("actions must map each zero-mode name to a matrix")
     n = len(labels)
     actions = {}
     for name in _ZERO_MODE_NAMES:
         if name not in raw:
             raise ModuleError(f"missing action matrix for {name}")
         mat = raw[name]
-        if len(mat) != n or any(len(row) != n for row in mat):
+        if (
+            not isinstance(mat, list)
+            or len(mat) != n
+            or any(not isinstance(row, list) or len(row) != n for row in mat)
+        ):
             raise ModuleError(f"action matrix for {name} is not {n}x{n}")
         cols: List[Vector] = [dict() for _ in range(n)]
         for r, row in enumerate(mat):
             for c, entry in enumerate(row):
-                v = Fraction(str(entry))
+                try:
+                    v = Fraction(str(entry))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise ModuleError(f"action matrix for {name}: {exc}")
                 if v:
                     cols[c][r] = v
         actions[name] = cols
     return ZeroModeModule(labels, degrees, parities, cap, actions)
 
 
-def _positive_monomials(weight: int) -> List[tuple]:
-    """Sorted tuples of positive modes (all four families, d = 1)."""
-    gens = []
-    for fam in (Family.X, Family.Y, Family.PSI, Family.PHI):
-        for idx in range(1, weight + 1):
-            gens.append(ModeKey(fam, 1, idx))
-
-    out = []
-
-    def rec(pos, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if pos == len(gens):
-            return
-        g = gens[pos]
-        rec(pos + 1, remaining, acc)
-        cap = 1 if g.fermionic else remaining // g.index
-        for mult in range(1, cap + 1):
-            if mult * g.index > remaining:
-                break
-            rec(pos + 1, remaining - mult * g.index, acc + [g] * mult)
-
-    rec(0, weight, [])
-    out.sort(key=lambda mono: tuple(m.sort_key() for m in mono))
-    return out
-
-
-_PAIRING = {
-    Family.Y: (Family.X, 1),
-    Family.X: (Family.Y, -1),
-    Family.PHI: (Family.PSI, 1),
-    Family.PSI: (Family.PHI, 1),
-}
+# The positive factor lives on the line.  A mode of nonzero index creates
+# exactly when its index is positive on either side, so the side chosen here
+# does not change the action of those modes.
+_LINE = make_space(Side.THETA, 1)
 
 
 class InducedTruncation:
-    """Weight-capped induction of a ZeroModeModule to a vertex module."""
+    """Weight-capped induction of a ZeroModeModule to a vertex module.
+
+    ``positive[q]`` is the free positive part of weight q, canonically
+    ordered; basis vector ``p * base.dim + b`` of weight q is its p-th
+    monomial times the b-th basis vector of the base.
+    """
 
     def __init__(self, base: ZeroModeModule, weight_cap: int):
         self.base = base
         self.weight_cap = weight_cap
-        self.bases: Dict[int, List[tuple]] = {}  # weight -> [(pos_mono, base_idx)]
-        self.index: Dict[tuple, int] = {}
-        for q in range(weight_cap + 1):
-            items = []
-            for pos in _positive_monomials(q):
-                for b in range(base.dim):
-                    items.append((pos, b))
-            self.bases[q] = items
-            for i, it in enumerate(items):
-                self.index[it] = i
+        self.positive: Dict[int, list] = {
+            q: enumerate_basis(_LINE, q, x0_cap=0, zero_fermion_allowed=False)
+            for q in range(weight_cap + 1)
+        }
+        # (mode, weight) -> per positive monomial, its image as (slot, coeff)
+        self._images: Dict[Tuple[ModeKey, int], List[list]] = {}
 
     def dim(self, weight: int) -> int:
-        return len(self.bases.get(weight, []))
+        return len(self.positive.get(weight, [])) * self.base.dim
 
-    def element_weight(self, element: tuple) -> int:
-        pos, _ = element
-        return sum(m.index for m in pos)
+    def _positive_images(self, mode: ModeKey, weight: int) -> List[list]:
+        key = (mode, weight)
+        if key not in self._images:
+            slots = {m: p for p, m in enumerate(self.positive[weight + mode.index])}
+            self._images[key] = [
+                [
+                    (slots[m], c)
+                    for m, c in apply_mode(_LINE, mode, State.of(mono)).terms.items()
+                ]
+                for mono in self.positive[weight]
+            ]
+        return self._images[key]
 
     def apply_mode(self, mode: ModeKey, weight: int, vec: Vector) -> Tuple[int, Vector]:
         """Apply one mode to a vector in the weight-q piece.
 
         Returns (new_weight, vector).  Raises if the image escapes the cap.
         """
-        basis = self.bases[weight]
         new_weight = weight + mode.index
         if new_weight < 0:
             return new_weight, {}
@@ -259,67 +251,25 @@ class InducedTruncation:
             raise ModuleError(
                 f"cap {self.weight_cap} too small for mode of index {mode.index}"
             )
+        n = self.base.dim
         out: Vector = {}
-
-        def emit(element, coeff):
-            j = self.index[element]
-            out[j] = out.get(j, Fraction(0)) + coeff
-
-        for i, c in vec.items():
-            if not c:
-                continue
-            pos, b = basis[i]
-            if mode.index > 0:
-                sign, merged = _insert_positive(pos, mode)
-                if merged is None:
-                    continue
-                emit((merged, b), c * sign)
-            elif mode.index == 0:
-                name = {
-                    Family.X: "x0", Family.Y: "y0",
-                    Family.PHI: "phi0", Family.PSI: "psi0",
-                }[mode.family]
-                odd = mode.fermionic
-                sign = 1
-                if odd and sum(1 for m in pos if m.fermionic) % 2:
-                    sign = -1
-                img = self.base.apply(name, {b: Fraction(1)})
-                for r, v in img.items():
-                    emit((pos, r), c * sign * v)
-            else:
-                fam, rule_sign = _PAIRING[mode.family]
-                target = ModeKey(fam, 1, -mode.index)
-                if target.fermionic:
-                    passed = 0
-                    for p, m in enumerate(pos):
-                        if m == target:
-                            s = -1 if passed % 2 else 1
-                            emit((pos[:p] + pos[p + 1 :], b), c * s * rule_sign)
-                            break
-                        if m.fermionic:
-                            passed += 1
-                else:
-                    mult = sum(1 for m in pos if m == target)
-                    if mult:
-                        p = pos.index(target)
-                        emit((pos[:p] + pos[p + 1 :], b), c * mult * rule_sign)
+        if mode.index:
+            images = self._positive_images(mode, weight)
+            for i, c in vec.items():
+                p, b = divmod(i, n)
+                for slot, v in images[p]:
+                    j = slot * n + b
+                    out[j] = out.get(j, Fraction(0)) + c * v
+        else:
+            # an odd zero mode passes the positive factor to reach the base
+            name = f"{mode.family.value}0"
+            for i, c in vec.items():
+                p, b = divmod(i, n)
+                sign = -1 if mode.fermionic and self.positive[weight][p].parity else 1
+                for r, v in self.base.apply(name, {b: Fraction(1)}).items():
+                    j = p * n + r
+                    out[j] = out.get(j, Fraction(0)) + c * sign * v
         return new_weight, {j: v for j, v in out.items() if v}
-
-
-def _insert_positive(pos: tuple, mode: ModeKey):
-    if mode.fermionic and mode in pos:
-        return 1, None
-    merged = list(pos)
-    # insertion position by the global order
-    p = 0
-    while p < len(merged) and merged[p].sort_key() <= mode.sort_key():
-        p += 1
-    sign = 1
-    if mode.fermionic:
-        crossed = sum(1 for m in merged[:p] if m.fermionic)
-        sign = -1 if crossed % 2 else 1
-    merged.insert(p, mode)
-    return sign, tuple(merged)
 
 
 def induce(base: ZeroModeModule, weight_cap: int) -> InducedTruncation:
@@ -384,10 +334,10 @@ def check_epsilon(base: ZeroModeModule, weight_cap: int) -> EpsilonReport:
     # epsilon: positive monomials applied to weight-0 singular vectors
     for q in range(weight_cap + 1):
         cols = []
-        for pos in _positive_monomials(q):
+        for pos in module.positive[q]:
             for vec in sing0:
                 w, cur = 0, dict(vec)
-                for mode in reversed(pos):
+                for mode in reversed(pos.modes):
                     w, cur = module.apply_mode(mode, w, cur)
                 cols.append({j: v for j, v in cur.items()})
         r = rank(cols)

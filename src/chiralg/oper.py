@@ -35,6 +35,26 @@ _CONJUGATE = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Fa
 _DERIVATION_SIGN = {Family.X: -1, Family.Y: 1, Family.PHI: 1, Family.PSI: 1}
 
 
+def conjugate_creators(space: SpaceSpec, modes: Iterable[ModeKey]) -> tuple:
+    """The conjugate creators of the annihilators among ``modes``, sorted: a
+    word acts nonzero on a monomial only if the monomial contains them."""
+    return tuple(
+        sorted(
+            (
+                ModeKey(_CONJUGATE[m.family], m.direction, -m.index)
+                for m in modes
+                if not space.is_creator(m)
+            ),
+            key=ModeKey.sort_key,
+        )
+    )
+
+
+def annihilated_weight(space: SpaceSpec, modes: Iterable[ModeKey]) -> int:
+    """The weight that the annihilators among ``modes`` remove."""
+    return sum(-m.index for m in modes if not space.is_creator(m))
+
+
 def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
     space.check_direction(mode)
     if space.is_creator(mode):
@@ -244,8 +264,7 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
                 ModeKey(fam, direction, idx)
                 for (fam, direction), idx in zip(letters, assignment)
             )
-            annihilated = sum(-m.index for m in modes if not space.is_creator(m))
-            if annihilated > window:
+            if annihilated_weight(space, modes) > window:
                 continue
             for m in modes:
                 space.check_direction(m)
@@ -266,17 +285,7 @@ class ChargeOperator:
         self.space = space
         self.groups: dict = {}
         for t in terms:
-            needed = tuple(
-                sorted(
-                    (
-                        ModeKey(_CONJUGATE[m.family], m.direction, -m.index)
-                        for m in t.modes
-                        if not space.is_creator(m)
-                    ),
-                    key=ModeKey.sort_key,
-                )
-            )
-            self.groups.setdefault(needed, []).append(t)
+            self.groups.setdefault(conjugate_creators(space, t.modes), []).append(t)
         self._cache: dict = {}
 
     def _submultisets(self, modes: tuple):

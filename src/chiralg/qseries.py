@@ -75,36 +75,7 @@ class TruncatedSeries:
     def fully_exact(self) -> bool:
         return self.exact_min is None and self.exact_max is None
 
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def zero(qmax: int) -> "TruncatedSeries":
-        return TruncatedSeries(qmax, {}, supp_min=0)
-
-    @staticmethod
-    def monomial(qmax: int, coeff: int = 1, z_exp: int = 0, q_pow: int = 0) -> "TruncatedSeries":
-        return TruncatedSeries(qmax, {q_pow: {z_exp: coeff}}, supp_min=z_exp)
-
     # -- arithmetic ------------------------------------------------------------
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        qmax = min(self.qmax, other.qmax)
-        rows = {}
-        for j in range(qmax + 1):
-            row = dict(self.rows.get(j, {}))
-            for e, v in other.rows.get(j, {}).items():
-                row[e] = row.get(e, 0) + v
-            rows[j] = row
-        supp = None
-        if self.supp_min is not None and other.supp_min is not None:
-            supp = min(self.supp_min, other.supp_min)
-        emin = _max_none_neg(self.exact_min, other.exact_min)
-        emax = _min_none_pos(self.exact_max, other.exact_max)
-        return TruncatedSeries(qmax, rows, supp, emin, emax)
-
-    def scale(self, coeff: int) -> "TruncatedSeries":
-        rows = {j: {e: coeff * v for e, v in r.items()} for j, r in self.rows.items()}
-        return TruncatedSeries(self.qmax, rows, self.supp_min, self.exact_min, self.exact_max)
 
     def shift(self, z_shift: int = 0, q_shift: int = 0, coeff: int = 1) -> "TruncatedSeries":
         rows = {}
@@ -159,12 +130,6 @@ class TruncatedSeries:
             return TruncatedSeries(self.qmax, rows, supp, emin, emax)
         supp = min((min(r) for r in rows.values() if r), default=0)
         return TruncatedSeries(self.qmax, rows, supp, None, None)
-
-    def negate_z(self) -> "TruncatedSeries":
-        rows = {
-            j: {e: (-v if e % 2 else v) for e, v in r.items()} for j, r in self.rows.items()
-        }
-        return TruncatedSeries(self.qmax, rows, self.supp_min, self.exact_min, self.exact_max)
 
     def invert(self, zmax: int) -> "TruncatedSeries":
         """Multiplicative inverse, exact for z-exponents up to ``zmax``.
@@ -275,15 +240,6 @@ class TruncatedSeries:
             }
             rows[str(j)] = row
         return {"qmax": self.qmax, "zwindow": [lo, hi], "rows": rows}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "TruncatedSeries":
-        lo, hi = doc["zwindow"]
-        rows = {
-            int(j): {int(e): int(v) for e, v in row.items()}
-            for j, row in doc["rows"].items()
-        }
-        return TruncatedSeries(int(doc["qmax"]), rows, None, lo, hi)
 
 
 def _min_none_pos(a: Optional[int], b: Optional[int]) -> Optional[int]:

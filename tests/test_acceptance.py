@@ -32,6 +32,7 @@ from chiralg.fock import (
     State,
     TorusWeights,
     enumerate_basis,
+    enumerate_torus_window,
     make_space,
     normalize,
 )
@@ -226,11 +227,11 @@ def test_criterion_11_euler_poincare():
             q, k, t = (int(s) for s in key.split(","))
             cohom[(q, t)] = cohom.get((q, t), 0) + (-1) ** (k % 2) * dim
         for q in range(wmax + 1):
+            chain = {}
+            for t, degree, _ in enumerate_torus_window(space, q, tw, window):
+                chain[t] = chain.get(t, 0) + (-1 if degree % 2 else 1)
             for t in range(window[0], window[1] + 1):
-                chain = 0
-                for mono in enumerate_basis(space, q, torus=t, torus_weights=tw):
-                    chain += -1 if mono.degree % 2 else 1
-                ok = ok and chain == cohom.get((q, t), 0)
+                ok = ok and chain.get(t, 0) == cohom.get((q, t), 0)
     verdict(11, "chain and cohomology Euler characteristics agree per bigrade", ok)
 
 

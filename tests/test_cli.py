@@ -264,3 +264,34 @@ def test_basis_command_torus_regularized(tmp_path):
     code, text = run(tmp_path, "basis", spec)
     assert code == 0
     assert json.loads(text)["payload"]["regularization"] == "torus"
+
+
+def test_malformed_zero_mode_actions_exit_2(tmp_path, capsys):
+    zero_modes = {"labels": [], "degrees": [], "parities": [], "cap": 0}
+    bad_actions = [
+        ["x0", "y0", "phi0", "psi0"],  # a list, not a name -> matrix object
+        {name: [1] for name in ("x0", "y0", "phi0", "psi0")},  # rows not lists
+    ]
+    for actions in bad_actions:
+        spec = {
+            "dim": 1,
+            "caps": {"weight_max": 1},
+            "zero_modes": dict(zero_modes, actions=actions),
+        }
+        if isinstance(actions, dict):
+            spec["zero_modes"].update(labels=["a"], degrees=[0], parities=[0])
+        code, _ = run(tmp_path, "singular", spec)
+        assert code == 2, actions
+        assert "error: spec.zero_modes:" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    import chiralg.cli as cli
+
+    def broken(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "basis", broken)
+    code, text = run(tmp_path, "basis", {"dim": 1})
+    assert code == 3 and text == ""
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err

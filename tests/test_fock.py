@@ -5,7 +5,6 @@ from fractions import Fraction
 from hypothesis import given, strategies as hst
 
 from chiralg.fock import (
-    BiGrade,
     Family,
     FockError,
     ModeKey,
@@ -74,8 +73,8 @@ def test_basis_weight0_cap2():
 
 def test_basis_omega_torus_regularized():
     tw = TorusWeights.from_x_and_phi((1,), (-2,))
-    basis = enumerate_basis(OMEGA1, 0, torus=-1, torus_weights=tw)
-    assert [m.text() for m in basis] == ["x_0 phi_0"]
+    window = enumerate_torus_window(OMEGA1, 0, tw, (-1, -1))
+    assert [(t, k, m.text()) for t, k, m in window] == [(-1, 1, "x_0 phi_0")]
 
 
 def test_normalize_fermion_swap():
@@ -101,12 +100,8 @@ def test_grade_examples():
     assert m.weight == 3 and m.degree == -1
     tw = TorusWeights.from_x_and_phi((1,), (-2,))  # f = z^3 assignment
     assert m.torus(tw) == 1 - 1 + 2
-    assert Monomial().grade(tw) == BiGrade(0, 0, 0)
-
-
-def test_grade_requires_weights_for_torus():
-    m = Monomial()
-    assert m.grade().torus is None
+    vacuum = Monomial()
+    assert (vacuum.weight, vacuum.degree, vacuum.torus(tw)) == (0, 0, 0)
 
 
 def test_torus_weights_conjugacy_enforced():
@@ -122,15 +117,17 @@ def test_basis_sizes_match_partition_product():
 
 
 def test_unbounded_request_rejected_with_diagnostic():
-    with pytest.raises(UnboundedBasisError) as err:
+    # the weight-0 piece is infinite without a cap, so the cap is required
+    with pytest.raises(TypeError) as err:
         enumerate_basis(THETA1, 0)
-    assert "x_0" in str(err.value)
+    assert "x0_cap" in str(err.value)
 
 
 def test_unbounded_torus_weights_rejected():
     tw = TorusWeights((0,), (1,), (-1,))
-    with pytest.raises(UnboundedBasisError):
-        enumerate_basis(THETA1, 0, torus=0, torus_weights=tw)
+    with pytest.raises(UnboundedBasisError) as err:
+        list(enumerate_torus_window(THETA1, 0, tw, (0, 0)))
+    assert "x1_0" in str(err.value)
     theta2 = make_space(Side.THETA, 2)
     for wx in ((1, 0), (1, -1)):
         tw = TorusWeights.from_x_and_phi(wx, (0, 0))
@@ -173,12 +170,11 @@ def test_grade_is_additive(a, b):
 def test_enumerated_monomials_satisfy_requested_grade():
     tw = TorusWeights.from_x_and_phi((1,), (-2,))
     for q in range(4):
-        for k in (-1, 0, 1):
-            for mono in enumerate_basis(THETA1, q, degree=k, x0_cap=2):
-                assert mono.weight == q and mono.degree == k
-        for t in range(-3, 4):
-            for mono in enumerate_basis(THETA1, q, torus=t, torus_weights=tw):
-                assert mono.weight == q and mono.torus(tw) == t
+        for mono in enumerate_basis(THETA1, q, x0_cap=2):
+            assert mono.weight == q and mono.x0_degree() <= 2
+        for t, k, mono in enumerate_torus_window(THETA1, q, tw, (-3, 3)):
+            assert mono.weight == q and mono.degree == k
+            assert mono.torus(tw) == t and -3 <= t <= 3
 
 
 def test_state_arithmetic_is_exact():
@@ -210,27 +206,15 @@ def test_torus_window_matches_capped_enumeration(side, wx, wphi, window, max_wei
         # by at least 1 in one direction: no monomial in the window has more
         # x_0 letters than this cap
         cap = max(abs(lo), abs(hi)) + (q + space.dim) * bound
-        for zero_fermions in (True, False):
-            capped = [
-                (m.torus(tw), m)
-                for m in enumerate_basis(
-                    space, q, x0_cap=cap, zero_fermion_allowed=zero_fermions
-                )
-            ]
-            for degree in (None, -1, 0):
-                got = {}
-                for t, mono in enumerate_torus_window(
-                    space, q, tw, window,
-                    degree=degree, zero_fermion_allowed=zero_fermions,
-                ):
-                    got.setdefault(t, []).append(mono)
-                for t in range(lo, hi + 1):
-                    want = [
-                        m for tm, m in capped
-                        if tm == t and degree in (None, m.degree)
-                    ]
-                    assert sorted(got.pop(t, []), key=Monomial.sort_key) == want
-                assert not got, f"torus values outside the window: {sorted(got)}"
+        capped = [(m.torus(tw), m) for m in enumerate_basis(space, q, x0_cap=cap)]
+        got = {}
+        for t, degree, mono in enumerate_torus_window(space, q, tw, window):
+            assert degree == mono.degree
+            got.setdefault(t, []).append(mono)
+        for t in range(lo, hi + 1):
+            want = [m for tm, m in capped if tm == t]
+            assert sorted(got.pop(t, []), key=Monomial.sort_key) == want
+        assert not got, f"torus values outside the window: {sorted(got)}"
 
 
 def test_empty_torus_window_yields_nothing():

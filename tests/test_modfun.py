@@ -4,13 +4,20 @@ import pytest
 from fractions import Fraction
 
 from chiralg.charges import Potential, potential_charge
-from chiralg.fock import Family, ModeKey, Side, enumerate_basis, make_space
+from chiralg.fock import (
+    Family,
+    ModeKey,
+    Side,
+    State,
+    enumerate_basis,
+    make_space,
+    normalize,
+)
 from chiralg.linalg import rank
 from chiralg.modfun import (
     InducedTruncation,
     ModuleError,
     ZeroModeModule,
-    _positive_monomials,
     check_epsilon,
     delta_zero_modes,
     induce,
@@ -18,7 +25,8 @@ from chiralg.modfun import (
     singular_vectors,
     zero_modes_from_json,
 )
-from chiralg.oper import instantiate_charge
+from chiralg.oper import apply_mode, instantiate_charge
+from conftest import partition_gf_coeffs
 
 THETA1 = make_space(Side.THETA, 1)
 
@@ -57,8 +65,9 @@ def test_induce_weight_cap_zero_is_base():
 def test_induced_delta_dims_by_free_enumeration():
     base = delta_zero_modes(3)
     module = induce(base, 3)
+    free = partition_gf_coeffs(3)  # free positive modes of all four families
     for q in range(4):
-        assert module.dim(q) == base.dim * len(_positive_monomials(q))
+        assert module.dim(q) == base.dim * free[q]
 
 
 def test_singular_weight0_is_all_of_base():
@@ -77,6 +86,41 @@ def test_delta_singular_vectors():
     module = induce(delta_zero_modes(3), 4)
     dims = [len(singular_vectors(module, q)) for q in range(5)]
     assert dims == [8, 0, 0, 0, 0]
+
+
+def test_induced_vacuum_module_matches_fock_action():
+    """The induced vacuum module is the x0-capped Fock space of the theta
+    line, so every mode acts as ``oper.apply_mode`` does there; this pins the
+    zero-mode sign convention and the positive-mode action together."""
+    cap = 3
+    module = induce(polynomial_zero_modes(cap), cap)
+    n = module.base.dim  # basis vector 2k + eps is x0^k psi0^eps
+
+    def fock(q, vec):
+        out = State()
+        for i, c in vec.items():
+            p, b = divmod(i, n)
+            k, eps = divmod(b, 2)
+            modes = module.positive[q][p].modes + (ModeKey(Family.X, 1, 0),) * k
+            modes += (ModeKey(Family.PSI, 1, 0),) * eps
+            out = out + normalize(THETA1, modes, c)
+        return out
+
+    cases = 0
+    for q in range(3):
+        for i in range(module.dim(q)):
+            for fam in (Family.X, Family.Y, Family.PHI, Family.PSI):
+                for idx in range(-2, 3):
+                    if not 0 <= q + idx <= cap:
+                        continue
+                    if (fam, idx) == (Family.X, 0) and i % n // 2 == cap:
+                        continue  # x0 would leave the cap of the base
+                    mode = ModeKey(fam, 1, idx)
+                    w, img = module.apply_mode(mode, q, {i: Fraction(1)})
+                    want = apply_mode(THETA1, mode, fock(q, {i: Fraction(1)}))
+                    assert fock(w, img) == want, (mode, q, i)
+                    cases += 1
+    assert cases == 2110
 
 
 def test_nonsingular_probe_detected():
