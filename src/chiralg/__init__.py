@@ -26,7 +26,6 @@ from .oper import (
     OperatorTerm,
     SymbolicCharge,
     apply_mode,
-    apply_term,
     instantiate_charge,
     normal_order,
     translate,

@@ -18,30 +18,37 @@ weight preserving, which is the BRST contract.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 from typing import Callable
 
 from .fock import FockError, ModeKey, Monomial, SpaceSpec, State
 from .oper import apply_mode
 
 
-def _genbinom(m: int, j: int) -> Fraction:
-    """Generalized binomial C(m, j) for integer m (possibly negative), j >= 0."""
-    num = 1
-    for t in range(j):
-        num *= m - t
-    den = 1
-    for t in range(1, j + 1):
-        den *= t
-    return Fraction(num, den)
+def _genbinom(m: int, j: int) -> int:
+    """Generalized binomial C(m, j) for integer m (possibly negative), j >= 0;
+    an integer, since C(m, j) = (-1)^j C(j - m - 1, j) for m < 0."""
+    if m >= 0:
+        return comb(m, j)
+    return (-1) ** j * comb(j - m - 1, j)
 
 
-def _monomial_field_mode(space: SpaceSpec, modes: tuple, n: int, v: State) -> State:
-    """Mode at z-power n of the reconstructed field of the monomial state."""
+def _add_scaled(acc: dict, state: State, coeff) -> None:
+    for mono, c in state.terms.items():
+        acc[mono] = acc.get(mono, 0) + (c if coeff == 1 else coeff * c)
+
+
+def _monomial_field_mode(
+    space: SpaceSpec, modes: tuple, n: int, v: State, coeff, acc: dict
+) -> None:
+    """Add ``coeff`` times the mode at z-power n of the reconstructed field
+    of the monomial state, applied to v, into ``acc``."""
     if v.is_zero():
-        return State.zero()
+        return
     if not modes:
-        return v if n == 0 else State.zero()
+        if n == 0:
+            _add_scaled(acc, v, coeff)
+        return
     u = modes[0]
     rest = modes[1:]
     h = space.creator_threshold(u.family)
@@ -51,36 +58,33 @@ def _monomial_field_mode(space: SpaceSpec, modes: tuple, n: int, v: State) -> St
     rest_parity = sum(1 for m in rest if m.fermionic) % 2
     koszul = -1 if (u.fermionic and rest_parity) else 1
     wv = max((m.weight for m in v.terms), default=0)
-    out = State.zero()
     # Creator part of the generator field, applied after the tail field.
     for i in range(-j, n + wv + rest_weight + 1):
         c = _genbinom(i + j, j)
         if not c:
             continue
-        inner = _monomial_field_mode(space, rest, n - i, v)
-        if inner.is_zero():
-            continue
-        out = out + apply_mode(space, ModeKey(u.family, u.direction, i + k), inner).scale(c)
+        inner = {}
+        _monomial_field_mode(space, rest, n - i, v, 1, inner)
+        if inner:
+            mode = ModeKey(u.family, u.direction, i + k)
+            _add_scaled(acc, apply_mode(space, mode, State(inner)), coeff * c)
     # Annihilator part, moved right past the tail field with the Koszul sign.
     for i in range(-k - wv, -j):
         c = _genbinom(i + j, j)
         if not c:
             continue
         hit = apply_mode(space, ModeKey(u.family, u.direction, i + k), v)
-        if hit.is_zero():
-            continue
-        out = out + _monomial_field_mode(space, rest, n - i, hit).scale(c * koszul)
-    return out
+        _monomial_field_mode(space, rest, n - i, hit, coeff * c * koszul, acc)
 
 
 def field_mode(space: SpaceSpec, a: State, n: int, v: State) -> State:
     """The operator a_(n) applied to v; raises conformal weight by w(a) + n."""
     if not a.is_homogeneous():
         raise FockError("field reconstruction requires a homogeneous state")
-    out = State.zero()
+    acc = {}
     for mono, coeff in a.terms.items():
-        out = out + _monomial_field_mode(space, mono.modes, n, v).scale(coeff)
-    return out
+        _monomial_field_mode(space, mono.modes, n, v, coeff, acc)
+    return State(acc)
 
 
 class ResidueCharge:

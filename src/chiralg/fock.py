@@ -24,7 +24,7 @@ that land in the window.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
@@ -42,6 +42,10 @@ class Family(enum.Enum):
     Y = "y"
     PHI = "phi"
     PSI = "psi"
+
+    # Members are singletons compared by identity: hash them by identity
+    # too, in C, rather than by Enum's hash of the member name.
+    __hash__ = object.__hash__
 
     @property
     def fermionic(self) -> bool:
@@ -62,29 +66,53 @@ class Family(enum.Enum):
 _FAMILY_ORDER = {Family.X: 0, Family.Y: 1, Family.PSI: 2, Family.PHI: 3}
 
 
-@dataclass(frozen=True, order=False)
 class ModeKey:
-    family: Family
-    direction: int
-    index: int
+    """The mode of one family and direction with the given index.
 
-    @property
-    def fermionic(self) -> bool:
-        return self.family.fermionic
+    Modes are interned: equal modes are one object, so equality is identity
+    and the hash is the object's own, both computed in C.  The sort key, the
+    fermion flag and the cohomological degree are computed once, when a mode
+    is first built.
+    """
+
+    __slots__ = ("family", "direction", "index", "fermionic", "degree", "key")
+    _interned: dict = {}
+
+    def __new__(cls, family: Family, direction: int, index: int) -> "ModeKey":
+        ident = (family, direction, index)
+        mode = cls._interned.get(ident)
+        if mode is None:
+            mode = object.__new__(cls)
+            for name, value in (
+                ("family", family),
+                ("direction", direction),
+                ("index", index),
+                ("fermionic", family.fermionic),
+                ("degree", family.cohomological_degree),
+                ("key", (_FAMILY_ORDER[family], direction, index)),
+            ):
+                object.__setattr__(mode, name, value)
+            cls._interned[ident] = mode
+        return mode
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModeKey is immutable")
+
+    def __repr__(self):
+        return (
+            f"ModeKey(family={self.family!r}, direction={self.direction!r}, "
+            f"index={self.index!r})"
+        )
 
     @property
     def weight(self) -> int:
         return self.index
 
-    @property
-    def degree(self) -> int:
-        return self.family.cohomological_degree
-
     def sort_key(self) -> tuple:
-        return (_FAMILY_ORDER[self.family], self.direction, self.index)
+        return self.key
 
     def __lt__(self, other: "ModeKey") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.key < other.key
 
     def text(self, dim: int = 1) -> str:
         if dim == 1:
@@ -97,22 +125,24 @@ class Side(enum.Enum):
     OMEGA = "omega"  # differential form side
 
 
-_THRESHOLDS = {
-    Side.THETA: {Family.X: 0, Family.Y: 1, Family.PSI: 0, Family.PHI: 1},
-    Side.OMEGA: {Family.X: 0, Family.Y: 1, Family.PHI: 0, Family.PSI: 1},
-}
+# First creator index per family, in the order of _FAMILY_ORDER.
+_THRESHOLDS = {Side.THETA: (0, 1, 0, 1), Side.OMEGA: (0, 1, 1, 0)}
 
 
 @dataclass(frozen=True)
 class SpaceSpec:
     side: Side
     dim: int
+    _thresholds: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_thresholds", _THRESHOLDS[self.side])
 
     def creator_threshold(self, family: Family) -> int:
-        return _THRESHOLDS[self.side][family]
+        return self._thresholds[_FAMILY_ORDER[family]]
 
     def is_creator(self, mode: ModeKey) -> bool:
-        return mode.index >= self.creator_threshold(mode.family)
+        return mode.index >= self._thresholds[mode.key[0]]
 
     @property
     def zero_fermion_family(self) -> Family:
@@ -177,14 +207,32 @@ class TorusWeights:
         return TorusWeights((1,) * dim, (0,) * dim, (0,) * dim)
 
 
-@dataclass(frozen=True)
 class Monomial:
     """Canonically ordered product of creator modes applied to the vacuum.
 
-    The empty monomial is the vacuum.  Fermionic modes never repeat.
+    The empty monomial is the vacuum.  Fermionic modes never repeat.  The
+    hash is computed on first use and kept: most monomials of an enumerated
+    window are never hashed.
     """
 
-    modes: tuple = ()
+    __slots__ = ("modes", "_hash")
+
+    def __init__(self, modes: tuple = ()):
+        self.modes = modes
+        self._hash = None
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.modes)
+        return self._hash
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is Monomial and self.modes == other.modes
+        )
+
+    def __repr__(self):
+        return f"Monomial(modes={self.modes!r})"
 
     @property
     def weight(self) -> int:
@@ -211,7 +259,7 @@ class Monomial:
         )
 
     def sort_key(self) -> tuple:
-        return tuple(m.sort_key() for m in self.modes)
+        return tuple(m.key for m in self.modes)
 
     def text(self, dim: int = 1) -> str:
         if not self.modes:
@@ -231,7 +279,7 @@ class State:
         cleaned = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     cleaned[mono] = c
         self.terms = cleaned
@@ -296,17 +344,23 @@ class State:
         return f"State({self.text()})"
 
 
-def _fermion_sort_sign(fermions: Sequence[ModeKey]):
-    """Parity sign of sorting the fermionic letters; None if one repeats."""
-    keys = [f.sort_key() for f in fermions]
-    if len(set(keys)) != len(keys):
-        return None
-    inversions = 0
-    for i in range(len(keys)):
-        for j in range(i + 1, len(keys)):
-            if keys[i] > keys[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _koszul_sort(modes: Sequence[ModeKey]):
+    """Canonical order of mutually (super-)commuting modes.
+
+    Returns (sign, sorted modes), where each transposition of two fermionic
+    letters on the way flips the sign, or None if a fermionic letter
+    repeats (the product is zero).  This is the one Koszul-sign routine:
+    ``normalize``, normal ordering and every mode action go through it.
+    """
+    keys = [m.key for m in modes if m.fermionic]
+    sign = 1
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            if a >= b:
+                if a == b:
+                    return None
+                sign = -sign
+    return sign, tuple(sorted(modes, key=ModeKey.sort_key))
 
 
 def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
@@ -320,10 +374,10 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
         space.check_direction(m)
         if not space.is_creator(m):
             raise FockError(f"{m.text(space.dim)} is not a creator in {space.side.value}")
-    sign = _fermion_sort_sign([m for m in modes if m.fermionic])
-    if sign is None:
+    placed = _koszul_sort(modes)
+    if placed is None:
         return State.zero()
-    ordered = tuple(sorted(modes, key=ModeKey.sort_key))
+    sign, ordered = placed
     return State.of(Monomial(ordered), Fraction(coeff) * sign)
 
 
@@ -462,14 +516,11 @@ def enumerate_basis(
     """
     if weight < 0:
         return []
+    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
     out = []
     for base in _bases(space, weight, zero_fermion_allowed):
         for exps in _cartesian_exponents(space.dim, x0_cap):
-            x0s = tuple(
-                ModeKey(Family.X, j + 1, 0)
-                for j in range(space.dim)
-                for _ in range(exps[j])
-            )
+            x0s = tuple(x0[j] for j in range(space.dim) for _ in range(exps[j]))
             out.append(Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key))))
     out.sort(key=Monomial.sort_key)
     return out

@@ -47,6 +47,8 @@ class ZeroModeModule:
     actions: Dict[str, List[Vector]]
 
     def __post_init__(self):
+        if self.cap < 0:
+            raise ModuleError(f"degree cap must be >= 0, got {self.cap}")
         n = len(self.labels)
         if not (len(self.degrees) == len(self.parities) == n):
             raise ModuleError("label/degree/parity lengths differ")

@@ -26,6 +26,7 @@ from .fock import (
     SpaceSpec,
     State,
     TorusWeights,
+    _koszul_sort,
     normalize,
 )
 
@@ -35,16 +36,16 @@ _CONJUGATE = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Fa
 _DERIVATION_SIGN = {Family.X: -1, Family.Y: 1, Family.PHI: 1, Family.PSI: 1}
 
 
+def _conjugate(mode: ModeKey) -> ModeKey:
+    return ModeKey(_CONJUGATE[mode.family], mode.direction, -mode.index)
+
+
 def conjugate_creators(space: SpaceSpec, modes: Iterable[ModeKey]) -> tuple:
     """The conjugate creators of the annihilators among ``modes``, sorted: a
     word acts nonzero on a monomial only if the monomial contains them."""
     return tuple(
         sorted(
-            (
-                ModeKey(_CONJUGATE[m.family], m.direction, -m.index)
-                for m in modes
-                if not space.is_creator(m)
-            ),
+            (_conjugate(m) for m in modes if not space.is_creator(m)),
             key=ModeKey.sort_key,
         )
     )
@@ -55,36 +56,53 @@ def annihilated_weight(space: SpaceSpec, modes: Iterable[ModeKey]) -> int:
     return sum(-m.index for m in modes if not space.is_creator(m))
 
 
+def _accumulate(acc: dict, key, value) -> None:
+    prev = acc.get(key)
+    acc[key] = value if prev is None else prev + value
+
+
+# Every mode acts in one of two steps on a canonically ordered mode tuple: an
+# annihilator removes one letter of its conjugate creator (``_remove``), a
+# creator is inserted with ``_koszul_sort``.  ``apply_mode`` and the compiled
+# plans of ``ChargeOperator`` both run on these two steps.
+
+
+def _remove(modes: tuple, target: ModeKey):
+    """Take one ``target`` letter, which must occur, out of ``modes``.
+
+    Returns (factor, rest): the factor is the letter's multiplicity if it is
+    bosonic, and the Koszul sign of moving it to the front if it is
+    fermionic.
+    """
+    pos = modes.index(target)
+    rest = modes[:pos] + modes[pos + 1 :]
+    if not target.fermionic:
+        return modes.count(target), rest
+    passed = 0
+    for m in modes[:pos]:
+        if m.fermionic:
+            passed += 1
+    return (-1 if passed & 1 else 1), rest
+
+
 def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
     space.check_direction(mode)
+    acc = {}
     if space.is_creator(mode):
-        out = State.zero()
         for mono, coeff in state.terms.items():
-            out = out + normalize(space, (mode,) + mono.modes, coeff)
-        return out
-    target = ModeKey(_CONJUGATE[mode.family], mode.direction, -mode.index)
+            placed = _koszul_sort((mode,) + mono.modes)
+            if placed is not None:
+                sign, modes = placed
+                _accumulate(acc, Monomial(modes), coeff if sign == 1 else -coeff)
+        return State(acc)
+    target = _conjugate(mode)
     rule_sign = _DERIVATION_SIGN[mode.family]
-    out_terms = {}
     for mono, coeff in state.terms.items():
-        if target.fermionic:
-            fermions_passed = 0
-            for pos, m in enumerate(mono.modes):
-                if m == target:
-                    sign = -1 if fermions_passed % 2 else 1
-                    rest = Monomial(mono.modes[:pos] + mono.modes[pos + 1 :])
-                    c = coeff * sign * rule_sign
-                    out_terms[rest] = out_terms.get(rest, Fraction(0)) + c
-                    break
-                if m.fermionic:
-                    fermions_passed += 1
-        else:
-            mult = sum(1 for m in mono.modes if m == target)
-            if mult:
-                pos = mono.modes.index(target)
-                rest = Monomial(mono.modes[:pos] + mono.modes[pos + 1 :])
-                c = coeff * mult * rule_sign
-                out_terms[rest] = out_terms.get(rest, Fraction(0)) + c
-    return State(out_terms)
+        if target in mono.modes:
+            factor, rest = _remove(mono.modes, target)
+            k = factor * rule_sign
+            _accumulate(acc, Monomial(rest), coeff if k == 1 else coeff * k)
+    return State(acc)
 
 
 @dataclass(frozen=True)
@@ -105,86 +123,69 @@ class OperatorTerm:
         return f"{self.coefficient}*:{body}:"
 
 
-def apply_term(space: SpaceSpec, term: OperatorTerm, state: State) -> State:
-    out = state
-    for mode in reversed(term.modes):
-        if out.is_zero():
-            return out
-        out = apply_mode(space, mode, out)
-    return out.scale(term.coefficient)
-
-
-def _contraction(a: ModeKey, b: ModeKey) -> Fraction:
-    """Scalar a b -+ b a for the free-field (super-)commutation relations."""
+def _contraction(a: ModeKey, b: ModeKey) -> int:
+    """Scalar a b -+ b a for the free-field (super-)commutation relations:
+    0, 1 or -1."""
     if a.direction != b.direction or a.index + b.index != 0:
-        return Fraction(0)
+        return 0
     pair = (a.family, b.family)
     if pair == (Family.Y, Family.X):
-        return Fraction(1)
+        return 1
     if pair == (Family.X, Family.Y):
-        return Fraction(-1)
+        return -1
     if pair in ((Family.PSI, Family.PHI), (Family.PHI, Family.PSI)):
-        return Fraction(1)
-    return Fraction(0)
-
-
-def _swap_sign(a: ModeKey, b: ModeKey) -> int:
-    return -1 if (a.fermionic and b.fermionic) else 1
-
-
-def _sorted_block(modes: Sequence[ModeKey]):
-    """Sort mutually (super-)commuting modes; returns (sign, tuple) or None."""
-    modes = list(modes)
-    sign = 1
-    for i in range(1, len(modes)):
-        j = i
-        while j > 0 and modes[j - 1].sort_key() > modes[j].sort_key():
-            sign *= _swap_sign(modes[j - 1], modes[j])
-            modes[j - 1], modes[j] = modes[j], modes[j - 1]
-            j -= 1
-    ferms = [m for m in modes if m.fermionic]
-    if len(set(ferms)) != len(ferms):
-        return None
-    return sign, tuple(modes)
+        return 1
+    return 0
 
 
 def normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) -> list:
     """Expand a raw mode product into normally ordered terms.
 
     Moving an annihilator right past a creator picks up the Koszul sign plus
-    the scalar contraction of the pair, which recursively produces shorter
-    terms.  Within the creator and annihilator blocks all modes mutually
-    (super-)commute, so each block is put in canonical order.
+    the scalar contraction of the pair, a shorter word.  Words wait on a
+    worklist, so the length of the product does not bound the stack.  Within
+    the creator and annihilator blocks all modes mutually (super-)commute,
+    so each block is put in canonical order.
     """
     coeff = Fraction(coeff)
     if not coeff:
         return []
-    modes = tuple(modes)
-    for p in range(len(modes) - 1):
-        a, b = modes[p], modes[p + 1]
-        if (not space.is_creator(a)) and space.is_creator(b):
-            swapped = modes[:p] + (b, a) + modes[p + 2 :]
-            out = normal_order(space, coeff * _swap_sign(a, b), swapped)
+    creator = space.is_creator
+    out = []
+    # (coefficient, word, p): no annihilator stands just left of a creator
+    # before position p
+    work = [(coeff, tuple(modes), 0)]
+    while work:
+        c, word, p = work.pop()
+        last = len(word) - 1
+        while p < last and (creator(word[p]) or not creator(word[p + 1])):
+            p += 1
+        if p < last:
+            a, b = word[p], word[p + 1]
+            resume = max(p - 1, 0)
             delta = _contraction(a, b)
             if delta:
-                out.extend(normal_order(space, coeff * delta, modes[:p] + modes[p + 2 :]))
-            return out
-    # No annihilator sits left of a creator, so the product already splits
-    # as creators followed by annihilators.
-    split = next((p for p, m in enumerate(modes) if not space.is_creator(m)), len(modes))
-    sc = _sorted_block(modes[:split])
-    sa = _sorted_block(modes[split:])
-    if sc is None or sa is None:
-        return []
-    return [OperatorTerm(coeff * sc[0] * sa[0], sc[1] + sa[1])]
+                work.append((c if delta > 0 else -c, word[:p] + word[p + 2 :], resume))
+            swapped = word[:p] + (b, a) + word[p + 2 :]
+            work.append((-c if a.fermionic and b.fermionic else c, swapped, resume))
+            continue
+        # No annihilator sits left of a creator, so the word splits as
+        # creators followed by annihilators.
+        split = next((i for i, m in enumerate(word) if not creator(m)), len(word))
+        sc = _koszul_sort(word[:split])
+        sa = _koszul_sort(word[split:])
+        if sc is not None and sa is not None:
+            sign = sc[0] * sa[0]
+            out.append(OperatorTerm(c if sign > 0 else -c, sc[1] + sa[1]))
+    return out
 
 
 def combine_terms(terms: Iterable[OperatorTerm]) -> list:
     acc = {}
     for t in terms:
-        acc[t.modes] = acc.get(t.modes, Fraction(0)) + t.coefficient
+        _accumulate(acc, t.modes, t.coefficient)
     out = [OperatorTerm(c, m) for m, c in acc.items() if c]
-    out.sort(key=lambda t: tuple(m.sort_key() for m in t.modes))
+    out.sort(key=lambda t: tuple(m.key for m in t.modes))
     return out
 
 
@@ -273,25 +274,34 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
 
 
 class ChargeOperator:
-    """Instantiated charge with terms indexed for fast application.
+    """Instantiated charge compiled for fast application.
 
     A term acts nonzero on a monomial only if the conjugate creators of all
     its annihilators occur in the monomial (with multiplicity), so terms are
     grouped by that required multiset and each monomial only visits the
     groups matching submultisets of its own modes.
+
+    Each term is compiled once into a plan (coefficient, targets, creators):
+    the conjugate creators its annihilators remove, in the order they act,
+    and its creators, inserted together.  The derivation rule signs are
+    folded into the coefficient.  A plan runs on the mode tuple with integer
+    multiplicities and Koszul signs and costs one rational multiply per
+    image monomial.
     """
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
         self.space = space
         self.groups: dict = {}
         for t in terms:
-            self.groups.setdefault(conjugate_creators(space, t.modes), []).append(t)
+            self.groups.setdefault(conjugate_creators(space, t.modes), []).append(
+                _compile(space, t)
+            )
         self._cache: dict = {}
 
     def _submultisets(self, modes: tuple):
         runs = []
         for m in modes:
-            if runs and runs[-1][0] == m:
+            if runs and runs[-1][0] is m:
                 runs[-1][1] += 1
             else:
                 runs.append([m, 1])
@@ -306,12 +316,19 @@ class ChargeOperator:
         cached = self._cache.get(mono)
         if cached is None:
             acc = {}
-            v = State.of(mono)
             for key in self._submultisets(mono.modes):
-                for t in self.groups.get(key, ()):
-                    img = apply_term(self.space, t, v)
-                    for m, c in img.terms.items():
-                        acc[m] = acc.get(m, Fraction(0)) + c
+                for coeff, targets, creators in self.groups.get(key, ()):
+                    # the group key guarantees every target occurs
+                    factor, modes = 1, mono.modes
+                    for target in targets:
+                        f, modes = _remove(modes, target)
+                        factor *= f
+                    placed = _koszul_sort(creators + modes)
+                    if placed is None:
+                        continue
+                    sign, modes = placed
+                    k = factor * sign
+                    _accumulate(acc, Monomial(modes), coeff if k == 1 else coeff * k)
             cached = {m: c for m, c in acc.items() if c}
             self._cache[mono] = cached
         return cached
@@ -319,9 +336,23 @@ class ChargeOperator:
     def __call__(self, state: State) -> State:
         acc = {}
         for mono, coeff in state.terms.items():
+            one = coeff == 1
             for m, c in self._apply_mono(mono).items():
-                acc[m] = acc.get(m, Fraction(0)) + coeff * c
+                _accumulate(acc, m, c if one else coeff * c)
         return State(acc)
+
+
+def _compile(space: SpaceSpec, term: OperatorTerm) -> tuple:
+    """The plan (coefficient, targets, creators) of a normally ordered term."""
+    split = next(
+        (i for i, m in enumerate(term.modes) if not space.is_creator(m)), len(term.modes)
+    )
+    annihilators = term.modes[split:]
+    coeff = term.coefficient
+    for m in annihilators:
+        coeff *= _DERIVATION_SIGN[m.family]
+    targets = tuple(_conjugate(m) for m in reversed(annihilators))
+    return coeff, targets, term.modes[:split]
 
 
 def charge_operator(charge: "SymbolicCharge", space: SpaceSpec, window: int) -> ChargeOperator:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as hst
 
 from chiralg.charges import (
     Potential,
@@ -18,6 +19,7 @@ from chiralg.charges import (
     random_potential,
 )
 from chiralg.fock import (
+    Family,
     FockError,
     Side,
     State,
@@ -25,7 +27,7 @@ from chiralg.fock import (
     enumerate_basis,
     make_space,
 )
-from chiralg.oper import charge_operator, instantiate_charge
+from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
 from conftest import X, Y, PHI, PSI, st
 
 THETA1 = make_space(Side.THETA, 1)
@@ -218,3 +220,40 @@ def test_random_potentials_are_nilpotent():
         f = random_potential(rng, d, 3)
         space = make_space(Side.THETA, d)
         assert check_nilpotent(potential_charge(f, Side.THETA), space, 2)
+
+
+@hst.composite
+def potential_charges(draw):
+    """The twist by a random potential f (with d_dR on the form side).  In
+    two variables it sometimes gains a term c x_i^a phi_j with i != j; the
+    one-form df + c x_i^a dx_j is then not closed, and on the form side the
+    charge is not nilpotent."""
+    dim = draw(hst.integers(1, 2))
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    exps = hst.tuples(*[hst.integers(0, 2)] * dim).filter(lambda e: 0 < sum(e) <= 3)
+    coeffs = draw(hst.dictionaries(exps, hst.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    f = Potential.from_terms(dim, [(c, e) for e, c in coeffs.items()])
+    charge = potential_charge(f, side)
+    if side is Side.OMEGA:
+        charge = combine(chiral_de_rham(dim), charge)
+    if dim == 2 and draw(hst.booleans()):
+        i, j = draw(hst.sampled_from([(1, 2), (2, 1)]))
+        letters = ((Family.X, i),) * draw(hst.integers(1, 2)) + ((Family.PHI, j),)
+        extra = (Fraction(draw(hst.integers(-2, 2).filter(bool))), letters)
+        charge = SymbolicCharge(charge.patterns + (extra,), side=side)
+    window = draw(hst.integers(0, 2 if dim == 1 else 1))
+    return make_space(side, dim), charge, window
+
+
+@settings(max_examples=60, deadline=None)
+@given(potential_charges())
+def test_nilpotency_methods_agree_on_random_potentials(case):
+    space, charge, window = case
+    by_operator = check_nilpotent(charge, space, window)
+    by_basis = check_nilpotent(charge, space, window, method="basis", x0_cap=3)
+    assert bool(by_operator) == bool(by_basis)
+    op = charge_operator(charge, space, window)
+    for report in (by_operator, by_basis):
+        if not report:
+            assert not report.image.is_zero()
+            assert op(op(State.of(report.witness))) == report.image

@@ -285,6 +285,28 @@ def test_malformed_zero_mode_actions_exit_2(tmp_path, capsys):
         assert "error: spec.zero_modes:" in capsys.readouterr().err
 
 
+def test_negative_zero_mode_cap_exits_2(tmp_path, capsys):
+    for builtin in ("polynomial", "delta"):
+        spec = {
+            "dim": 1,
+            "zero_modes": {"builtin": builtin, "cap": -1},
+            "caps": {"weight_max": 2},
+        }
+        for command in ("singular", "epsilon-check"):
+            code, text = run(tmp_path, command, spec)
+            assert code == 2 and text == "", (builtin, command)
+            assert "degree cap must be >= 0" in capsys.readouterr().err
+    labels = {"labels": [], "degrees": [], "parities": [], "cap": -1}
+    spec = {
+        "dim": 1,
+        "zero_modes": dict(labels, actions={n: [] for n in ("x0", "y0", "phi0", "psi0")}),
+        "caps": {"weight_max": 2},
+    }
+    code, _ = run(tmp_path, "singular", spec)
+    assert code == 2
+    assert "degree cap must be >= 0" in capsys.readouterr().err
+
+
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     import chiralg.cli as cli
 

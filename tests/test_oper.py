@@ -1,7 +1,10 @@
 """Mode actions, normally ordered terms, charge instantiation, translation."""
 
-import pytest
+import functools
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as hst
 
 from chiralg.charges import (
     Potential,
@@ -18,15 +21,18 @@ from chiralg.fock import (
     make_space,
 )
 from chiralg.oper import (
+    ChargeOperator,
     OperatorTerm,
+    SymbolicCharge,
     apply_mode,
-    apply_term,
     charge_operator,
     instantiate_charge,
     normal_order,
     translate,
 )
 from conftest import X, Y, PHI, PSI, st
+import mode_oracle
+from mode_oracle import apply_term
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -53,14 +59,21 @@ def test_apply_mode_kills_vacuum():
 
 def test_apply_term_annihilate_then_create():
     term = OperatorTerm(Fraction(1), (X(1), PHI(-1)))
-    assert apply_term(OMEGA1, term, st(OMEGA1, PSI(1))) == st(OMEGA1, X(1))
-    assert apply_term(OMEGA1, term, State.vacuum()).is_zero()
+    for apply in (apply_term, _compiled):
+        assert apply(OMEGA1, term, st(OMEGA1, PSI(1))) == st(OMEGA1, X(1))
+        assert apply(OMEGA1, term, State.vacuum()).is_zero()
 
 
 def test_apply_term_pure_creators():
     term = OperatorTerm(Fraction(1), (X(0), PHI(0)))
-    out = apply_term(OMEGA1, term, st(OMEGA1, PSI(1)))
-    assert out == st(OMEGA1, X(0), PHI(0), PSI(1))
+    for apply in (apply_term, _compiled):
+        out = apply(OMEGA1, term, st(OMEGA1, PSI(1)))
+        assert out == st(OMEGA1, X(0), PHI(0), PSI(1))
+
+
+def _compiled(space, term, state):
+    """One term through its compiled plan."""
+    return ChargeOperator(space, [term])(state)
 
 
 def test_normal_order_contraction():
@@ -68,6 +81,15 @@ def test_normal_order_contraction():
     terms = normal_order(THETA1, Fraction(1), (Y(-1), X(1)))
     by_modes = {t.modes: t.coefficient for t in terms}
     assert by_modes == {(X(1), Y(-1)): Fraction(1), (): Fraction(1)}
+
+
+def test_normal_order_long_word():
+    """Deeper than the interpreter's recursion limit: y_{-1} moves right past
+    1199 creators and contracts with x_1 only."""
+    xs = tuple(X(i) for i in range(1, 1200))
+    terms = normal_order(THETA1, Fraction(1), (Y(-1),) + xs)
+    by_modes = {t.modes: t.coefficient for t in terms}
+    assert by_modes == {xs + (Y(-1),): Fraction(1), xs[1:]: Fraction(1)}
 
 
 def test_instantiate_chiral_de_rham_window2():
@@ -193,3 +215,71 @@ def test_charge_side_mismatch_rejected():
 
     with pytest.raises(FockError):
         instantiate_charge(chiral_de_rham(1), THETA1, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _capped_basis(space, weight, cap):
+    return enumerate_basis(space, weight, x0_cap=cap)
+
+
+NONZERO = hst.builds(Fraction, hst.integers(-3, 3).filter(bool), hst.integers(1, 2))
+
+
+def _conjugate(mode):
+    pairs = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Family.PSI: Family.PHI}
+    return ModeKey(pairs[mode.family], mode.direction, -mode.index)
+
+
+@hst.composite
+def term_cases(draw):
+    """Random instantiated terms, a random state over capped basis monomials
+    and a random single mode, on either side in dims 1-3.
+
+    Besides the terms of a random pattern charge, one term annihilates a
+    random submultiset of a state monomial's letters and the single mode is
+    often the conjugate of one of them, so repeated bosons and fermion signs
+    are met on most draws.
+    """
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    dim = draw(hst.integers(1, 3))
+    space = make_space(side, dim)
+    letter = hst.tuples(hst.sampled_from(list(Family)), hst.integers(1, dim))
+    pattern = hst.tuples(NONZERO, hst.lists(letter, min_size=1, max_size=3).map(tuple))
+    charge = SymbolicCharge(
+        tuple(draw(hst.lists(pattern, min_size=1, max_size=3))),
+        weight_shift=draw(hst.integers(-1, 1)),
+    )
+    top = 2 if dim < 3 else 1
+    window = draw(hst.integers(0, top))
+    terms = instantiate_charge(charge, space, window)
+    keep = draw(hst.lists(hst.sampled_from(terms), max_size=6, unique=True)) if terms else []
+    basis = _capped_basis(space, draw(hst.integers(0, window)), draw(hst.integers(0, 2)))
+    monos = draw(hst.lists(hst.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    state = State({m: draw(NONZERO) for m in monos})
+    letters = draw(hst.sampled_from(monos)).modes
+    if letters:
+        picked = draw(hst.lists(hst.sampled_from(range(len(letters))), max_size=3, unique=True))
+        creators = draw(hst.lists(hst.sampled_from(_capped_basis(space, 1, 1)), max_size=1))
+        word = (creators[0].modes if creators else ()) + tuple(
+            _conjugate(letters[i]) for i in picked
+        )
+        keep += normal_order(space, draw(NONZERO), word)
+    random_mode = hst.builds(
+        ModeKey, hst.sampled_from(list(Family)), hst.integers(1, dim), hst.integers(-3, 3)
+    )
+    conjugate_mode = hst.sampled_from(letters).map(_conjugate) if letters else random_mode
+    mode = draw(random_mode | conjugate_mode)
+    return space, keep, state, mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_cases())
+def test_compiled_plans_match_reference_action(case):
+    """ChargeOperator's plans and apply_mode give exactly the States of the
+    reference term-by-term, mode-by-mode action."""
+    space, terms, state, mode = case
+    want = State()
+    for t in terms:
+        want = want + apply_term(space, t, state)
+    assert ChargeOperator(space, terms)(state) == want
+    assert apply_mode(space, mode, state) == mode_oracle.apply_mode(space, mode, state)
