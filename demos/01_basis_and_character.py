@@ -54,7 +54,7 @@ weights = default_torus_weights(f)
 window = (-6 * d, 6)
 
 brute = euler_series(omega, 4, window, weights)
-closed = chi_closed_form(d, 4, window)
+closed = chi_closed_form(d, 4)
 
 print()
 print(f"character of f = x^{d + 1}, rows are powers of q:")

@@ -58,7 +58,7 @@ print("expected: the Jacobian ring k[x]/(x^2), dimension", d)
 # The twisted de Rham complex and the refined character
 # ---------------------------------------------------------------------------
 total = combine(chiral_de_rham(1), potential_charge(f, Side.OMEGA))
-series, table = chi_van(total, omega, 3, x0_cap=2 * d, require_stable=False)
+series, table = chi_van(total, omega, 3, x0_cap=2 * d)
 print()
 print("cohomology of d_dR + df through weight 3:", dict(table.dims))
 print("cap-stable at every weight?", all(table.stabilization.values()))

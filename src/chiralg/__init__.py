@@ -28,7 +28,6 @@ from .oper import (
     apply_mode,
     instantiate_charge,
     normal_order,
-    translate,
 )
 from .field import ResidueCharge, field_mode, residue_charge
 from .charges import (
@@ -42,7 +41,6 @@ from .charges import (
     default_torus_weights,
     lie_charge,
     potential_charge,
-    random_potential,
 )
 from .cohomology import (
     CohomologyError,
@@ -57,7 +55,6 @@ from .qseries import (
     TruncatedSeries,
     chi_closed_form,
     compare,
-    theta,
 )
 from .modfun import (
     EpsilonReport,

@@ -7,7 +7,6 @@ the definition.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -144,20 +143,11 @@ class StructureConstants:
         return obj
 
     @staticmethod
-    def abelian(dim: int) -> "StructureConstants":
-        return StructureConstants.from_entries(dim, [])
-
-    @staticmethod
     def sl2() -> "StructureConstants":
         # basis (e, f, h): [e,f]=h, [h,e]=2e, [h,f]=-2f
         return StructureConstants.from_entries(
             3, [(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -2)]
         )
-
-    @staticmethod
-    def heisenberg3() -> "StructureConstants":
-        # [e1, e2] = e3, e3 central
-        return StructureConstants.from_entries(3, [(3, 1, 2, 1)])
 
 
 def chiral_de_rham(dim: int) -> SymbolicCharge:
@@ -322,22 +312,3 @@ def check_anticommute(
     """
     return _check_bracket(c1, c2, space, window, x0_cap, method)
 
-
-def random_potential(rng: random.Random, dim: int, max_degree: int) -> Potential:
-    """Random integer potential for property tests; never identically zero."""
-    while True:
-        terms = []
-        seen = set()
-        for _ in range(rng.randint(1, 4)):
-            total = rng.randint(1, max_degree)
-            exps = [0] * dim
-            for _ in range(total):
-                exps[rng.randrange(dim)] += 1
-            exps = tuple(exps)
-            if exps in seen:
-                continue
-            seen.add(exps)
-            terms.append((rng.randint(-3, 3), exps))
-        terms = [(c, e) for c, e in terms if c]
-        if terms:
-            return Potential.from_terms(dim, terms)

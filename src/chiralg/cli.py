@@ -340,7 +340,7 @@ def cmd_theta_check(spec: ProblemSpec):
     if d < 1:
         raise SpecError("spec.potential: degree must be >= 2 for the theta oracle")
     payload, _, series = cmd_char(spec)
-    oracle = chi_closed_form(d, spec.q_max, spec.z_window)
+    oracle = chi_closed_form(d, spec.q_max)
     report = compare(series, oracle, zwindow=spec.z_window, qmax=spec.q_max)
     payload["oracle"] = oracle.to_json_dict(spec.z_window)
     payload["equal"] = bool(report)
@@ -377,9 +377,7 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
         if spec.potential is None:
             raise SpecError("spec.potential: required for the theta oracle")
         _require_closed_form_scope(spec, "the theta oracle")
-    series, table = chi_van(
-        charge, space, spec.weight_max, require_stable=False, **kwargs
-    )
+    series, table = chi_van(charge, space, spec.weight_max, **kwargs)
     payload = {
         "series": series.to_json_dict((0, 0)),
         "table": _table_json(table),
@@ -387,13 +385,7 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
     code = 0 if all(table.stabilization.values()) else 1
     if oracle == "theta":
         d = spec.potential.quasi_degree((1,) * spec.dim) - 1
-        # F = theta(z^d)/theta(z) has F(qz) = +-q^-c z^(1-d^2) F(z) with
-        # c = d(d-1)/2, so the q-order v(n) of its z^n coefficient obeys
-        # v(n + d^2 - 1) = v(n) + n + c; as v >= 0, v(n) >= -(n + c) and
-        # v(n) >= n - (d^2 - 1) + c.  Row q^j of -z^-d F therefore lies in
-        # z^-(d + c + j) .. z^(c - 1 + j), the window taken here at j = weight_max.
-        c, w = d * (d - 1) // 2, spec.weight_max
-        oracle_series = chi_closed_form(d, w, (-(d + c + w), c - 1 + w))
+        oracle_series = chi_closed_form(d, spec.weight_max)
         # z-collapse of the oracle: total Euler number per q row
         collapsed = {
             j: sum(oracle_series.rows.get(j, {}).values())

@@ -34,7 +34,7 @@ from .fock import (
     enumerate_basis,
     enumerate_torus_window,
 )
-from .linalg import intersection_dim, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .oper import ChargeOperator, SymbolicCharge, charge_operator
 from .qseries import TruncatedSeries
 
@@ -154,20 +154,21 @@ def _capped_dims_once(
 ) -> Dict[Tuple[int, int], int]:
     """dim K - dim(K intersect I) per degree at one weight: K is the kernel on
     x_0 degree <= x0_cap, I the image of the basis capped at x0_cap +
-    image_margin per direction.  ``blocks`` may hold a larger cap."""
+    image_margin per direction.  ``blocks`` may hold a larger cap.  The kernel
+    vectors are independent, so the difference is rank(I + K) - rank(I)."""
     reach = x0_cap + image_margin
     dims: Dict[Tuple[int, int], int] = {}
     for k in sorted(blocks.bases):
         basis, cols = blocks.basis(k), blocks.cols(k)
         small = [i for i, mono in enumerate(basis) if mono.x0_degree() <= x0_cap]
-        kern = kernel_basis([cols[i] for i in small], n_cols=len(small))
-        k_cols = [{basis[small[i]]: v for i, v in enumerate(vec) if v} for vec in kern]
+        kern = kernel_basis([cols[i] for i in small])
+        k_cols = [{basis[small[i]]: v for i, v in vec.items()} for vec in kern]
         in_cols = [
             col
             for mono, col in zip(blocks.basis(k - dshift), blocks.cols(k - dshift))
             if col and _x0_peak(mono) <= reach
         ]
-        h = len(k_cols) - intersection_dim(k_cols, in_cols)
+        h = rank(in_cols + k_cols) - rank(in_cols)
         if h:
             dims[(q, k)] = h
     return dims
@@ -178,16 +179,15 @@ def cohomology_dims_capped(
     space: SpaceSpec,
     max_weight: int,
     x0_cap: int,
-    *,
-    stabilize: bool = True,
 ) -> CohomologyTable:
     """Capped-kernel / image-intersection estimate with stabilization flags.
 
-    The cap and cap+1 passes share each weight's operator and image columns.
+    The cap and cap+1 passes share each weight's operator and image columns;
+    the reported dimensions are the cap+1 ones.
     """
     image_margin = charge.max_y_letters() + 1
     dshift = _degree_shift(charge)
-    top = x0_cap + image_margin + (1 if stabilize else 0)
+    top = x0_cap + image_margin + 1
     dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
@@ -195,11 +195,9 @@ def cohomology_dims_capped(
         for mono in enumerate_basis(space, q, x0_cap=top):
             blocks.add(mono.degree, mono)
         row = _capped_dims_once(blocks, q, dshift, x0_cap, image_margin)
-        if stabilize:
-            bigger = _capped_dims_once(blocks, q, dshift, x0_cap + 1, image_margin)
-            stab[q] = row == bigger
-            row = bigger
-        dims.update(row)
+        bigger = _capped_dims_once(blocks, q, dshift, x0_cap + 1, image_margin)
+        stab[q] = row == bigger
+        dims.update(bigger)
     return CohomologyTable(
         dims=dims,
         stabilization=stab,
@@ -220,7 +218,6 @@ def cohomology_dims(
     x0_cap: Optional[int] = None,
     torus_weights: Optional[TorusWeights] = None,
     torus_window: Optional[Tuple[int, int]] = None,
-    stabilize: bool = True,
 ) -> CohomologyTable:
     if torus_weights is not None and torus_window is not None:
         return cohomology_dims_torus(
@@ -228,7 +225,7 @@ def cohomology_dims(
         )
     if x0_cap is None:
         raise CohomologyError("need either an x0 cap or a torus window")
-    return cohomology_dims_capped(charge, space, max_weight, x0_cap, stabilize=stabilize)
+    return cohomology_dims_capped(charge, space, max_weight, x0_cap)
 
 
 def euler_series(
@@ -242,14 +239,13 @@ def euler_series(
     No differential is involved: per bigrade the Euler characteristic of a
     complex equals that of its chains.
     """
-    lo, hi = torus_window
     rows: Dict[int, Dict[int, int]] = {}
     for q in range(max_weight + 1):
         chi: Dict[int, int] = {}
         for t, degree, _ in enumerate_torus_window(space, q, weights, torus_window):
             chi[t] = chi.get(t, 0) + (-1 if degree % 2 else 1)
         rows[q] = {t: chi[t] for t in sorted(chi) if chi[t]}
-    return TruncatedSeries(max_weight, rows, None, lo, hi)
+    return TruncatedSeries(max_weight, rows, torus_window)
 
 
 def chi_van(
@@ -260,9 +256,10 @@ def chi_van(
     x0_cap: Optional[int] = None,
     torus_weights: Optional[TorusWeights] = None,
     torus_window: Optional[Tuple[int, int]] = None,
-    require_stable: bool = True,
 ) -> Tuple[TruncatedSeries, CohomologyTable]:
-    """q-series of Euler characteristics of fixed-weight cohomology."""
+    """q-series of Euler characteristics of fixed-weight cohomology.
+
+    A capped table may be unstable; its ``stabilization`` flags say where."""
     table = cohomology_dims(
         charge,
         space,
@@ -271,13 +268,9 @@ def chi_van(
         torus_weights=torus_weights,
         torus_window=torus_window,
     )
-    unstable = [q for q, ok in table.stabilization.items() if not ok]
-    if require_stable and unstable:
-        raise CohomologyError(f"caps not stabilized at weights {unstable}")
     rows = {}
     for q in range(max_weight + 1):
         chi = table.euler(q)
         if chi:
             rows[q] = {0: chi}
-    series = TruncatedSeries(max_weight, rows, 0, None, None)
-    return series, table
+    return TruncatedSeries(max_weight, rows), table

@@ -74,7 +74,8 @@ def _monomial_field_mode(
         if not c:
             continue
         hit = apply_mode(space, ModeKey(u.family, u.direction, i + k), v)
-        _monomial_field_mode(space, rest, n - i, hit, coeff * c * koszul, acc)
+        if not hit.is_zero():
+            _monomial_field_mode(space, rest, n - i, hit, coeff * c * koszul, acc)
 
 
 def field_mode(space: SpaceSpec, a: State, n: int, v: State) -> State:

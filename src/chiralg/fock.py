@@ -320,12 +320,6 @@ class State:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def coefficient(self, monomial: Monomial) -> Fraction:
-        return self.terms.get(monomial, Fraction(0))
-
-    def monomials(self):
-        return self.terms.keys()
-
     def weights(self) -> set:
         return {m.weight for m in self.terms}
 

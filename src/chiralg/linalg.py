@@ -20,19 +20,17 @@ Column = Dict[Hashable, Fraction]
 
 
 def _eliminate(
-    columns: Sequence[Column], n_cols: int, track: bool
+    columns: Sequence[Column], track: bool
 ) -> Tuple[int, List[Dict[int, Fraction]]]:
-    """Rank of the first ``n_cols`` columns (missing ones are zero) and, when
-    ``track`` is set, the relation {column: coefficient} of each column that
-    depends on earlier ones."""
+    """Rank of the columns and, when ``track`` is set, the relation
+    {column: coefficient} of each column that depends on earlier ones."""
     index: Dict[Hashable, int] = {}  # row keys are hashed once, then ints
     # (pivot row, vector with its implicit 1 at that row left out, combination
     # of columns it equals); each is reduced against all earlier pivots, so
     # reducing in this order never brings back a row already cleared
     pivots: List[Tuple[int, Dict[int, Fraction], Optional[Dict[int, Fraction]]]] = []
     relations = []
-    for c in range(n_cols):
-        col = columns[c] if c < len(columns) else {}
+    for c, col in enumerate(columns):
         vec = {index.setdefault(r, len(index)): v for r, v in col.items() if v}
         comb = {c: Fraction(1)}
         for row, pvec, pcomb in pivots:
@@ -63,31 +61,13 @@ def _eliminate(
 
 
 def rank(columns: Sequence[Column]) -> int:
-    return _eliminate(columns, len(columns), track=False)[0]
+    return _eliminate(columns, track=False)[0]
 
 
-def kernel_basis(
-    columns: Sequence[Column], n_cols: Optional[int] = None
-) -> List[List[Fraction]]:
-    """Basis of the right kernel, as coefficient vectors over the columns.
+def kernel_basis(columns: Sequence[Column]) -> List[Dict[int, Fraction]]:
+    """Basis of the right kernel, as sparse {column: coefficient} vectors.
 
     One vector per column that depends on earlier ones, in column order,
     with 1 on that column and the rest on earlier pivot columns.
     """
-    if n_cols is None:
-        n_cols = len(columns)
-    basis = []
-    for relation in _eliminate(columns, n_cols, track=True)[1]:
-        v = [Fraction(0)] * n_cols
-        for j, x in relation.items():
-            v[j] = x
-        basis.append(v)
-    return basis
-
-
-def intersection_dim(a: Sequence[Column], b: Sequence[Column]) -> int:
-    """dim(span a  intersect  span b) = dim a + dim b - dim(a + b)."""
-    ra = rank(a)
-    rb = rank(b)
-    rab = rank(list(a) + list(b))
-    return ra + rb - rab
+    return _eliminate(columns, track=True)[1]

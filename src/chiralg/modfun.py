@@ -101,62 +101,40 @@ class ZeroModeModule:
                         )
 
 
-def polynomial_zero_modes(cap: int) -> ZeroModeModule:
-    """C[x0, psi0] with x-degree <= cap: the vacuum zero-mode data."""
+def _line_zero_modes(
+    cap: int, raising: str, lowering: str, sign: int, suffix: str = ""
+) -> ZeroModeModule:
+    """C[u] psi0^eps with u-degree <= cap, where the zero mode ``raising``
+    multiplies by u and ``lowering`` acts as sign * d/du."""
     labels, degrees, parities = [], [], []
     index = {}
     for k in range(cap + 1):
         for eps in (0, 1):
             index[(k, eps)] = len(labels)
-            labels.append(f"x0^{k}" + (" psi0" if eps else ""))
+            labels.append(f"{raising}^{k}" + (" psi0" if eps else "") + suffix)
             degrees.append(k)
             parities.append(eps)
-    x0 = [dict() for _ in labels]
-    y0 = [dict() for _ in labels]
-    phi0 = [dict() for _ in labels]
-    psi0 = [dict() for _ in labels]
+    actions = {name: [dict() for _ in labels] for name in _ZERO_MODE_NAMES}
     for (k, eps), i in index.items():
         if k + 1 <= cap:
-            x0[i] = {index[(k + 1, eps)]: Fraction(1)}
+            actions[raising][i] = {index[(k + 1, eps)]: Fraction(1)}
         if k >= 1:
-            y0[i] = {index[(k - 1, eps)]: Fraction(k)}
+            actions[lowering][i] = {index[(k - 1, eps)]: Fraction(sign * k)}
         if eps == 0:
-            psi0[i] = {index[(k, 1)]: Fraction(1)}
+            actions["psi0"][i] = {index[(k, 1)]: Fraction(1)}
         else:
-            phi0[i] = {index[(k, 0)]: Fraction(1)}
-    return ZeroModeModule(
-        tuple(labels), tuple(degrees), tuple(parities), cap,
-        {"x0": x0, "y0": y0, "phi0": phi0, "psi0": psi0},
-    )
+            actions["phi0"][i] = {index[(k, 0)]: Fraction(1)}
+    return ZeroModeModule(tuple(labels), tuple(degrees), tuple(parities), cap, actions)
+
+
+def polynomial_zero_modes(cap: int) -> ZeroModeModule:
+    """C[x0, psi0] with x-degree <= cap: the vacuum zero-mode data."""
+    return _line_zero_modes(cap, "x0", "y0", 1)
 
 
 def delta_zero_modes(cap: int) -> ZeroModeModule:
     """The delta module C[y0] psi0^eps delta with x0 delta = 0, y-degree <= cap."""
-    labels, degrees, parities = [], [], []
-    index = {}
-    for k in range(cap + 1):
-        for eps in (0, 1):
-            index[(k, eps)] = len(labels)
-            labels.append(f"y0^{k}" + (" psi0" if eps else "") + " delta")
-            degrees.append(k)
-            parities.append(eps)
-    x0 = [dict() for _ in labels]
-    y0 = [dict() for _ in labels]
-    phi0 = [dict() for _ in labels]
-    psi0 = [dict() for _ in labels]
-    for (k, eps), i in index.items():
-        if k + 1 <= cap:
-            y0[i] = {index[(k + 1, eps)]: Fraction(1)}
-        if k >= 1:
-            x0[i] = {index[(k - 1, eps)]: Fraction(-k)}
-        if eps == 0:
-            psi0[i] = {index[(k, 1)]: Fraction(1)}
-        else:
-            phi0[i] = {index[(k, 0)]: Fraction(1)}
-    return ZeroModeModule(
-        tuple(labels), tuple(degrees), tuple(parities), cap,
-        {"x0": x0, "y0": y0, "phi0": phi0, "psi0": psi0},
-    )
+    return _line_zero_modes(cap, "y0", "x0", -1, " delta")
 
 
 def zero_modes_from_json(doc: dict) -> ZeroModeModule:
@@ -299,8 +277,7 @@ def singular_vectors(module: InducedTruncation, weight: int) -> List[Vector]:
                 _, img = module.apply_mode(mode, weight, {i: Fraction(1)})
                 for j, v in img.items():
                     columns[i][(fam, idx, j)] = v
-    kern = kernel_basis(columns, n_cols=n)
-    return [{i: v for i, v in enumerate(vec) if v} for vec in kern]
+    return kernel_basis(columns)
 
 
 @dataclass

@@ -27,7 +27,6 @@ from .fock import (
     State,
     TorusWeights,
     _koszul_sort,
-    normalize,
 )
 
 _CONJUGATE = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Family.PSI: Family.PHI}
@@ -358,21 +357,3 @@ def _compile(space: SpaceSpec, term: OperatorTerm) -> tuple:
 def charge_operator(charge: "SymbolicCharge", space: SpaceSpec, window: int) -> ChargeOperator:
     return ChargeOperator(space, instantiate_charge(charge, space, window))
 
-
-def translate(space: SpaceSpec, state: State) -> State:
-    """Infinitesimal translation T: the derivation with T(u_k) = (k+1-h_u) u_{k+1}.
-
-    h_u is the minimal creator index of the family; T kills the vacuum and
-    raises conformal weight by exactly 1.
-    """
-    out = State.zero()
-    for mono, coeff in state.terms.items():
-        for pos, m in enumerate(mono.modes):
-            h = space.creator_threshold(m.family)
-            factor = m.index + 1 - h
-            if factor == 0:
-                continue
-            raised = ModeKey(m.family, m.direction, m.index + 1)
-            raw = mono.modes[:pos] + (raised,) + mono.modes[pos + 1 :]
-            out = out + normalize(space, raw, coeff * factor)
-    return out

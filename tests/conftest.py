@@ -1,7 +1,10 @@
-"""Shared helpers for the test suite: mode shorthand and small oracles."""
+"""Shared helpers for the test suite: mode shorthand, random potentials and
+small oracles."""
 
+import random
 from fractions import Fraction
 
+from chiralg.charges import Potential
 from chiralg.fock import Family, ModeKey, Monomial, State, normalize
 
 
@@ -29,6 +32,26 @@ def st(space, *modes, coeff=1):
 def mono(*modes):
     """Canonically sorted monomial (caller guarantees creator-ness)."""
     return Monomial(tuple(sorted(modes, key=ModeKey.sort_key)))
+
+
+def random_potential(rng: random.Random, dim: int, max_degree: int) -> Potential:
+    """Random integer potential for property tests; never identically zero."""
+    while True:
+        terms = []
+        seen = set()
+        for _ in range(rng.randint(1, 4)):
+            total = rng.randint(1, max_degree)
+            exps = [0] * dim
+            for _ in range(total):
+                exps[rng.randrange(dim)] += 1
+            exps = tuple(exps)
+            if exps in seen:
+                continue
+            seen.add(exps)
+            terms.append((rng.randint(-3, 3), exps))
+        terms = [(c, e) for c, e in terms if c]
+        if terms:
+            return Potential.from_terms(dim, terms)
 
 
 def partition_gf_coeffs(qmax):

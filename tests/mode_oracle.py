@@ -2,7 +2,7 @@
 term application the package used before it compiled charge terms into
 plans, kept verbatim (with the Koszul sign of ``fock.normalize`` as it was
 then) so tests can require the compiled path to give exactly the same
-states.
+states.  Also the infinitesimal translation T, which only tests use.
 """
 
 from __future__ import annotations
@@ -89,3 +89,22 @@ def apply_term(space: SpaceSpec, term: OperatorTerm, state: State) -> State:
             return out
         out = apply_mode(space, mode, out)
     return out.scale(term.coefficient)
+
+
+def translate(space: SpaceSpec, state: State) -> State:
+    """Infinitesimal translation T: the derivation with T(u_k) = (k+1-h_u) u_{k+1}.
+
+    h_u is the minimal creator index of the family; T kills the vacuum and
+    raises conformal weight by exactly 1.
+    """
+    out = State.zero()
+    for mono, coeff in state.terms.items():
+        for pos, m in enumerate(mono.modes):
+            h = space.creator_threshold(m.family)
+            factor = m.index + 1 - h
+            if factor == 0:
+                continue
+            raised = ModeKey(m.family, m.direction, m.index + 1)
+            raw = mono.modes[:pos] + (raised,) + mono.modes[pos + 1 :]
+            out = out + normalize(space, raw, coeff * factor)
+    return out

@@ -16,7 +16,6 @@ from chiralg.charges import (
     default_torus_weights,
     lie_charge,
     potential_charge,
-    random_potential,
 )
 from chiralg.cohomology import (
     chi_van,
@@ -45,7 +44,7 @@ from chiralg.modfun import (
 )
 from chiralg.oper import charge_operator
 from chiralg.qseries import chi_closed_form, compare
-from conftest import ce_cohomology_dims
+from conftest import ce_cohomology_dims, random_potential
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -70,7 +69,7 @@ def test_criterion_01_theta_quotient_character():
     for d in (1, 2, 3):
         window = (-6 * d, 6)
         brute = _brute_character(d, QMAX, window)
-        closed = chi_closed_form(d, QMAX, window)
+        closed = chi_closed_form(d, QMAX)
         ok = ok and bool(compare(brute, closed, zwindow=window, qmax=QMAX))
     verdict(1, "brute-force character equals theta quotient (d=1,2,3)", ok)
 
@@ -85,7 +84,7 @@ def test_criterion_02_q0_limit():
 
 def test_criterion_03_morse_collapse():
     brute = _brute_character(1, QMAX, (-8, 6))
-    closed = chi_closed_form(1, QMAX, (-8, 6))
+    closed = chi_closed_form(1, QMAX)
     ok = brute.rows == {0: {-1: -1}} and closed.rows == {0: {-1: -1}}
     verdict(3, "d=1 character is -1/z with zero q-corrections", ok)
 
@@ -242,7 +241,7 @@ def test_criterion_12_weightwise_finiteness():
             chiral_de_rham(1),
             potential_charge(Potential.single_variable(d + 1), Side.OMEGA),
         )
-        series, table = chi_van(charge, OMEGA1, 4, x0_cap=2 * d, require_stable=False)
+        series, table = chi_van(charge, OMEGA1, 4, x0_cap=2 * d)
         ok = ok and all(table.stabilization.values())
         ok = ok and table.dims == {(0, 1): d}
         ok = ok and all(v >= 0 for v in table.dims.values())

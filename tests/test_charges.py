@@ -16,7 +16,6 @@ from chiralg.charges import (
     default_torus_weights,
     lie_charge,
     potential_charge,
-    random_potential,
 )
 from chiralg.fock import (
     Family,
@@ -28,7 +27,7 @@ from chiralg.fock import (
     make_space,
 )
 from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
-from conftest import X, Y, PHI, PSI, st
+from conftest import X, Y, PHI, PSI, random_potential, st
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -107,14 +106,19 @@ def test_structure_constants_jacobi_enforced():
     StructureConstants.from_entries(3, BAD_JACOBI, validate=False)
 
 
+def _heisenberg3():
+    # [e1, e2] = e3, e3 central
+    return StructureConstants.from_entries(3, [(3, 1, 2, 1)])
+
+
 def test_named_algebras_are_valid():
     StructureConstants.sl2()
-    StructureConstants.heisenberg3()
-    StructureConstants.abelian(4)
+    _heisenberg3()
+    StructureConstants.from_entries(4, [])  # abelian
 
 
 def test_lie_weight0_heisenberg():
-    charge = lie_charge(StructureConstants.heisenberg3())
+    charge = lie_charge(_heisenberg3())
     op = charge_operator(charge, THETA3, 0)
     # adjoint action: Q(x^1) = c^k_{j1} x^k psi^j = -x^3 psi^2
     assert op(st(THETA3, X(0, 1))) == st(THETA3, X(0, 3), PSI(0, 2), coeff=-1)

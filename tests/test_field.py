@@ -13,8 +13,9 @@ from chiralg.fock import (
     enumerate_basis,
     make_space,
 )
-from chiralg.oper import charge_operator, translate
+from chiralg.oper import charge_operator
 from conftest import X, Y, PHI, PSI, st
+from mode_oracle import translate
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)

@@ -28,11 +28,10 @@ from chiralg.oper import (
     charge_operator,
     instantiate_charge,
     normal_order,
-    translate,
 )
 from conftest import X, Y, PHI, PSI, st
 import mode_oracle
-from mode_oracle import apply_term
+from mode_oracle import apply_term, translate
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -118,7 +117,7 @@ def test_instantiate_potential_z2_window1():
 
 
 def test_instantiate_abelian_lie_charge_is_empty():
-    charge = lie_charge(StructureConstants.abelian(2))
+    charge = lie_charge(StructureConstants.from_entries(2, []))
     assert instantiate_charge(charge, make_space(Side.THETA, 2), 3) == []
 
 
