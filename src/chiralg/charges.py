@@ -22,9 +22,9 @@ from .fock import (
     enumerate_basis,
 )
 from .oper import (
+    ChargeOperator,
     SymbolicCharge,
     annihilated_weight,
-    charge_operator,
     combine_terms,
     conjugate_creators,
     instantiate_charge,
@@ -227,27 +227,62 @@ class CheckReport:
         return self.passed
 
 
-def _product_terms(space, t1, t2):
-    return normal_order(space, t1.coefficient * t2.coefficient, t1.modes + t2.modes)
+def _contracting_products(space, left, right):
+    """Normally ordered terms of every product t1 t2 (t1 in ``left``, t2 in
+    ``right``) that hold at least one contraction.
+
+    t1 t2 is :t1 t2: plus terms in which an annihilator of t1 contracts
+    with a creator of t2, so only pairs where t2 holds the conjugate of an
+    annihilator of t1 are ordered, and each product's one full-length term,
+    its uncontracted part, is dropped.
+    """
+    by_creator = {}
+    for pos, t2 in enumerate(right):
+        for m in t2.modes:
+            if space.is_creator(m):
+                by_creator.setdefault(m, set()).add(pos)
+    out = []
+    for t1 in left:
+        partners = set()
+        for m in conjugate_creators(space, t1.modes):
+            partners.update(by_creator.get(m, ()))
+        for pos in sorted(partners):
+            t2 = right[pos]
+            word = t1.modes + t2.modes
+            product = normal_order(space, t1.coefficient * t2.coefficient, word)
+            out.extend(t for t in product if len(t.modes) < len(word))
+    return out
+
+
+def _bracket_terms(space, t1s, t2s, window) -> list:
+    """The normally ordered terms of t1s t2s + t2s t1s, or of t1s t1s when
+    ``t2s`` is None, that can act on weight <= window.
+
+    Every term is odd, so :t1 t2: = -:t2 t1: and :t t: = 0: the uncontracted
+    parts of all products cancel, and only contractions can survive.
+    """
+    raw = _contracting_products(space, t1s, t1s if t2s is None else t2s)
+    if t2s is not None:
+        raw.extend(_contracting_products(space, t2s, t1s))
+    return [
+        t for t in combine_terms(raw) if annihilated_weight(space, t.modes) <= window
+    ]
 
 
 def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
     """Verify c1 c2 + c2 c1, or c1 c1 when ``c2`` is None, vanishes on weight
     <= window, by either method of ``check_nilpotent``."""
+    for charge in (c1,) if c2 is None else (c1, c2):
+        for _, letters in charge.patterns:
+            if sum(1 for fam, _ in letters if fam.fermionic) % 2 == 0:
+                raise FockError(
+                    "a differential is odd: each pattern needs an odd number "
+                    "of fermion letters"
+                )
+    t1s = instantiate_charge(c1, space, window)
+    t2s = None if c2 is None else instantiate_charge(c2, space, window)
     if method == "operator":
-        t1s = instantiate_charge(c1, space, window)
-        t2s = t1s if c2 is None else instantiate_charge(c2, space, window)
-        raw = []
-        for t1 in t1s:
-            for t2 in t2s:
-                raw.extend(_product_terms(space, t1, t2))
-                if c2 is not None:
-                    raw.extend(_product_terms(space, t2, t1))
-        surviving = [
-            t
-            for t in combine_terms(raw)
-            if annihilated_weight(space, t.modes) <= window
-        ]
+        surviving = _bracket_terms(space, t1s, t2s, window)
         if not surviving:
             return CheckReport(True)
         # a probe built from a minimal surviving annihilator part always works
@@ -264,8 +299,8 @@ def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
             for q in range(window + 1)
             for mono in enumerate_basis(space, q, x0_cap=x0_cap)
         )
-    o1 = charge_operator(c1, space, window)
-    o2 = o1 if c2 is None else charge_operator(c2, space, window)
+    o1 = ChargeOperator(space, t1s)
+    o2 = o1 if t2s is None else ChargeOperator(space, t2s)
     for mono in probes:
         v = State.of(mono)
         image = o1(o2(v))
@@ -288,11 +323,20 @@ def check_nilpotent(
 ) -> CheckReport:
     """Verify the charge squares to zero on every state of weight <= window.
 
-    The operator method normally orders the full square and checks that every
-    term able to act on weight <= window cancels; this covers all basis
-    monomials regardless of any x_0 cap.  The basis method applies the charge
-    twice to each capped basis monomial directly (images are never capped; the
-    cap only bounds the probed basis).  A witness image is Q(Q(v)).
+    The operator method expands the square as a sum of normally ordered
+    terms and checks that every term able to act on weight <= window
+    cancels; this covers all basis monomials regardless of any x_0 cap.  By
+    Wick's theorem each product t1 t2 of two terms is :t1 t2: plus its
+    contractions, and as every term is odd, :t1 t2: = -:t2 t1: and
+    :t t: = 0, so the uncontracted parts cancel over all pairs.  Only the
+    pairs in which an annihilator of t1 meets its conjugate creator in t2
+    are therefore normally ordered, and their contracted terms alone are
+    summed; the result is exactly that of the full square.  A charge with
+    an even pattern is refused.
+
+    The basis method applies the charge twice to each capped basis monomial
+    directly (images are never capped; the cap only bounds the probed
+    basis).  A witness image is Q(Q(v)).
     """
     return _check_bracket(charge, None, space, window, x0_cap, method)
 

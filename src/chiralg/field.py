@@ -54,10 +54,19 @@ def _monomial_field_mode(
     h = space.creator_threshold(u.family)
     k = u.index
     j = k - h  # derivative order
+    wv = max((m.weight for m in v.terms), default=0)
+    if not rest:
+        # The tail field is the identity, so only i = n adds anything, in
+        # whichever part of the generator field holds it.  A mode of index
+        # below -wv would remove more weight than v has.
+        c = _genbinom(n + j, j)
+        if c and n + k >= -wv:
+            mode = ModeKey(u.family, u.direction, n + k)
+            _add_scaled(acc, apply_mode(space, mode, v), coeff * c)
+        return
     rest_weight = sum(m.index for m in rest)
     rest_parity = sum(1 for m in rest if m.fermionic) % 2
     koszul = -1 if (u.fermionic and rest_parity) else 1
-    wv = max((m.weight for m in v.terms), default=0)
     # Creator part of the generator field, applied after the tail field.
     for i in range(-j, n + wv + rest_weight + 1):
         c = _genbinom(i + j, j)

@@ -2,7 +2,9 @@
 term application the package used before it compiled charge terms into
 plans, kept verbatim (with the Koszul sign of ``fock.normalize`` as it was
 then) so tests can require the compiled path to give exactly the same
-states.  Also the infinitesimal translation T, which only tests use.
+states.  The square of a charge expanded over every pair of terms, as the
+nilpotency check did before it ordered only the pairs that can contract.
+Also the infinitesimal translation T, which only tests use.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from chiralg.fock import Family, FockError, ModeKey, Monomial, SpaceSpec, State
-from chiralg.oper import OperatorTerm
+from chiralg.oper import OperatorTerm, annihilated_weight, combine_terms, normal_order
 
 _CONJUGATE = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Family.PSI: Family.PHI}
 
@@ -89,6 +91,27 @@ def apply_term(space: SpaceSpec, term: OperatorTerm, state: State) -> State:
             return out
         out = apply_mode(space, mode, out)
     return out.scale(term.coefficient)
+
+
+def _product_terms(space, t1, t2):
+    return normal_order(space, t1.coefficient * t2.coefficient, t1.modes + t2.modes)
+
+
+def full_bracket_terms(space: SpaceSpec, t1s, t2s, window: int) -> list:
+    """Reference for ``charges._bracket_terms``: normally order all
+    |t1s| |t2s| products of terms (both orders for a bracket, ``t2s`` not
+    None) and keep the terms that can act on weight <= window."""
+    raw = []
+    for t1 in t1s:
+        for t2 in t1s if t2s is None else t2s:
+            raw.extend(_product_terms(space, t1, t2))
+            if t2s is not None:
+                raw.extend(_product_terms(space, t2, t1))
+    return [
+        t
+        for t in combine_terms(raw)
+        if annihilated_weight(space, t.modes) <= window
+    ]
 
 
 def translate(space: SpaceSpec, state: State) -> State:

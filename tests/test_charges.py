@@ -6,6 +6,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as hst
 
+from chiralg import charges
 from chiralg.charges import (
     Potential,
     StructureConstants,
@@ -28,6 +29,7 @@ from chiralg.fock import (
 )
 from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
 from conftest import X, Y, PHI, PSI, random_potential, st
+from mode_oracle import full_bracket_terms
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -226,25 +228,31 @@ def test_random_potentials_are_nilpotent():
         assert check_nilpotent(potential_charge(f, Side.THETA), space, 2)
 
 
-@hst.composite
-def potential_charges(draw):
+def _potential_twist(draw, dim, side):
     """The twist by a random potential f (with d_dR on the form side).  In
-    two variables it sometimes gains a term c x_i^a phi_j with i != j; the
-    one-form df + c x_i^a dx_j is then not closed, and on the form side the
-    charge is not nilpotent."""
-    dim = draw(hst.integers(1, 2))
-    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    two or more variables it sometimes gains a term c x_i^a phi_j with
+    i != j; the one-form df + c x_i^a dx_j is then not closed, and on the
+    form side the charge is not nilpotent."""
     exps = hst.tuples(*[hst.integers(0, 2)] * dim).filter(lambda e: 0 < sum(e) <= 3)
     coeffs = draw(hst.dictionaries(exps, hst.integers(-3, 3).filter(bool), min_size=1, max_size=3))
     f = Potential.from_terms(dim, [(c, e) for e, c in coeffs.items()])
     charge = potential_charge(f, side)
     if side is Side.OMEGA:
         charge = combine(chiral_de_rham(dim), charge)
-    if dim == 2 and draw(hst.booleans()):
-        i, j = draw(hst.sampled_from([(1, 2), (2, 1)]))
+    if dim >= 2 and draw(hst.booleans()):
+        directions = range(1, dim + 1)
+        i, j = draw(hst.sampled_from([(a, b) for a in directions for b in directions if a != b]))
         letters = ((Family.X, i),) * draw(hst.integers(1, 2)) + ((Family.PHI, j),)
         extra = (Fraction(draw(hst.integers(-2, 2).filter(bool))), letters)
         charge = SymbolicCharge(charge.patterns + (extra,), side=side)
+    return charge
+
+
+@hst.composite
+def potential_charges(draw):
+    dim = draw(hst.integers(1, 2))
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    charge = _potential_twist(draw, dim, side)
     window = draw(hst.integers(0, 2 if dim == 1 else 1))
     return make_space(side, dim), charge, window
 
@@ -261,3 +269,84 @@ def test_nilpotency_methods_agree_on_random_potentials(case):
         if not report:
             assert not report.image.is_zero()
             assert op(op(State.of(report.witness))) == report.image
+
+
+def _random_lie_charge(draw, dim):
+    """The Lie charge of random structure constants, unchecked: in dimension
+    3 most draws violate the Jacobi identity, and half the draws are sl2 or
+    the fixed violating tensor."""
+    if dim == 3 and draw(hst.booleans()):
+        if draw(hst.booleans()):
+            return lie_charge(StructureConstants.sl2())
+        entries = BAD_JACOBI
+    else:
+        pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+        drawn = draw(
+            hst.lists(
+                hst.tuples(
+                    hst.integers(1, dim), hst.sampled_from(pairs), hst.integers(-2, 2).filter(bool)
+                ),
+                max_size=3,
+            )
+        )
+        entries = [(k, i, j, v) for k, (i, j), v in drawn]
+    return lie_charge(StructureConstants.from_entries(dim, entries, validate=False))
+
+
+@hst.composite
+def brackets(draw):
+    """(space, c1, c2, window): a square (c2 None) or an anticommutator of
+    potential twists on either side, Lie charges, or one of each."""
+    kind = draw(hst.sampled_from(["potential", "lie", "mixed"]))
+    dim = draw(hst.integers(1, 3) if kind == "potential" else hst.integers(2, 3))
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA])) if kind == "potential" else Side.THETA
+    pair = draw(hst.booleans())
+
+    def one(kind):
+        if kind == "lie":
+            return _random_lie_charge(draw, dim)
+        return _potential_twist(draw, dim, side)
+
+    c1 = one("lie" if kind == "mixed" else kind)
+    c2 = one("potential" if kind == "mixed" else kind) if pair or kind == "mixed" else None
+    window = draw(hst.integers(0, 2 if dim < 3 and kind == "potential" else 1))
+    return make_space(side, dim), c1, c2, window
+
+
+@settings(max_examples=100, deadline=None)
+@given(brackets())
+def test_contraction_only_bracket_matches_full_square(case):
+    space, c1, c2, window = case
+    t1s = instantiate_charge(c1, space, window)
+    t2s = None if c2 is None else instantiate_charge(c2, space, window)
+    assert charges._bracket_terms(space, t1s, t2s, window) == full_bracket_terms(
+        space, t1s, t2s, window
+    )
+
+    def check():
+        if c2 is None:
+            return check_nilpotent(c1, space, window)
+        return check_anticommute(c1, c2, space, window)
+
+    report = check()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charges, "_bracket_terms", full_bracket_terms)
+        assert check() == report
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        ((Family.X, 1), (Family.Y, 1)),
+        ((Family.X, 1), (Family.PSI, 1), (Family.PHI, 1)),
+        (),
+    ],
+)
+def test_even_charge_is_refused(letters):
+    even = SymbolicCharge(patterns=((Fraction(1), letters),), side=Side.THETA)
+    odd = potential_charge(Potential.single_variable(2), Side.THETA)
+    for method in ("operator", "basis"):
+        with pytest.raises(FockError, match="odd"):
+            check_nilpotent(even, THETA1, 1, method=method)
+        with pytest.raises(FockError, match="odd"):
+            check_anticommute(odd, even, THETA1, 1, method=method)
