@@ -34,7 +34,7 @@ for i in range(1, 4):
 charge = lie_charge(sl2)
 space = make_space(Side.THETA, 3)
 
-report = check_nilpotent(charge, space, 3, x0_cap=3)
+report = check_nilpotent(charge, space, 3)
 print()
 print("charge squares to zero through weight 3?", bool(report))
 
@@ -56,7 +56,7 @@ broken = StructureConstants.from_entries(
     [(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -1)],
     validate=False,
 )
-report = check_nilpotent(lie_charge(broken), space, 1, x0_cap=1)
+report = check_nilpotent(lie_charge(broken), space, 1)
 print()
 print("perturbed tensor still nilpotent?", bool(report))
 print("witness state:", report.witness.text())

@@ -29,7 +29,7 @@ from .oper import (
     instantiate_charge,
     normal_order,
 )
-from .field import ResidueCharge, field_mode, residue_charge
+from .field import field_mode, field_terms, residue_charge
 from .charges import (
     CheckReport,
     Potential,

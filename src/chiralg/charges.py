@@ -19,7 +19,6 @@ from .fock import (
     SpaceSpec,
     State,
     TorusWeights,
-    enumerate_basis,
 )
 from .oper import (
     ChargeOperator,
@@ -208,13 +207,9 @@ def lie_charge(sc: StructureConstants) -> SymbolicCharge:
 
 
 def combine(c1: SymbolicCharge, c2: SymbolicCharge) -> SymbolicCharge:
-    """Sum of two charges with the same weight shift (e.g. d_dR + df-wedge)."""
-    if c1.weight_shift != c2.weight_shift:
-        raise FockError("cannot combine charges of different weight shift")
+    """Sum of two charges (e.g. d_dR + df-wedge)."""
     side = c1.side if c1.side == c2.side else None
-    return SymbolicCharge(
-        patterns=c1.patterns + c2.patterns, weight_shift=c1.weight_shift, side=side
-    )
+    return SymbolicCharge(patterns=c1.patterns + c2.patterns, side=side)
 
 
 @dataclass
@@ -269,9 +264,9 @@ def _bracket_terms(space, t1s, t2s, window) -> list:
     ]
 
 
-def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
+def _check_bracket(c1, c2, space, window) -> CheckReport:
     """Verify c1 c2 + c2 c1, or c1 c1 when ``c2`` is None, vanishes on weight
-    <= window, by either method of ``check_nilpotent``."""
+    <= window, as ``check_nilpotent`` describes."""
     for charge in (c1,) if c2 is None else (c1, c2):
         for _, letters in charge.patterns:
             if sum(1 for fam, _ in letters if fam.fermionic) % 2 == 0:
@@ -281,24 +276,17 @@ def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
                 )
     t1s = instantiate_charge(c1, space, window)
     t2s = None if c2 is None else instantiate_charge(c2, space, window)
-    if method == "operator":
-        surviving = _bracket_terms(space, t1s, t2s, window)
-        if not surviving:
-            return CheckReport(True)
-        # a probe built from a minimal surviving annihilator part always works
-        probes = (
-            Monomial(conjugate_creators(space, t.modes))
-            for t in sorted(
-                surviving,
-                key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),
-            )
+    surviving = _bracket_terms(space, t1s, t2s, window)
+    if not surviving:
+        return CheckReport(True)
+    # a probe built from a minimal surviving annihilator part always works
+    probes = (
+        Monomial(conjugate_creators(space, t.modes))
+        for t in sorted(
+            surviving,
+            key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),
         )
-    else:
-        probes = (
-            mono
-            for q in range(window + 1)
-            for mono in enumerate_basis(space, q, x0_cap=x0_cap)
-        )
+    )
     o1 = ChargeOperator(space, t1s)
     o2 = o1 if t2s is None else ChargeOperator(space, t2s)
     for mono in probes:
@@ -308,51 +296,36 @@ def _check_bracket(c1, c2, space, window, x0_cap, method) -> CheckReport:
             image = image + o2(o1(v))
         if not image.is_zero():
             return CheckReport(False, witness=mono, image=image)
-    # every basis probe passed; for the operator method this is unreachable
-    # in theory, as the probe of a surviving term always witnesses it
-    return CheckReport(method != "operator")
+    # unreachable in theory, as the probe of a surviving term always
+    # witnesses it
+    return CheckReport(False)
 
 
-def check_nilpotent(
-    charge: SymbolicCharge,
-    space: SpaceSpec,
-    window: int,
-    *,
-    x0_cap: int = 2,
-    method: str = "operator",
-) -> CheckReport:
+def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> CheckReport:
     """Verify the charge squares to zero on every state of weight <= window.
 
-    The operator method expands the square as a sum of normally ordered
-    terms and checks that every term able to act on weight <= window
-    cancels; this covers all basis monomials regardless of any x_0 cap.  By
-    Wick's theorem each product t1 t2 of two terms is :t1 t2: plus its
-    contractions, and as every term is odd, :t1 t2: = -:t2 t1: and
-    :t t: = 0, so the uncontracted parts cancel over all pairs.  Only the
-    pairs in which an annihilator of t1 meets its conjugate creator in t2
-    are therefore normally ordered, and their contracted terms alone are
-    summed; the result is exactly that of the full square.  A charge with
-    an even pattern is refused.
-
-    The basis method applies the charge twice to each capped basis monomial
-    directly (images are never capped; the cap only bounds the probed
-    basis).  A witness image is Q(Q(v)).
+    The square is expanded as a sum of normally ordered terms, and every
+    term able to act on weight <= window must cancel; this covers all basis
+    monomials regardless of any x_0 cap.  By Wick's theorem each product
+    t1 t2 of two terms is :t1 t2: plus its contractions, and as every term
+    is odd, :t1 t2: = -:t2 t1: and :t t: = 0, so the uncontracted parts
+    cancel over all pairs.  Only the pairs in which an annihilator of t1
+    meets its conjugate creator in t2 are therefore normally ordered, and
+    their contracted terms alone are summed; the result is exactly that of
+    the full square.  A charge with an even pattern is refused.  The probes
+    are the monomials of conjugate creators of the surviving terms, fewest
+    annihilators first; a witness is the first probe v with Q(Q(v))
+    nonzero, and its image is Q(Q(v)).
     """
-    return _check_bracket(charge, None, space, window, x0_cap, method)
+    return _check_bracket(charge, None, space, window)
 
 
 def check_anticommute(
-    c1: SymbolicCharge,
-    c2: SymbolicCharge,
-    space: SpaceSpec,
-    window: int,
-    *,
-    x0_cap: int = 2,
-    method: str = "operator",
+    c1: SymbolicCharge, c2: SymbolicCharge, space: SpaceSpec, window: int
 ) -> CheckReport:
     """Verify the graded commutator of two odd charges vanishes on weight <= window.
 
-    Same two strategies as ``check_nilpotent``.
+    Same expansion as ``check_nilpotent``.
     """
-    return _check_bracket(c1, c2, space, window, x0_cap, method)
+    return _check_bracket(c1, c2, space, window)
 

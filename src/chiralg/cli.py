@@ -410,8 +410,7 @@ def cmd_nilpotency(spec: ProblemSpec):
     # there instead of being rejected as an invalid spec.
     space = spec.space()
     charge = spec.charge()
-    cap = spec.x0_cap if spec.x0_cap is not None else 2
-    report = check_nilpotent(charge, space, spec.weight_max, x0_cap=cap)
+    report = check_nilpotent(charge, space, spec.weight_max)
     payload = {"nilpotent": bool(report)}
     if not report:
         payload["witness"] = {
@@ -429,8 +428,7 @@ def cmd_anticommute(spec: ProblemSpec):
     space = spec.space()
     c1 = chiral_de_rham(spec.dim)
     c2 = potential_charge(spec.potential, Side.OMEGA)
-    cap = spec.x0_cap if spec.x0_cap is not None else 2
-    report = check_anticommute(c1, c2, space, spec.weight_max, x0_cap=cap)
+    report = check_anticommute(c1, c2, space, spec.weight_max)
     payload = {"anticommute": bool(report)}
     if not report:
         payload["witness"] = {
@@ -468,7 +466,7 @@ def _brst_vector(spec: ProblemSpec, space):
 def cmd_reconstruct_check(spec: ProblemSpec):
     space = spec.space()
     charge = spec.charge()
-    brst = residue_charge(space, _brst_vector(spec, space))
+    brst = residue_charge(space, _brst_vector(spec, space), spec.weight_max)
     cap = spec.x0_cap if spec.x0_cap is not None else 2
     op = charge_operator(charge, space, spec.weight_max)
     for q in range(spec.weight_max + 1):

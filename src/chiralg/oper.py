@@ -168,15 +168,39 @@ def normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) ->
             swapped = word[:p] + (b, a) + word[p + 2 :]
             work.append((-c if a.fermionic and b.fermionic else c, swapped, resume))
             continue
-        # No annihilator sits left of a creator, so the word splits as
-        # creators followed by annihilators.
-        split = next((i for i, m in enumerate(word) if not creator(m)), len(word))
-        sc = _koszul_sort(word[:split])
-        sa = _koszul_sort(word[split:])
-        if sc is not None and sa is not None:
-            sign = sc[0] * sa[0]
-            out.append(OperatorTerm(c if sign > 0 else -c, sc[1] + sa[1]))
+        # No annihilator sits left of a creator: what is left of the word
+        # is its own normal product.
+        term = normal_product(space, c, word)
+        if term is not None:
+            out.append(term)
     return out
+
+
+def normal_product(
+    space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]
+) -> Optional[OperatorTerm]:
+    """The normally ordered product :modes:, the one term of ``normal_order``
+    without contractions; None if a fermion repeats.
+
+    Each annihilator moves right past the creators after it, with a Koszul
+    sign for each fermion pair, and each block is put in canonical order.
+    """
+    creators, annihilators = [], []
+    sign, odd = 1, False  # odd: an odd number of fermionic creators to the right
+    for m in reversed(modes):
+        if space.is_creator(m):
+            creators.append(m)
+            odd ^= m.fermionic
+        else:
+            annihilators.append(m)
+            if odd and m.fermionic:
+                sign = -sign
+    sc = _koszul_sort(creators[::-1])
+    sa = _koszul_sort(annihilators[::-1])
+    if sc is None or sa is None:
+        return None
+    sign *= sc[0] * sa[0]
+    return OperatorTerm(coeff if sign > 0 else -coeff, sc[1] + sa[1])
 
 
 def combine_terms(terms: Iterable[OperatorTerm]) -> list:
@@ -194,11 +218,10 @@ class SymbolicCharge:
 
     Each pattern is a rational coefficient with a list of letters
     (family, direction); instantiation ranges over all integer mode
-    assignments whose index sum equals ``weight_shift``.
+    assignments whose indices sum to 0, so a charge preserves weight.
     """
 
     patterns: tuple  # of (Fraction, tuple[(Family, direction)])
-    weight_shift: int = 0
     side: Optional[object] = None  # expected Side, if any
 
     def torus_shift(self, weights: TorusWeights) -> Optional[int]:
@@ -230,6 +253,46 @@ class SymbolicCharge:
         )
 
 
+def index_assignments(n: int, total: int, window: int):
+    """Every n-tuple of mode indices summing to ``total`` whose negative
+    entries sum to at least -window.
+
+    Creators start at index 0 or 1, so a negative index is an annihilator
+    and the negative entries sum to minus the weight a word removes: these
+    are the index words that can act on a state of weight <= window.
+    Tuples come in lexicographic order, each built from the previous one a
+    position at a time, so n does not bound the stack.
+    """
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < -window:
+        return
+    # rem[i] and room[i]: what positions i.. must sum to, and how much weight
+    # they may still remove; positions i.. can always complete if
+    # rem[i] >= -room[i], which every step below keeps
+    idx, rem, room = [0] * n, [0] * n, [0] * n
+    rem[0], room[0] = total, window
+    i = 0
+    while True:
+        for j in range(i, n - 1):  # least indices from i on
+            idx[j] = -room[j]
+            rem[j + 1] = rem[j] + room[j]
+            room[j + 1] = 0
+        idx[-1] = rem[-1]
+        yield tuple(idx)
+        i = n - 2
+        while i >= 0 and idx[i] == rem[i] + room[i]:
+            i -= 1
+        if i < 0:
+            return
+        idx[i] += 1
+        rem[i + 1] = rem[i] - idx[i]
+        room[i + 1] = room[i] + min(idx[i], 0)
+        i += 1
+
+
 def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) -> list:
     """Normally ordered terms of the charge acting on weight <= window.
 
@@ -245,29 +308,15 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
         )
     raw = []
     for coeff, letters in charge.patterns:
-        n = len(letters)
-        if n == 0:
+        if not letters:
             continue
-        lo = -window
-
-        def rec(pos: int, remaining: int, acc: list):
-            if pos == n - 1:
-                idx = remaining
-                if lo <= idx:
-                    yield acc + [idx]
-                return
-            for idx in range(lo, remaining - (n - pos - 1) * lo + 1):
-                yield from rec(pos + 1, remaining - idx, acc + [idx])
-
-        for assignment in rec(0, charge.weight_shift, []):
+        for fam, direction in letters:
+            space.check_direction(ModeKey(fam, direction, 0))
+        for assignment in index_assignments(len(letters), 0, window):
             modes = tuple(
                 ModeKey(fam, direction, idx)
                 for (fam, direction), idx in zip(letters, assignment)
             )
-            if annihilated_weight(space, modes) > window:
-                continue
-            for m in modes:
-                space.check_direction(m)
             raw.extend(normal_order(space, coeff, modes))
     return combine_terms(raw)
 

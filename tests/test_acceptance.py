@@ -163,7 +163,7 @@ def test_criterion_08_reconstruction_agreement():
 
     mismatches = 0
     for space, vec, charge in cases:
-        brst = residue_charge(space, vec)
+        brst = residue_charge(space, vec, 3)
         op = charge_operator(charge, space, 3)
         for q in range(4):
             for mono in enumerate_basis(space, q, x0_cap=2):
@@ -175,7 +175,7 @@ def test_criterion_08_reconstruction_agreement():
 
 def test_criterion_09_lie_algebra_instance():
     charge = lie_charge(StructureConstants.sl2())
-    nilpotent = bool(check_nilpotent(charge, THETA3, 3, x0_cap=3))
+    nilpotent = bool(check_nilpotent(charge, THETA3, 3))
     table = cohomology_dims_torus(charge, THETA3, 0, TorusWeights.x_count(3), (0, 3))
     computed = {}
     for key, dim in table.metadata["per_bigrade"].items():

@@ -29,7 +29,7 @@ from chiralg.fock import (
 )
 from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
 from conftest import X, Y, PHI, PSI, random_potential, st
-from mode_oracle import full_bracket_terms
+from mode_oracle import basis_check, full_bracket_terms
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -159,12 +159,13 @@ def test_check_nilpotent_detects_jacobi_violation():
 
 
 def test_check_nilpotent_basis_method_agrees():
-    bad = StructureConstants.from_entries(3, BAD_JACOBI, validate=False)
-    assert not check_nilpotent(lie_charge(bad), THETA3, 1, method="basis", x0_cap=1)
-    f = Potential.single_variable(3)
-    assert check_nilpotent(
-        potential_charge(f, Side.THETA), THETA1, 2, method="basis"
-    )
+    """The basis-probe reference reaches the same verdicts."""
+    bad = lie_charge(StructureConstants.from_entries(3, BAD_JACOBI, validate=False))
+    assert not basis_check(bad, None, THETA3, 1, x0_cap=1)
+    assert not check_nilpotent(bad, THETA3, 1)
+    f = potential_charge(Potential.single_variable(3), Side.THETA)
+    assert basis_check(f, None, THETA1, 2)
+    assert check_nilpotent(f, THETA1, 2)
 
 
 def test_check_anticommute_examples():
@@ -211,15 +212,6 @@ def test_charges_preserve_weight():
                 assert all(m.weight == q for m in out.terms)
 
 
-def test_combine_weight_shift_guard():
-    from chiralg.oper import SymbolicCharge
-
-    c1 = chiral_de_rham(1)
-    c2 = SymbolicCharge(patterns=c1.patterns, weight_shift=1)
-    with pytest.raises(FockError):
-        combine(c1, c2)
-
-
 def test_random_potentials_are_nilpotent():
     rng = random.Random(11)
     for d in (1, 2):
@@ -262,7 +254,7 @@ def potential_charges(draw):
 def test_nilpotency_methods_agree_on_random_potentials(case):
     space, charge, window = case
     by_operator = check_nilpotent(charge, space, window)
-    by_basis = check_nilpotent(charge, space, window, method="basis", x0_cap=3)
+    by_basis = basis_check(charge, None, space, window, x0_cap=3)
     assert bool(by_operator) == bool(by_basis)
     op = charge_operator(charge, space, window)
     for report in (by_operator, by_basis):
@@ -345,8 +337,7 @@ def test_contraction_only_bracket_matches_full_square(case):
 def test_even_charge_is_refused(letters):
     even = SymbolicCharge(patterns=((Fraction(1), letters),), side=Side.THETA)
     odd = potential_charge(Potential.single_variable(2), Side.THETA)
-    for method in ("operator", "basis"):
-        with pytest.raises(FockError, match="odd"):
-            check_nilpotent(even, THETA1, 1, method=method)
-        with pytest.raises(FockError, match="odd"):
-            check_anticommute(odd, even, THETA1, 1, method=method)
+    with pytest.raises(FockError, match="odd"):
+        check_nilpotent(even, THETA1, 1)
+    with pytest.raises(FockError, match="odd"):
+        check_anticommute(odd, even, THETA1, 1)

@@ -237,6 +237,24 @@ def test_reconstruct_check_command(tmp_path):
     assert json.loads(text)["payload"]["agrees"] is True
 
 
+def test_long_potential_monomial_exits_0(tmp_path):
+    """f = x^1500 gives a 1500-letter pattern and residue vector; charge
+    instantiation and field expansion enumerate their indices without
+    recursion, so both commands finish instead of exiting 3."""
+    spec = {
+        "dim": 1,
+        "side": "theta",
+        "potential": {"terms": [{"coeff": "1", "exps": [1500]}]},
+        "caps": {"weight_max": 0, "x0_cap": 0},
+    }
+    code, text = run(tmp_path, "nilpotency", spec)
+    assert code == 0
+    assert json.loads(text)["payload"]["nilpotent"] is True
+    code, text = run(tmp_path, "reconstruct-check", spec)
+    assert code == 0
+    assert json.loads(text)["payload"]["agrees"] is True
+
+
 def test_singular_and_epsilon_commands(tmp_path):
     spec = {
         "dim": 1,

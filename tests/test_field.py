@@ -1,21 +1,22 @@
 """Field reconstruction: modes of composite states, residues, axioms."""
 
+import functools
+
 import pytest
-from fractions import Fraction
+from hypothesis import given, settings, strategies as hst
 
 from chiralg.charges import Potential, chiral_de_rham, potential_charge
-from chiralg.field import field_mode, residue_charge
+from chiralg.field import field_mode, field_terms, residue_charge
 from chiralg.fock import (
     FockError,
-    ModeKey,
     Side,
     State,
     enumerate_basis,
     make_space,
 )
-from chiralg.oper import charge_operator
+from chiralg.oper import ChargeOperator, charge_operator
 from conftest import X, Y, PHI, PSI, st
-from mode_oracle import translate
+from mode_oracle import reference_field_mode, translate
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -25,6 +26,11 @@ def _basis_states(space, max_weight, cap=1):
     for q in range(max_weight + 1):
         for mono in enumerate_basis(space, q, x0_cap=cap):
             yield State.of(mono)
+
+
+def _mode_ops(space, a, ns, window):
+    """a_(n) for each n in ns, compiled once; exact on weight <= window."""
+    return {n: ChargeOperator(space, field_terms(space, a, n, window)) for n in ns}
 
 
 def test_vacuum_field_is_identity():
@@ -63,30 +69,29 @@ def test_creation_axiom():
 
 
 def test_translation_covariance():
-    states = list(_basis_states(THETA1, 2))
+    states = list(_basis_states(THETA1, 2))[:10]
     for a in list(_basis_states(THETA1, 2, cap=1))[:12]:
-        ta = translate(THETA1, a)
-        for v in states[:10]:
+        ta = _mode_ops(THETA1, translate(THETA1, a), range(-2, 3), 2)
+        am = _mode_ops(THETA1, a, range(-1, 4), 2)
+        for v in states:
             for n in range(-2, 3):
-                lhs = field_mode(THETA1, ta, n, v)
-                rhs = field_mode(THETA1, a, n + 1, v).scale(n + 1)
-                assert lhs == rhs
+                assert ta[n](v) == am[n + 1](v).scale(n + 1)
 
 
 def test_residue_charge_contract():
     with pytest.raises(FockError):
-        residue_charge(THETA1, st(THETA1, X(0)))  # weight 0
+        residue_charge(THETA1, st(THETA1, X(0)), 1)  # weight 0
     with pytest.raises(FockError):
-        residue_charge(THETA1, st(THETA1, PHI(2)))  # weight 2
+        residue_charge(THETA1, st(THETA1, PHI(2)), 1)  # weight 2
     with pytest.raises(FockError):
-        residue_charge(THETA1, st(THETA1, PSI(1)))  # degree -1
-    zero = residue_charge(THETA1, State.zero())
+        residue_charge(THETA1, st(THETA1, PSI(1)), 1)  # degree -1
+    zero = residue_charge(THETA1, State.zero(), 1)
     assert zero(st(THETA1, X(0))).is_zero()
 
 
 def test_residue_matches_chiral_de_rham():
     a = st(OMEGA1, Y(1), PHI(0))
-    brst = residue_charge(OMEGA1, a)
+    brst = residue_charge(OMEGA1, a, 2)
     op = charge_operator(chiral_de_rham(1), OMEGA1, 2)
     for v in _basis_states(OMEGA1, 2):
         assert brst(v) == op(v)
@@ -95,7 +100,7 @@ def test_residue_matches_chiral_de_rham():
 def test_residue_matches_potential_charge():
     f = Potential.single_variable(2)
     a = st(THETA1, X(0), PHI(1), coeff=2)
-    brst = residue_charge(THETA1, a)
+    brst = residue_charge(THETA1, a, 2)
     op = charge_operator(potential_charge(f, Side.THETA), THETA1, 2)
     for v in _basis_states(THETA1, 2):
         assert brst(v) == op(v)
@@ -103,27 +108,22 @@ def test_residue_matches_potential_charge():
 
 def test_residue_derivation_property():
     """[a_{(-1)}, b_{(m)}] = (a_{(-1)} b)_{(m)} with the Koszul sign."""
-    f = Potential.single_variable(2)
     a = st(THETA1, X(0), PHI(1), coeff=2)
-    brst = residue_charge(THETA1, a)
+    # b_(m) v has weight <= 2 + 1 + 2 for the states and modes below
+    brst = residue_charge(THETA1, a, 5)
     gen_states = [
         st(THETA1, X(0)), st(THETA1, Y(1)),
         st(THETA1, PSI(0)), st(THETA1, PHI(1)),
     ]
     for b in gen_states:
         parity = next(iter(b.terms)).parity
-        qb = brst(b)
+        sign = -1 if parity else 1
+        bm = _mode_ops(THETA1, b, range(-2, 3), 2)
+        qbm = _mode_ops(THETA1, brst(b), range(-2, 3), 2)
         for v in _basis_states(THETA1, 2):
             for m in range(-2, 3):
-                lhs = brst(field_mode(THETA1, b, m, v))
-                sign = -1 if parity else 1
-                lhs = lhs - field_mode(THETA1, b, m, brst(v)).scale(sign)
-                rhs = (
-                    field_mode(THETA1, qb, m, v)
-                    if not qb.is_zero()
-                    else State.zero()
-                )
-                assert lhs == rhs, (b.text(), m)
+                lhs = brst(bm[m](v)) - bm[m](brst(v)).scale(sign)
+                assert lhs == qbm[m](v), (b.text(), m)
 
 
 def test_locality_spot_check_order_two():
@@ -138,11 +138,13 @@ def test_locality_spot_check_order_two():
         pa = next(iter(a.terms)).parity
         pb = next(iter(b.terms)).parity
         koszul = -1 if (pa and pb) else 1
+        # modes -4..2 of weight <= 1 fields on weight <= 2 states stay in
+        # weight <= 5
+        am = _mode_ops(THETA1, a, range(-4, 3), 5)
+        bm = _mode_ops(THETA1, b, range(-4, 3), 5)
 
         def bracket(m, n, v):
-            ab = field_mode(THETA1, a, m, field_mode(THETA1, b, n, v))
-            ba = field_mode(THETA1, b, n, field_mode(THETA1, a, m, v))
-            return ab - ba.scale(koszul)
+            return am[m](bm[n](v)) - bm[n](am[m](v)).scale(koszul)
 
         for v in _basis_states(THETA1, 2):
             for p in range(-2, 3):
@@ -161,11 +163,68 @@ def test_field_mode_weight_shift():
     This is the reading under which the residue mode of a weight-1 vector
     preserves weight, which the BRST agreement tests above pin down.
     """
+    states = list(_basis_states(THETA1, 2))[:8]
     for a in list(_basis_states(THETA1, 2, cap=1))[:10]:
         wa = next(iter(a.terms)).weight
-        for v in list(_basis_states(THETA1, 2))[:8]:
+        ops = _mode_ops(THETA1, a, range(-2, 3), 2)
+        for v in states:
             wv = next(iter(v.terms)).weight
             for n in range(-2, 3):
-                out = field_mode(THETA1, a, n, v)
-                for m in out.terms:
+                for m in ops[n](v).terms:
                     assert m.weight == wv + wa + n
+
+
+@functools.lru_cache(maxsize=None)
+def _capped_basis(space, weight, cap):
+    return enumerate_basis(space, weight, x0_cap=cap)
+
+
+COEFF = hst.integers(-3, 3).filter(bool)
+
+
+@hst.composite
+def homogeneous_states(draw, space, max_weight):
+    """A sum of up to three basis monomials of one weight <= max_weight;
+    weights above 0 bring derivative letters such as x_1, y_2, psi_1."""
+    basis = _capped_basis(space, draw(hst.integers(0, max_weight)), 1)
+    monos = draw(hst.lists(hst.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    return State({m: draw(COEFF) for m in monos})
+
+
+@hst.composite
+def field_cases(draw, max_weight):
+    space = make_space(
+        draw(hst.sampled_from([Side.THETA, Side.OMEGA])), draw(hst.integers(1, 2))
+    )
+    a = draw(homogeneous_states(space, max_weight))
+    n = draw(hst.integers(-3, 2))
+    return space, a, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_cases(3), hst.data())
+def test_field_mode_matches_recursive_reference(case, data):
+    """a_(n) through field terms equals the recursive reconstruction on basis
+    states and sums of states of weight <= 2."""
+    space, a, n = case
+    pieces = data.draw(
+        hst.lists(homogeneous_states(space, 2), min_size=1, max_size=3), label="v"
+    )
+    v = sum(pieces, State())
+    assert field_mode(space, a, n, v) == reference_field_mode(space, a, n, v)
+
+
+@settings(max_examples=50, deadline=None)
+@given(field_cases(2), hst.integers(0, 1), hst.integers(1, 2))
+def test_field_terms_exact_below_their_window(case, w, extra):
+    """The operator of a_(n) at window W acts on every state of weight <= w
+    as the operator at window w < W does.  This is why one operator may
+    serve a sweep; it does not hold for every instantiated charge (the b2
+    Lie charge differs between windows)."""
+    space, a, n = case
+    small = ChargeOperator(space, field_terms(space, a, n, w))
+    large = ChargeOperator(space, field_terms(space, a, n, w + extra))
+    for q in range(w + 1):
+        for mono in _capped_basis(space, q, 1):
+            v = State.of(mono)
+            assert small(v) == large(v)

@@ -12,6 +12,7 @@ from chiralg.charges import (
     lie_charge,
     potential_charge,
 )
+from chiralg.field import field_terms
 from chiralg.fock import (
     Family,
     ModeKey,
@@ -234,24 +235,30 @@ def term_cases(draw):
     """Random instantiated terms, a random state over capped basis monomials
     and a random single mode, on either side in dims 1-3.
 
-    Besides the terms of a random pattern charge, one term annihilates a
-    random submultiset of a state monomial's letters and the single mode is
-    often the conjugate of one of them, so repeated bosons and fermion signs
-    are met on most draws.
+    Besides the weight-preserving terms of a random pattern charge, the
+    terms of a field mode a_(n) with wt(a) + n != 0 change weight, one term
+    annihilates a random submultiset of a state monomial's letters, and the
+    single mode is often the conjugate of one of them, so repeated bosons
+    and fermion signs are met on most draws.
     """
     side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
     dim = draw(hst.integers(1, 3))
     space = make_space(side, dim)
     letter = hst.tuples(hst.sampled_from(list(Family)), hst.integers(1, dim))
     pattern = hst.tuples(NONZERO, hst.lists(letter, min_size=1, max_size=3).map(tuple))
-    charge = SymbolicCharge(
-        tuple(draw(hst.lists(pattern, min_size=1, max_size=3))),
-        weight_shift=draw(hst.integers(-1, 1)),
-    )
+    charge = SymbolicCharge(tuple(draw(hst.lists(pattern, min_size=1, max_size=3))))
     top = 2 if dim < 3 else 1
     window = draw(hst.integers(0, top))
-    terms = instantiate_charge(charge, space, window)
-    keep = draw(hst.lists(hst.sampled_from(terms), max_size=6, unique=True)) if terms else []
+    a = draw(hst.sampled_from(_capped_basis(space, draw(hst.integers(0, 2)), 1)))
+    n = draw(hst.integers(-3, 2).filter(lambda n: n != -a.weight))
+    keep = []
+    for terms in (
+        instantiate_charge(charge, space, window),
+        field_terms(space, State.of(a), n, window),
+    ):
+        if terms:
+            picked = hst.lists(hst.integers(0, len(terms) - 1), max_size=4, unique=True)
+            keep += [terms[i] for i in draw(picked)]
     basis = _capped_basis(space, draw(hst.integers(0, window)), draw(hst.integers(0, 2)))
     monos = draw(hst.lists(hst.sampled_from(basis), min_size=1, max_size=3, unique=True))
     state = State({m: draw(NONZERO) for m in monos})
