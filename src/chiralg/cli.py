@@ -232,6 +232,9 @@ class ProblemSpec:
             raise SpecError("spec: missing 'zero_modes' for this command")
         if not isinstance(zm, dict):
             raise SpecError("spec.zero_modes: expected an object")
+        # modfun induces zero-mode modules on the line only
+        if self.dim != 1:
+            raise SpecError(f"spec.dim: zero-mode modules need dim 1, got {self.dim}")
         if "builtin" in zm:
             cap = _field(zm, "cap", int, "spec.zero_modes", False, 2)
             name = zm["builtin"]

@@ -13,17 +13,18 @@ rationals; nothing in this module ever touches floating point.
 
 The x_0 modes have weight 0, so a fixed-weight piece is finite only under an
 x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
-one sign).  ``enumerate_basis`` returns the canonically ordered piece under
-an x_0 cap.  ``enumerate_torus_window`` yields every monomial of one weight
-whose torus value lies in a closed window, with its torus value and degree,
-in one pass over the weight: each base of positive modes and weight-0
-fermions is built once, and one recursion gives all its x_0 exponent vectors
-that land in the window.
+one sign).  Both kinds of piece come from one enumerator of creator
+multisets, an explicit stack over the creators in mode order that emits
+each multiset as a canonically ordered tuple.  ``enumerate_basis`` runs it
+with each x{j}_0 allowed up to the cap and sorts the piece once.
+``enumerate_torus_window`` runs it without x_0 to get the bases, then an
+odometer places the x_0 letters whose torus values land in a closed window.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -143,11 +144,6 @@ class SpaceSpec:
 
     def is_creator(self, mode: ModeKey) -> bool:
         return mode.index >= self._thresholds[mode.key[0]]
-
-    @property
-    def zero_fermion_family(self) -> Family:
-        """The fermionic family with a weight-0 creator mode."""
-        return Family.PSI if self.side is Side.THETA else Family.PHI
 
     def check_direction(self, mode: ModeKey) -> None:
         if not 1 <= mode.direction <= self.dim:
@@ -375,47 +371,46 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
     return State.of(Monomial(ordered), Fraction(coeff) * sign)
 
 
-def _positive_weight_creators(space: SpaceSpec, weight: int):
-    gens = []
-    for direction in range(1, space.dim + 1):
-        for family in Family:
-            lo = max(1, space.creator_threshold(family))
-            for index in range(lo, weight + 1):
-                gens.append(ModeKey(family, direction, index))
-    return gens
+def _creator_multisets(
+    space: SpaceSpec, weight: int, x0_cap: int, zero_fermions: bool
+) -> Iterator[tuple]:
+    """Every multiset of creator modes of total weight ``weight`` with at most
+    ``x0_cap`` letters x{j}_0 per direction, and the weight-0 fermions only if
+    ``zero_fermions``, as a canonically ordered mode tuple; unsorted.
 
-
-def _positive_multisets(gens, weight: int) -> Iterator[tuple]:
-    """All creator multisets of positive-index modes with the given weight."""
-
-    def rec(pos: int, remaining: int, acc: list):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if pos == len(gens):
-            return
-        g = gens[pos]
-        yield from rec(pos + 1, remaining, acc)
-        max_mult = 1 if g.fermionic else remaining // g.index
-        for mult in range(1, max_mult + 1):
-            if mult * g.index > remaining:
-                break
-            yield from rec(pos + 1, remaining - mult * g.index, acc + [g] * mult)
-
-    yield from rec(0, weight, [])
-
-
-def _bases(space: SpaceSpec, weight: int, zero_fermion_allowed: bool) -> Iterator[tuple]:
-    """The basis monomials of the weight with their x_0 letters left out: each
-    positive-index creator multiset, times each set of weight-0 fermions."""
-    zeros = [ModeKey(space.zero_fermion_family, j + 1, 0) for j in range(space.dim)]
-    subsets = [
-        tuple(z for j, z in enumerate(zeros) if mask >> j & 1)
-        for mask in range(2**space.dim if zero_fermion_allowed else 1)
-    ]
-    for pos in _positive_multisets(_positive_weight_creators(space, weight), weight):
-        for zf in subsets:
-            yield pos + zf
+    An explicit stack walks the creators of index <= weight in mode order
+    and chooses how often each one occurs, so each tuple comes out ordered.
+    """
+    if weight < 0 or x0_cap < 0:
+        return
+    gens, caps = [], []
+    for family in sorted(Family, key=_FAMILY_ORDER.get):
+        for direction in range(1, space.dim + 1):
+            for index in range(space.creator_threshold(family), weight + 1):
+                if family.fermionic:
+                    cap = 1 if index or zero_fermions else 0
+                else:
+                    cap = weight // index if index else x0_cap
+                if cap > 0:
+                    gens.append(ModeKey(family, direction, index))
+                    caps.append(cap)
+    n = len(gens)
+    stack = [(0, weight, ())]
+    while stack:
+        pos, remaining, acc = stack.pop()
+        # step past the modes too heavy for what remains without a frame each
+        while pos < n and gens[pos].index > remaining:
+            pos += 1
+        if pos == n:
+            if not remaining:
+                yield acc
+            continue
+        mode = gens[pos]
+        index = mode.index
+        top = min(caps[pos], remaining // index) if index else caps[pos]
+        stack.append((pos + 1, remaining, acc))
+        for k in range(1, top + 1):
+            stack.append((pos + 1, remaining - k * index, acc + (mode,) * k))
 
 
 def _check_regularizing(wx: Sequence[int]) -> None:
@@ -432,41 +427,6 @@ def _check_regularizing(wx: Sequence[int]) -> None:
         )
 
 
-def _with_x0_letters(
-    base: tuple, x0: Sequence[ModeKey], steps: Sequence[int], lo: int, hi: int
-) -> Iterator[tuple]:
-    """Pairs (s, modes): ``base`` times x_0 letters, k_j of them in direction
-    j, with s = sum_j k_j * steps[j] in lo..hi, as a canonically ordered mode
-    tuple.  Every step must be positive.
-
-    x{j}_0 sorts after every x letter of a lower direction and before every
-    other letter of direction j, so one recursion over the directions both
-    solves for the k_j and places the letters.
-    """
-    ordered = sorted(base, key=ModeKey.sort_key)
-    # x letters come first in the mode order, grouped by direction
-    segments = [[] for _ in steps]
-    n_x = 0
-    for m in ordered:
-        if m.family is not Family.X:
-            break
-        segments[m.direction - 1].append(m)
-        n_x += 1
-    segments = [tuple(seg) for seg in segments]
-    tail = tuple(ordered[n_x:])
-
-    def rec(j: int, total: int, acc: tuple):
-        if j == len(steps):
-            if total >= lo:
-                yield total, acc + tail
-            return
-        w = steps[j]
-        for k in range((hi - total) // w + 1):
-            yield from rec(j + 1, total + k * w, acc + (x0[j],) * k + segments[j])
-
-    yield from rec(0, 0, ())
-
-
 def enumerate_torus_window(
     space: SpaceSpec,
     weight: int,
@@ -476,25 +436,49 @@ def enumerate_torus_window(
     """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
     whose torus value t lies in the closed window ``lo..hi``; unsorted.
 
-    One pass per weight: each x_0-free base (positive modes and weight-0
-    fermions) is built once, with its degree and partial torus value, and
-    one recursion gives all its x_0 exponent vectors that land in the
-    window.  The x_0 weights must be nonzero and of one sign, so that the
-    window is finite; otherwise ``UnboundedBasisError`` is raised.
+    Each x_0-free base (positive modes and weight-0 fermions) is built once,
+    with its degree and partial torus value, and an odometer over the x_0
+    exponent vectors gives those that land in the window.  The x_0 weights
+    must be nonzero and of one sign, so that the window is finite;
+    otherwise ``UnboundedBasisError`` is raised.
     """
     wx = torus_weights.wx
     _check_regularizing(wx)
+    dim = space.dim
     # solve in units u = flip * t, in which every x_0 weight is positive
     flip = -1 if wx[0] < 0 else 1
     steps = [flip * w for w in wx]
+    step = steps[-1]
     lo, hi = window if flip > 0 else (-window[1], -window[0])
-    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
-    for base in _bases(space, weight, True):
+    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(dim)]
+    for base in _creator_multisets(space, weight, 0, True):
+        u = flip * sum(torus_weights.of_mode(m) for m in base)
+        # each x{j}_0 letter goes in at its insertion point in the base
+        cuts = [bisect_left(base, m.key, key=ModeKey.sort_key) for m in x0]
         # x_0 letters have degree 0, so the degree is the base's
         degree = sum(m.degree for m in base)
-        partial = flip * sum(torus_weights.of_mode(m) for m in base)
-        for s, modes in _with_x0_letters(base, x0, steps, lo - partial, hi - partial):
-            yield flip * (partial + s), degree, Monomial(modes)
+        # an odometer over the x_0 exponents of every direction but the last;
+        # the last direction's exponents that land in lo..hi form a range
+        exps = [0] * (dim - 1)
+        while True:
+            head = base[: cuts[0]]
+            for j in range(dim - 1):
+                head += (x0[j],) * exps[j] + base[cuts[j] : cuts[j + 1]]
+            rest = base[cuts[-1] :]
+            k = max(0, (lo - u + step - 1) // step)
+            letters = head + (x0[-1],) * k
+            for t in range(u + k * step, hi + 1, step):
+                yield flip * t, degree, Monomial(letters + rest)
+                letters += (x0[-1],)
+            j = dim - 2
+            while j >= 0 and u + steps[j] > hi:
+                u -= exps[j] * steps[j]
+                exps[j] = 0
+                j -= 1
+            if j < 0:
+                break
+            exps[j] += 1
+            u += steps[j]
 
 
 def enumerate_basis(
@@ -508,24 +492,9 @@ def enumerate_basis(
     ``enumerate_torus_window``.  Without the weight-0 fermions and with cap
     0 the basis is the free positive-mode part.
     """
-    if weight < 0:
-        return []
-    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
-    out = []
-    for base in _bases(space, weight, zero_fermion_allowed):
-        for exps in _cartesian_exponents(space.dim, x0_cap):
-            x0s = tuple(x0[j] for j in range(space.dim) for _ in range(exps[j]))
-            out.append(Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key))))
+    out = [
+        Monomial(modes)
+        for modes in _creator_multisets(space, weight, x0_cap, zero_fermion_allowed)
+    ]
     out.sort(key=Monomial.sort_key)
     return out
-
-
-def _cartesian_exponents(dim: int, cap: int) -> Iterator[tuple]:
-    def rec(j: int, acc: list):
-        if j == dim:
-            yield tuple(acc)
-            return
-        for k in range(cap + 1):
-            yield from rec(j + 1, acc + [k])
-
-    yield from rec(0, [])

@@ -140,18 +140,23 @@ def delta_zero_modes(cap: int) -> ZeroModeModule:
 def zero_modes_from_json(doc: dict) -> ZeroModeModule:
     """Build a ZeroModeModule from dense rational matrices.
 
-    Expected keys: labels, degrees, parities, cap, and actions {name: rows},
-    each matrix dense with decimal-string rational entries, rows indexed by
-    target basis vector.
+    Expected keys: labels (a list of strings), degrees (integers), parities
+    (0 or 1), cap (an integer), and actions {name: rows}, each matrix dense
+    with integer or decimal-string rational entries, rows indexed by target
+    basis vector.  Anything else raises ``ModuleError``.
     """
     try:
-        labels = tuple(str(s) for s in doc["labels"])
-        degrees = tuple(int(v) for v in doc["degrees"])
-        parities = tuple(int(v) for v in doc["parities"])
-        cap = int(doc["cap"])
-        raw = doc["actions"]
-    except (KeyError, TypeError, ValueError) as exc:
+        labels, degrees, parities = doc["labels"], doc["degrees"], doc["parities"]
+        cap, raw = doc["cap"], doc["actions"]
+    except KeyError as exc:
         raise ModuleError(f"malformed zero-mode module: {exc}")
+    if not isinstance(labels, list) or any(not isinstance(s, str) for s in labels):
+        raise ModuleError(f"labels: expected a list of strings, got {labels!r}")
+    for key, vals in (("degrees", degrees), ("parities", parities), ("cap", [cap])):
+        if not isinstance(vals, list) or any(type(v) is not int for v in vals):
+            raise ModuleError(f"{key}: expected integers, got {doc[key]!r}")
+    if any(p not in (0, 1) for p in parities):
+        raise ModuleError(f"parities: expected 0 or 1, got {parities!r}")
     if not isinstance(raw, dict):
         raise ModuleError("actions must map each zero-mode name to a matrix")
     n = len(labels)
@@ -170,13 +175,15 @@ def zero_modes_from_json(doc: dict) -> ZeroModeModule:
         for r, row in enumerate(mat):
             for c, entry in enumerate(row):
                 try:
-                    v = Fraction(str(entry))
+                    if type(entry) is not int and not isinstance(entry, str):
+                        raise ValueError(f"expected an integer or a string, got {entry!r}")
+                    v = Fraction(entry)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ModuleError(f"action matrix for {name}: {exc}")
                 if v:
                     cols[c][r] = v
         actions[name] = cols
-    return ZeroModeModule(labels, degrees, parities, cap, actions)
+    return ZeroModeModule(tuple(labels), tuple(degrees), tuple(parities), cap, actions)
 
 
 # The positive factor lives on the line.  A mode of nonzero index creates

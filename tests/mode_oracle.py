@@ -11,16 +11,31 @@
 - The recursive field reconstruction the package used before it expanded
   field modes into operator terms, running on the reference mode action.
 - The infinitesimal translation T, which only tests use.
+- The recursive basis enumerators the package used before it walked the
+  creators with one explicit stack: ``reference_basis`` and
+  ``reference_torus_window``, verbatim apart from their names and the
+  weight-0 fermion family, which ``SpaceSpec`` no longer names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, Tuple
 
 from chiralg.charges import CheckReport
-from chiralg.fock import Family, FockError, ModeKey, Monomial, SpaceSpec, State, enumerate_basis
+from chiralg.fock import (
+    Family,
+    FockError,
+    ModeKey,
+    Monomial,
+    Side,
+    SpaceSpec,
+    State,
+    TorusWeights,
+    _check_regularizing,
+    enumerate_basis,
+)
 from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
@@ -242,3 +257,146 @@ def translate(space: SpaceSpec, state: State) -> State:
             raw = mono.modes[:pos] + (raised,) + mono.modes[pos + 1 :]
             out = out + normalize(space, raw, coeff * factor)
     return out
+
+
+def _positive_weight_creators(space: SpaceSpec, weight: int):
+    gens = []
+    for direction in range(1, space.dim + 1):
+        for family in Family:
+            lo = max(1, space.creator_threshold(family))
+            for index in range(lo, weight + 1):
+                gens.append(ModeKey(family, direction, index))
+    return gens
+
+
+def _positive_multisets(gens, weight: int) -> Iterator[tuple]:
+    """All creator multisets of positive-index modes with the given weight."""
+
+    def rec(pos: int, remaining: int, acc: list):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        if pos == len(gens):
+            return
+        g = gens[pos]
+        yield from rec(pos + 1, remaining, acc)
+        max_mult = 1 if g.fermionic else remaining // g.index
+        for mult in range(1, max_mult + 1):
+            if mult * g.index > remaining:
+                break
+            yield from rec(pos + 1, remaining - mult * g.index, acc + [g] * mult)
+
+    yield from rec(0, weight, [])
+
+
+def _bases(space: SpaceSpec, weight: int, zero_fermion_allowed: bool) -> Iterator[tuple]:
+    """The basis monomials of the weight with their x_0 letters left out: each
+    positive-index creator multiset, times each set of weight-0 fermions."""
+    zero_fermion_family = Family.PSI if space.side is Side.THETA else Family.PHI
+    zeros = [ModeKey(zero_fermion_family, j + 1, 0) for j in range(space.dim)]
+    subsets = [
+        tuple(z for j, z in enumerate(zeros) if mask >> j & 1)
+        for mask in range(2**space.dim if zero_fermion_allowed else 1)
+    ]
+    for pos in _positive_multisets(_positive_weight_creators(space, weight), weight):
+        for zf in subsets:
+            yield pos + zf
+
+
+def _with_x0_letters(
+    base: tuple, x0: Sequence[ModeKey], steps: Sequence[int], lo: int, hi: int
+) -> Iterator[tuple]:
+    """Pairs (s, modes): ``base`` times x_0 letters, k_j of them in direction
+    j, with s = sum_j k_j * steps[j] in lo..hi, as a canonically ordered mode
+    tuple.  Every step must be positive.
+
+    x{j}_0 sorts after every x letter of a lower direction and before every
+    other letter of direction j, so one recursion over the directions both
+    solves for the k_j and places the letters.
+    """
+    ordered = sorted(base, key=ModeKey.sort_key)
+    # x letters come first in the mode order, grouped by direction
+    segments = [[] for _ in steps]
+    n_x = 0
+    for m in ordered:
+        if m.family is not Family.X:
+            break
+        segments[m.direction - 1].append(m)
+        n_x += 1
+    segments = [tuple(seg) for seg in segments]
+    tail = tuple(ordered[n_x:])
+
+    def rec(j: int, total: int, acc: tuple):
+        if j == len(steps):
+            if total >= lo:
+                yield total, acc + tail
+            return
+        w = steps[j]
+        for k in range((hi - total) // w + 1):
+            yield from rec(j + 1, total + k * w, acc + (x0[j],) * k + segments[j])
+
+    yield from rec(0, 0, ())
+
+
+def reference_torus_window(
+    space: SpaceSpec,
+    weight: int,
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+) -> Iterator[Tuple[int, int, Monomial]]:
+    """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
+    whose torus value t lies in the closed window ``lo..hi``; unsorted.
+
+    One pass per weight: each x_0-free base (positive modes and weight-0
+    fermions) is built once, with its degree and partial torus value, and
+    one recursion gives all its x_0 exponent vectors that land in the
+    window.  The x_0 weights must be nonzero and of one sign, so that the
+    window is finite; otherwise ``UnboundedBasisError`` is raised.
+    """
+    wx = torus_weights.wx
+    _check_regularizing(wx)
+    # solve in units u = flip * t, in which every x_0 weight is positive
+    flip = -1 if wx[0] < 0 else 1
+    steps = [flip * w for w in wx]
+    lo, hi = window if flip > 0 else (-window[1], -window[0])
+    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
+    for base in _bases(space, weight, True):
+        # x_0 letters have degree 0, so the degree is the base's
+        degree = sum(m.degree for m in base)
+        partial = flip * sum(torus_weights.of_mode(m) for m in base)
+        for s, modes in _with_x0_letters(base, x0, steps, lo - partial, hi - partial):
+            yield flip * (partial + s), degree, Monomial(modes)
+
+
+def reference_basis(
+    space: SpaceSpec, weight: int, *, x0_cap: int, zero_fermion_allowed: bool = True
+) -> list:
+    """Exhaustive, canonically ordered basis of the weight's piece with at
+    most ``x0_cap`` x_0 letters per direction.
+
+    The weight-0 generators x_0 make fixed-weight pieces infinite
+    dimensional, hence the required cap; for a torus-regularized piece use
+    ``enumerate_torus_window``.  Without the weight-0 fermions and with cap
+    0 the basis is the free positive-mode part.
+    """
+    if weight < 0:
+        return []
+    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
+    out = []
+    for base in _bases(space, weight, zero_fermion_allowed):
+        for exps in _cartesian_exponents(space.dim, x0_cap):
+            x0s = tuple(x0[j] for j in range(space.dim) for _ in range(exps[j]))
+            out.append(Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key))))
+    out.sort(key=Monomial.sort_key)
+    return out
+
+
+def _cartesian_exponents(dim: int, cap: int) -> Iterator[tuple]:
+    def rec(j: int, acc: list):
+        if j == dim:
+            yield tuple(acc)
+            return
+        for k in range(cap + 1):
+            yield from rec(j + 1, acc + [k])
+
+    yield from rec(0, [])

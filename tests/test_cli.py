@@ -285,22 +285,51 @@ def test_basis_command_torus_regularized(tmp_path):
 
 
 def test_malformed_zero_mode_actions_exit_2(tmp_path, capsys):
+    names = ("x0", "y0", "phi0", "psi0")
     zero_modes = {"labels": [], "degrees": [], "parities": [], "cap": 0}
-    bad_actions = [
-        ["x0", "y0", "phi0", "psi0"],  # a list, not a name -> matrix object
-        {name: [1] for name in ("x0", "y0", "phi0", "psi0")},  # rows not lists
+    # C[psi0] at x-degree cap 0, a valid module: psi0 e0 = e1, phi0 e1 = e0
+    valid = {
+        "labels": ["1", "psi0"],
+        "degrees": [0, 0],
+        "parities": [0, 1],
+        "cap": 0,
+        "actions": dict(
+            {name: [["0", "0"], ["0", "0"]] for name in names},
+            psi0=[["0", "0"], ["1", "0"]],
+            phi0=[["0", "1"], ["0", "0"]],
+        ),
+    }
+    bad = [
+        # a list, not a name -> matrix object
+        dict(zero_modes, actions=["x0", "y0", "phi0", "psi0"]),
+        # rows not lists
+        dict(zero_modes, labels=["a"], degrees=[0], parities=[0],
+             actions={name: [1] for name in names}),
+        # each of these was truncated or split into a valid module
+        dict(valid, degrees=[0.9, 0], cap=0.5),
+        dict(valid, degrees=[True, 0]),
+        dict(valid, cap=False),
+        dict(valid, parities=[0, 3]),
+        dict(valid, labels="ab"),
+        dict(valid, actions=dict(valid["actions"], psi0=[[0, 0], [1.0, 0]])),
     ]
-    for actions in bad_actions:
-        spec = {
-            "dim": 1,
-            "caps": {"weight_max": 1},
-            "zero_modes": dict(zero_modes, actions=actions),
-        }
-        if isinstance(actions, dict):
-            spec["zero_modes"].update(labels=["a"], degrees=[0], parities=[0])
+    code, _ = run(tmp_path, "singular", {"dim": 1, "caps": {"weight_max": 1}, "zero_modes": valid})
+    assert code == 0
+    for zm in bad:
+        spec = {"dim": 1, "caps": {"weight_max": 1}, "zero_modes": zm}
         code, _ = run(tmp_path, "singular", spec)
-        assert code == 2, actions
+        assert code == 2, zm
         assert "error: spec.zero_modes:" in capsys.readouterr().err
+
+
+def test_zero_mode_commands_refuse_other_dims(tmp_path, capsys):
+    # modfun induces modules on the line only; a dim-2 spec would get the
+    # line's answer
+    spec = {"dim": 2, "zero_modes": {"builtin": "polynomial", "cap": 1}, "caps": {"weight_max": 1}}
+    for command in ("singular", "epsilon-check"):
+        code, text = run(tmp_path, command, spec)
+        assert code == 2 and text == "", command
+        assert "spec.dim" in capsys.readouterr().err
 
 
 def test_negative_zero_mode_cap_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 from chiralg.fock import (
     Family,
@@ -19,6 +19,7 @@ from chiralg.fock import (
     normalize,
 )
 from conftest import X, Y, PHI, PSI, partition_gf_coeffs, st
+from mode_oracle import reference_basis, reference_torus_window
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -222,3 +223,41 @@ def test_empty_torus_window_yields_nothing():
     assert list(enumerate_torus_window(THETA1, 2, tw, (1, 0))) == []
     # weight 0 of the theta side with these weights has torus values >= 0
     assert list(enumerate_torus_window(THETA1, 0, tw, (-5, -1))) == []
+
+
+@hst.composite
+def _pieces(draw):
+    """A space of dim 1-3, either side, and a weight: 0-3, or 0-1 at dim 3."""
+    dim = draw(hst.integers(1, 3))
+    space = make_space(draw(hst.sampled_from(Side)), dim)
+    return space, draw(hst.integers(0, 3 if dim < 3 else 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pieces(), hst.integers(0, 3), hst.booleans())
+def test_basis_matches_recursive_reference(piece, cap, zero_fermions):
+    space, weight = piece
+    got = enumerate_basis(space, weight, x0_cap=cap, zero_fermion_allowed=zero_fermions)
+    assert got == reference_basis(
+        space, weight, x0_cap=cap, zero_fermion_allowed=zero_fermions
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pieces(), hst.data())
+def test_torus_window_matches_recursive_reference(piece, data):
+    space, weight = piece
+    # regularizing: every x_0 weight nonzero and of one sign
+    sign = data.draw(hst.sampled_from((1, -1)))
+    wx = [sign * data.draw(hst.integers(1, 3)) for _ in range(space.dim)]
+    wphi = [data.draw(hst.integers(-3, 3)) for _ in range(space.dim)]
+    tw = TorusWeights.from_x_and_phi(wx, wphi)
+    lo = data.draw(hst.integers(-8, 8))
+    window = (lo, data.draw(hst.integers(lo - 1, lo + 8)))
+
+    def triples(it):
+        return sorted((t, k, m.sort_key()) for t, k, m in it)
+
+    assert triples(enumerate_torus_window(space, weight, tw, window)) == triples(
+        reference_torus_window(space, weight, tw, window)
+    )

@@ -1,0 +1,53 @@
+"""Static checks on the package source."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chiralg"
+
+
+def self_calling_functions(tree: ast.AST) -> list:
+    """Names of the module-level and nested functions that call themselves by
+    their bare name.  Methods are skipped: a method that calls a module
+    function of its own name (``_WeightBlocks.rank`` calls ``linalg.rank``)
+    does not recurse."""
+    found = []
+    stack = [(tree, False)]
+    while stack:
+        node, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_class:
+                if any(
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Name)
+                    and n.func.id == child.name
+                    for n in ast.walk(child)
+                ):
+                    found.append(child.name)
+            stack.append((child, isinstance(child, ast.ClassDef)))
+    return found
+
+
+def test_no_function_recurses():
+    # a recursion depth that grows with the input turns a large spec into a
+    # RecursionError, which the CLI can only report as an internal error
+    found = {
+        path.name: self_calling_functions(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: fns for name, fns in found.items() if fns} == {}
+
+
+def test_recursion_check_sees_closures_and_skips_methods():
+    tree = ast.parse(
+        "def outer(n):\n"
+        "    def rec(k):\n"
+        "        return rec(k - 1) if k else 0\n"
+        "    return rec(n)\n"
+        "class Blocks:\n"
+        "    def rank(self, key):\n"
+        "        return rank(key)\n"
+        "def fact(n):\n"
+        "    return n * fact(n - 1) if n else 1\n"
+    )
+    assert sorted(self_calling_functions(tree)) == ["fact", "rec"]
