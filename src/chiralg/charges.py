@@ -7,7 +7,7 @@ the definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -217,6 +217,8 @@ class CheckReport:
     passed: bool
     witness: Optional[Monomial] = None
     image: Optional[State] = None
+    # the first charge's terms at the window, compiled, for reuse
+    operator: Optional[ChargeOperator] = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.passed
@@ -276,9 +278,10 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
                 )
     t1s = instantiate_charge(c1, space, window)
     t2s = None if c2 is None else instantiate_charge(c2, space, window)
+    o1 = ChargeOperator(space, t1s)
     surviving = _bracket_terms(space, t1s, t2s, window)
     if not surviving:
-        return CheckReport(True)
+        return CheckReport(True, operator=o1)
     # a probe built from a minimal surviving annihilator part always works
     probes = (
         Monomial(conjugate_creators(space, t.modes))
@@ -287,7 +290,6 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
             key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),
         )
     )
-    o1 = ChargeOperator(space, t1s)
     o2 = o1 if t2s is None else ChargeOperator(space, t2s)
     for mono in probes:
         v = State.of(mono)
@@ -295,10 +297,10 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
         if c2 is not None:
             image = image + o2(o1(v))
         if not image.is_zero():
-            return CheckReport(False, witness=mono, image=image)
+            return CheckReport(False, witness=mono, image=image, operator=o1)
     # unreachable in theory, as the probe of a surviving term always
     # witnesses it
-    return CheckReport(False)
+    return CheckReport(False, operator=o1)
 
 
 def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> CheckReport:
@@ -315,7 +317,8 @@ def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> Ch
     the full square.  A charge with an even pattern is refused.  The probes
     are the monomials of conjugate creators of the surviving terms, fewest
     annihilators first; a witness is the first probe v with Q(Q(v))
-    nonzero, and its image is Q(Q(v)).
+    nonzero, and its image is Q(Q(v)).  The report's ``operator`` is the
+    charge compiled from the same terms, valid on weight <= window.
     """
     return _check_bracket(charge, None, space, window)
 

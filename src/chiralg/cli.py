@@ -33,7 +33,6 @@ from .charges import (
 from .cohomology import CohomologyError, chi_van, cohomology_dims, euler_series
 from .field import residue_charge
 from .fock import (
-    Family,
     FockError,
     ModeKey,
     Side,
@@ -74,6 +73,11 @@ class SpecError(ValueError):
     """Invalid problem spec; the message names the offending field."""
 
 
+def _is_int(val) -> bool:
+    """An integer, and not a JSON boolean (bool is an int in Python)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _field(doc, key, typ, where, required=True, default=None):
     if key not in doc:
         if required:
@@ -81,7 +85,7 @@ def _field(doc, key, typ, where, required=True, default=None):
         return default
     val = doc[key]
     if typ is int:
-        if isinstance(val, bool) or not isinstance(val, int):
+        if not _is_int(val):
             raise SpecError(f"{where}.{key}: expected integer, got {val!r}")
     elif not isinstance(val, typ):
         raise SpecError(f"{where}.{key}: expected {typ.__name__}, got {val!r}")
@@ -124,10 +128,7 @@ class ProblemSpec:
                     raise SpecError(f"{where}: expected an object")
                 coeff = _fraction(_field(term, "coeff", object, where), where + ".coeff")
                 exps = _field(term, "exps", list, where)
-                if len(exps) != self.dim or not all(
-                    isinstance(e, int) and not isinstance(e, bool) and e >= 0
-                    for e in exps
-                ):
+                if len(exps) != self.dim or not all(_is_int(e) and e >= 0 for e in exps):
                     raise SpecError(
                         f"{where}.exps: expected {self.dim} nonnegative integers"
                     )
@@ -148,7 +149,7 @@ class ProblemSpec:
                     raise SpecError(f"{where}: expected [k, i, j, value]")
                 k, a, b = row[:3]
                 for name, v in (("k", k), ("i", a), ("j", b)):
-                    if not isinstance(v, int) or not 1 <= v <= n:
+                    if not _is_int(v) or not 1 <= v <= n:
                         raise SpecError(f"{where}.{name}: index out of 1..{n}")
                 entries.append((k, a, b, _fraction(row[3], where + ".value")))
             if n != self.dim:
@@ -173,7 +174,7 @@ class ProblemSpec:
                 required=False, default=[-a for a in wphi],
             )
             for name, vec in (("x", wx), ("phi", wphi), ("psi", wpsi)):
-                if len(vec) != self.dim or not all(isinstance(v, int) for v in vec):
+                if len(vec) != self.dim or not all(_is_int(v) for v in vec):
                     raise SpecError(
                         f"spec.torus_weights.{name}: expected {self.dim} integers"
                     )
@@ -188,7 +189,7 @@ class ProblemSpec:
         self.q_max = _field(caps, "q_max", int, "spec.caps", False, self.weight_max)
         zw = _field(caps, "z_window", list, "spec.caps", False, None)
         if zw is not None:
-            if len(zw) != 2 or not all(isinstance(v, int) for v in zw) or zw[0] > zw[1]:
+            if len(zw) != 2 or not all(_is_int(v) for v in zw) or zw[0] > zw[1]:
                 raise SpecError("spec.caps.z_window: expected [lo, hi] with lo <= hi")
             zw = tuple(zw)
         self.z_window = zw
@@ -323,25 +324,27 @@ def cmd_char(spec: ProblemSpec):
     return {"series": series.to_json_dict(zwindow)}, 0, series
 
 
-def _require_closed_form_scope(spec: ProblemSpec, what: str) -> None:
-    """-z^-d theta(z^d)/theta(z) is the character of the one-variable twisted
-    de Rham complex.  The theta side has Euler number +d at q^0, not -d, and
-    more variables have other characters, so ``what`` refuses both."""
+def _require_closed_form_scope(spec: ProblemSpec, what: str) -> int:
+    """d in -z^-d theta(z^d)/theta(z), the character of the one-variable
+    twisted de Rham complex of f = c z^(d+1).  The theta side has Euler number
+    +d at q^0, not -d, and more variables have other characters, so ``what``
+    refuses both, as it refuses a spec with no potential or with d < 1."""
     if spec.side is not Side.OMEGA:
         raise SpecError(
             f"spec.side: {what} needs side 'omega', got '{spec.side.value}'"
         )
     if spec.dim != 1:
         raise SpecError(f"spec.dim: {what} needs dim 1, got {spec.dim}")
+    if spec.potential is None:
+        raise SpecError(f"spec.potential: required for {what}")
+    d = spec.potential.quasi_degree((1,)) - 1
+    if d < 1:
+        raise SpecError("spec.potential: degree must be >= 2 for the theta oracle")
+    return d
 
 
 def cmd_theta_check(spec: ProblemSpec):
-    _require_closed_form_scope(spec, "'theta-check'")
-    if spec.potential is None:
-        raise SpecError("spec.potential: required for 'theta-check'")
-    d = spec.potential.quasi_degree((1,) * spec.dim) - 1
-    if d < 1:
-        raise SpecError("spec.potential: degree must be >= 2 for the theta oracle")
+    d = _require_closed_form_scope(spec, "'theta-check'")
     payload, _, series = cmd_char(spec)
     oracle = chi_closed_form(d, spec.q_max)
     report = compare(series, oracle, zwindow=spec.z_window, qmax=spec.q_max)
@@ -377,9 +380,7 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
     charge = spec.charge()
     kwargs = _regime(spec, "chi-van")
     if oracle == "theta":
-        if spec.potential is None:
-            raise SpecError("spec.potential: required for the theta oracle")
-        _require_closed_form_scope(spec, "the theta oracle")
+        d = _require_closed_form_scope(spec, "the theta oracle")
     series, table = chi_van(charge, space, spec.weight_max, **kwargs)
     payload = {
         "series": series.to_json_dict((0, 0)),
@@ -387,7 +388,6 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
     }
     code = 0 if all(table.stabilization.values()) else 1
     if oracle == "theta":
-        d = spec.potential.quasi_degree((1,) * spec.dim) - 1
         oracle_series = chi_closed_form(d, spec.weight_max)
         # z-collapse of the oracle: total Euler number per q row
         collapsed = {
@@ -441,35 +441,23 @@ def cmd_anticommute(spec: ProblemSpec):
     return payload, 0 if report else 1, None
 
 
-def _brst_vector(spec: ProblemSpec, space):
-    """The defining weight-1 vector of the spec's differential."""
-    if spec.potential is not None and spec.side is Side.THETA:
-        out = State.zero()
-        for j in range(1, spec.dim + 1):
-            for coeff, exps in spec.potential.partial(j - 1):
-                modes = [ModeKey(Family.PHI, j, 1)]
-                for direction in range(1, spec.dim + 1):
-                    modes.extend(
-                        [ModeKey(Family.X, direction, 0)] * exps[direction - 1]
-                    )
-                out = out + normalize(space, modes, coeff)
-        return out
-    if spec.side is Side.OMEGA and spec.potential is None:
-        out = State.zero()
-        for j in range(1, spec.dim + 1):
-            out = out + normalize(
-                space, (ModeKey(Family.Y, j, 1), ModeKey(Family.PHI, j, 0))
-            )
-        return out
-    raise SpecError(
-        "spec: 'reconstruct-check' needs a theta-side potential or a bare omega side"
-    )
+def _brst_vector(charge, space):
+    """The vector whose residue mode a_(-1) is the charge: each pattern's
+    letters at their families' first creator indices.  ``residue_charge``
+    refuses it unless it has weight 1 and degree +1."""
+    out = State.zero()
+    for coeff, letters in charge.patterns:
+        modes = [ModeKey(fam, j, space.creator_threshold(fam)) for fam, j in letters]
+        out = out + normalize(space, modes, coeff)
+    if out.is_zero():  # a zero charge would agree with it vacuously
+        raise SpecError("spec: 'reconstruct-check' needs a nonzero differential")
+    return out
 
 
 def cmd_reconstruct_check(spec: ProblemSpec):
     space = spec.space()
     charge = spec.charge()
-    brst = residue_charge(space, _brst_vector(spec, space), spec.weight_max)
+    brst = residue_charge(space, _brst_vector(charge, space), spec.weight_max)
     cap = spec.x0_cap if spec.x0_cap is not None else 2
     op = charge_operator(charge, space, spec.weight_max)
     for q in range(spec.weight_max + 1):

@@ -1,20 +1,24 @@
 """Differentials as exact matrices per bigrade; cohomology dimensions; characters.
 
-Two regimes are supported.
+Every cell, a (weight, degree) or (weight, torus, degree) grade, comes from
+one formula.  With S basis monomials spanning the cell, K = ker Q on span(S)
+and I the span of the images of the incoming chains,
 
-Torus-regularized: with a torus assignment making every bigrade finite, each
-(weight, torus) block is a genuine finite complex and kernels/ranks are exact.
+    h = |S| - rank Q_S - rank I + rank(I with the rows of S removed).
 
-Capped: without a regularizing torus the weight-0 generators are cut by an
-x_0-degree cap.  The cap is not differential-stable, so dimensions are
-estimated as
+This is dim K - dim(K intersect I): as Q^2 = 0, I lies in ker Q, so
+K intersect I = span(S) intersect I, the kernel of projecting I off span(S).
+So h >= 0.  Q^2 = 0 is proved per weight q on the terms instantiated for q:
+``check_nilpotent`` covers every state of weight <= q at any x_0 degree, and
+a failure raises ``CohomologyError`` with its witness.
 
-    dim H = dim K - dim(K  intersect  I)
+Torus-regularized: every bigrade is finite, S is a whole block and I the
+image of the block mapping into it, inside span(S), so the last rank is 0.
 
-where K is the true kernel on the capped piece and I the true image of a
-slightly larger capped piece (the image-side margin).  The estimate converges
-to the honest dimension as the cap grows and is reported with a stabilization
-flag comparing consecutive caps.
+Capped: S is the basis of total x_0 degree <= cap and I the image of the
+basis with at most cap + margin of each x_0.  The cap is not
+differential-stable, so h converges to the honest dimension as the cap
+grows and is reported with a flag comparing cap and cap + 1.
 
 Hypercohomology over affine space is computed as plain complex cohomology
 (higher sheaf cohomology vanishes); this identification is recorded in the
@@ -34,8 +38,9 @@ from .fock import (
     enumerate_basis,
     enumerate_torus_window,
 )
-from .linalg import kernel_basis, rank
-from .oper import ChargeOperator, SymbolicCharge, charge_operator
+from .charges import check_nilpotent
+from .linalg import rank
+from .oper import SymbolicCharge
 from .qseries import TruncatedSeries
 
 
@@ -56,11 +61,19 @@ class CohomologyTable:
 
 
 class _WeightBlocks:
-    """The basis of one weight bucketed by grade key, (torus, degree) or
-    degree, with the charge's image columns and their rank memoised per key."""
+    """The basis of one weight q bucketed by grade key, (torus, degree) or
+    degree, with the charge's image columns and their rank memoised per key.
 
-    def __init__(self, op: ChargeOperator):
-        self.op = op
+    The charge is instantiated once, at window q: the Q^2 check runs on
+    those terms and hands back the operator that gives the columns.
+    """
+
+    def __init__(self, charge: SymbolicCharge, space: SpaceSpec, q: int):
+        report = check_nilpotent(charge, space, q)
+        if not report:
+            witness = report.witness.text(space.dim)
+            raise CohomologyError(f"charge not nilpotent; witness {witness}")
+        self.op = report.operator
         self.bases: Dict[Hashable, List[Monomial]] = {}
         self._cols: Dict[Hashable, list] = {}
         self._ranks: Dict[Hashable, int] = {}
@@ -81,6 +94,13 @@ class _WeightBlocks:
         if key not in self._ranks:
             self._ranks[key] = rank(self.cols(key))
         return self._ranks[key]
+
+
+def _cell(s: set, r_out: int, in_cols: list, r_in: int) -> int:
+    """h = |S| - rank Q_S - rank I + rank(I with the rows of S removed), for
+    I spanned by ``in_cols``."""
+    off = [{m: v for m, v in col.items() if m not in s} for col in in_cols]
+    return len(s) - r_out - r_in + rank(off)
 
 
 def _degree_shift(charge: SymbolicCharge) -> int:
@@ -106,7 +126,7 @@ def cohomology_dims_torus(
     dims: Dict[Tuple[int, int], int] = {}
     per_bigrade: Dict[Tuple[int, int, int], int] = {}
     for q in range(max_weight + 1):
-        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        blocks = _WeightBlocks(charge, space, q)
         # one extra torus column on each side for the incoming maps
         reach = (lo - abs(shift), hi + abs(shift))
         for t, degree, mono in enumerate_torus_window(space, q, torus_weights, reach):
@@ -115,18 +135,9 @@ def cohomology_dims_torus(
             basis.sort(key=Monomial.sort_key)
         for t in range(lo, hi + 1):
             for k in sorted(k for (tt, k) in blocks.bases if tt == t):
-                basis = blocks.basis((t, k))
-                r_in = blocks.rank((t - shift, k - dshift))  # the map into (t, k)
-                h = len(basis) - blocks.rank((t, k)) - r_in
-                if h < 0:
-                    raise CohomologyError(
-                        f"negative dimension at weight {q}, torus {t}, degree {k}"
-                    )
-                for col, mono in zip(blocks.cols((t, k)), basis):
-                    if not blocks.op(State(col)).is_zero():
-                        raise CohomologyError(
-                            f"charge not nilpotent; witness {mono.text(space.dim)}"
-                        )
+                src = (t - shift, k - dshift)  # the block mapping into (t, k)
+                r_out, r_in = blocks.rank((t, k)), blocks.rank(src)
+                h = _cell(set(blocks.basis((t, k))), r_out, blocks.cols(src), r_in)
                 if h:
                     per_bigrade[(q, k, t)] = h
                 dims[(q, k)] = dims.get((q, k), 0) + h
@@ -149,26 +160,21 @@ def _x0_peak(mono: Monomial) -> int:
     return max([mono.x0_degree(m.direction) for m in mono.modes], default=0)
 
 
-def _capped_dims_once(
-    blocks: _WeightBlocks, q: int, dshift: int, x0_cap: int, image_margin: int
-) -> Dict[Tuple[int, int], int]:
-    """dim K - dim(K intersect I) per degree at one weight: K is the kernel on
-    x_0 degree <= x0_cap, I the image of the basis capped at x0_cap +
-    image_margin per direction.  ``blocks`` may hold a larger cap.  The kernel
-    vectors are independent, so the difference is rank(I + K) - rank(I)."""
-    reach = x0_cap + image_margin
+def _capped_row(blocks: _WeightBlocks, q: int, dshift: int, cap: int, margin: int) -> dict:
+    """The cells of weight q at one cap (``blocks`` may hold a larger one): S
+    is the basis of total x_0 degree <= cap, I the image of the basis with
+    at most cap + margin of each x_0."""
+    reach = cap + margin
     dims: Dict[Tuple[int, int], int] = {}
     for k in sorted(blocks.bases):
-        basis, cols = blocks.basis(k), blocks.cols(k)
-        small = [i for i, mono in enumerate(basis) if mono.x0_degree() <= x0_cap]
-        kern = kernel_basis([cols[i] for i in small])
-        k_cols = [{basis[small[i]]: v for i, v in vec.items()} for vec in kern]
+        s = {m for m in blocks.basis(k) if m.x0_degree() <= cap}
+        s_cols = [c for m, c in zip(blocks.basis(k), blocks.cols(k)) if m in s]
         in_cols = [
-            col
-            for mono, col in zip(blocks.basis(k - dshift), blocks.cols(k - dshift))
-            if col and _x0_peak(mono) <= reach
+            c
+            for m, c in zip(blocks.basis(k - dshift), blocks.cols(k - dshift))
+            if c and _x0_peak(m) <= reach
         ]
-        h = rank(in_cols + k_cols) - rank(in_cols)
+        h = _cell(s, rank(s_cols), in_cols, rank(in_cols))
         if h:
             dims[(q, k)] = h
     return dims
@@ -180,7 +186,7 @@ def cohomology_dims_capped(
     max_weight: int,
     x0_cap: int,
 ) -> CohomologyTable:
-    """Capped-kernel / image-intersection estimate with stabilization flags.
+    """Cohomology of the x_0-capped pieces with stabilization flags.
 
     The cap and cap+1 passes share each weight's operator and image columns;
     the reported dimensions are the cap+1 ones.
@@ -191,11 +197,11 @@ def cohomology_dims_capped(
     dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
-        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        blocks = _WeightBlocks(charge, space, q)
         for mono in enumerate_basis(space, q, x0_cap=top):
             blocks.add(mono.degree, mono)
-        row = _capped_dims_once(blocks, q, dshift, x0_cap, image_margin)
-        bigger = _capped_dims_once(blocks, q, dshift, x0_cap + 1, image_margin)
+        row = _capped_row(blocks, q, dshift, x0_cap, image_margin)
+        bigger = _capped_row(blocks, q, dshift, x0_cap + 1, image_margin)
         stab[q] = row == bigger
         dims.update(bigger)
     return CohomologyTable(

@@ -15,13 +15,17 @@
   creators with one explicit stack: ``reference_basis`` and
   ``reference_torus_window``, verbatim apart from their names and the
   weight-0 fermion family, which ``SpaceSpec`` no longer names.
+- The capped cohomology the package computed from kernel vectors, as
+  rank(I + K) - rank(I), before one rank formula served both regimes:
+  ``_capped_dims_once`` verbatim, on a verbatim copy of the block cache it
+  used, driven by ``reference_capped_table``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from chiralg.charges import CheckReport
 from chiralg.fock import (
@@ -36,10 +40,12 @@ from chiralg.fock import (
     _check_regularizing,
     enumerate_basis,
 )
+from chiralg.linalg import kernel_basis, rank
 from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
     annihilated_weight,
+    charge_operator,
     combine_terms,
     instantiate_charge,
     normal_order,
@@ -400,3 +406,80 @@ def _cartesian_exponents(dim: int, cap: int) -> Iterator[tuple]:
             yield from rec(j + 1, acc + [k])
 
     yield from rec(0, [])
+
+
+class _WeightBlocks:
+    """The basis of one weight bucketed by grade key, (torus, degree) or
+    degree, with the charge's image columns and their rank memoised per key."""
+
+    def __init__(self, op: ChargeOperator):
+        self.op = op
+        self.bases: Dict[Hashable, List[Monomial]] = {}
+        self._cols: Dict[Hashable, list] = {}
+        self._ranks: Dict[Hashable, int] = {}
+
+    def add(self, key, mono: Monomial):
+        self.bases.setdefault(key, []).append(mono)
+
+    def basis(self, key) -> List[Monomial]:
+        return self.bases.get(key, [])
+
+    def cols(self, key) -> list:
+        """Image of each basis monomial of the key, as a sparse column."""
+        if key not in self._cols:
+            self._cols[key] = [self.op(State.of(m)).terms for m in self.basis(key)]
+        return self._cols[key]
+
+    def rank(self, key) -> int:
+        if key not in self._ranks:
+            self._ranks[key] = rank(self.cols(key))
+        return self._ranks[key]
+
+
+def _x0_peak(mono: Monomial) -> int:
+    """Largest x_0 exponent over the directions: what ``enumerate_basis`` caps."""
+    return max([mono.x0_degree(m.direction) for m in mono.modes], default=0)
+
+
+def _capped_dims_once(
+    blocks: _WeightBlocks, q: int, dshift: int, x0_cap: int, image_margin: int
+) -> Dict[Tuple[int, int], int]:
+    """dim K - dim(K intersect I) per degree at one weight: K is the kernel on
+    x_0 degree <= x0_cap, I the image of the basis capped at x0_cap +
+    image_margin per direction.  ``blocks`` may hold a larger cap.  The kernel
+    vectors are independent, so the difference is rank(I + K) - rank(I)."""
+    reach = x0_cap + image_margin
+    dims: Dict[Tuple[int, int], int] = {}
+    for k in sorted(blocks.bases):
+        basis, cols = blocks.basis(k), blocks.cols(k)
+        small = [i for i, mono in enumerate(basis) if mono.x0_degree() <= x0_cap]
+        kern = kernel_basis([cols[i] for i in small])
+        k_cols = [{basis[small[i]]: v for i, v in vec.items()} for vec in kern]
+        in_cols = [
+            col
+            for mono, col in zip(blocks.basis(k - dshift), blocks.cols(k - dshift))
+            if col and _x0_peak(mono) <= reach
+        ]
+        h = rank(in_cols + k_cols) - rank(in_cols)
+        if h:
+            dims[(q, k)] = h
+    return dims
+
+
+def reference_capped_table(charge, space: SpaceSpec, max_weight: int, x0_cap: int):
+    """(dims, stabilization) of the capped regime by kernel vectors: the
+    cap+1 dimensions, and per weight whether cap and cap+1 agree."""
+    image_margin = charge.max_y_letters() + 1
+    dshift = charge.degree_shift()
+    top = x0_cap + image_margin + 1
+    dims: Dict[Tuple[int, int], int] = {}
+    stab: Dict[int, bool] = {}
+    for q in range(max_weight + 1):
+        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        for mono in enumerate_basis(space, q, x0_cap=top):
+            blocks.add(mono.degree, mono)
+        row = _capped_dims_once(blocks, q, dshift, x0_cap, image_margin)
+        bigger = _capped_dims_once(blocks, q, dshift, x0_cap + 1, image_margin)
+        stab[q] = row == bigger
+        dims.update(bigger)
+    return dims, stab

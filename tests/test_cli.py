@@ -89,16 +89,29 @@ def test_nilpotency_jacobi_violation_witnessed(tmp_path):
 
 
 def test_invalid_specs_exit_2(tmp_path, capsys):
+    x2 = {"dim": 1, "side": "omega", "potential": {"terms": [{"coeff": "1", "exps": [2]}]}}
     cases = [
-        {},  # missing dim
-        {"dim": 1, "side": "sideways"},
-        {"dim": 1, "potential": {"terms": [{"coeff": 0.5, "exps": [2]}]}},
-        {"dim": 2, "lie": SL2},  # lie.dim != dim
-        {"dim": 3, "lie": BAD_JACOBI},  # Jacobi enforced outside 'nilpotency'
-        {"dim": 1, "caps": {"weight_max": -1}},
+        ("basis", {}),  # missing dim
+        ("basis", {"dim": 1, "side": "sideways"}),
+        ("basis", {"dim": 1, "potential": {"terms": [{"coeff": 0.5, "exps": [2]}]}}),
+        ("basis", {"dim": 2, "lie": SL2}),  # lie.dim != dim
+        ("basis", {"dim": 3, "lie": BAD_JACOBI}),  # Jacobi enforced outside 'nilpotency'
+        ("basis", {"dim": 1, "caps": {"weight_max": -1}}),
+        # JSON booleans are not integers, wherever an integer list is read
+        ("char", dict(x2, caps={"q_max": 1, "z_window": [False, True]})),
+        (
+            "cohomology",
+            dict(x2, side="theta", torus_weights={"x": [True], "phi": [-2]},
+                 caps={"weight_max": 0, "z_window": [-2, 2]}),
+        ),
+        (
+            "nilpotency",
+            {"dim": 3, "lie": {"dim": 3, "c": [[3, True, 2, "1"]] + SL2["c"][1:]},
+             "caps": {"weight_max": 0}},
+        ),
     ]
-    for spec in cases:
-        code, _ = run(tmp_path, "basis", spec)
+    for command, spec in cases:
+        code, _ = run(tmp_path, command, spec)
         assert code == 2, spec
         assert "error:" in capsys.readouterr().err
 
@@ -197,6 +210,28 @@ def test_chi_van_with_theta_oracle(tmp_path):
     assert code == 2
 
 
+def test_theta_oracle_refuses_degree_1_before_computing(tmp_path, capsys, monkeypatch):
+    """f = x has d = 0, outside the closed form: both oracle commands refuse
+    it before any cohomology or character is computed."""
+    import chiralg.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before the scope check")
+
+    monkeypatch.setattr(cli, "chi_van", unreachable)
+    monkeypatch.setattr(cli, "euler_series", unreachable)
+    spec = {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "1", "exps": [1]}]},
+        "caps": {"weight_max": 1, "x0_cap": 2, "q_max": 1, "z_window": [-2, 2]},
+    }
+    for command, args in (("chi-van", ("--oracle", "theta")), ("theta-check", ())):
+        code, _ = run(tmp_path, command, spec, *args)
+        assert code == 2, command
+        assert "spec.potential" in capsys.readouterr().err
+
+
 def test_chi_van_theta_oracle_degree_2_and_3(tmp_path):
     # for d >= 2 the closed form's rows at q >= 1 reach beyond z^-(d+1)..z^1
     for exps, cap, euler in (([3], 4, -2), ([4], 6, -3)):
@@ -235,6 +270,29 @@ def test_reconstruct_check_command(tmp_path):
     code, text = run(tmp_path, "reconstruct-check", spec)
     assert code == 0
     assert json.loads(text)["payload"]["agrees"] is True
+
+
+def test_reconstruct_check_refuses_other_charges(tmp_path, capsys):
+    """The residue vector is read off the charge's patterns.  For d_dR + df
+    it mixes weights 0 and 1, for a Lie charge it has degree -1, and for a
+    zero charge it is zero, which would agree vacuously: all exit 2."""
+    omega_x2 = {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "1", "exps": [2]}]},
+    }
+    constant = {"dim": 1, "potential": {"terms": [{"coeff": "1", "exps": [0]}]}}
+    abelian = {"dim": 1, "lie": {"dim": 1, "c": []}}
+    for spec, field in (
+        (omega_x2, "weight"),
+        ({"dim": 3, "lie": SL2}, "degree"),
+        (constant, "nonzero"),
+        (abelian, "nonzero"),
+    ):
+        spec = dict(spec, caps={"weight_max": 1, "x0_cap": 1})
+        code, _ = run(tmp_path, "reconstruct-check", spec)
+        assert code == 2, spec
+        assert field in capsys.readouterr().err
 
 
 def test_long_potential_monomial_exits_0(tmp_path):

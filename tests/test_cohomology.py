@@ -4,6 +4,7 @@ import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as hst
 
 from chiralg.charges import (
     Potential,
@@ -32,6 +33,7 @@ from chiralg.fock import (
 )
 from chiralg.linalg import kernel_basis, rank
 from chiralg.oper import charge_operator
+from mode_oracle import reference_capped_table
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -152,14 +154,33 @@ def test_chi_van_zero_charge_counts_chains():
         assert series.rows.get(q, {}).get(0, 0) == chi
 
 
-def test_torus_mode_detects_non_nilpotent_charge():
-    bad = StructureConstants.from_entries(
+BAD_JACOBI = lie_charge(
+    StructureConstants.from_entries(
         3, [(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -1)], validate=False
     )
-    with pytest.raises(CohomologyError):
-        cohomology_dims_torus(
-            lie_charge(bad), THETA3, 0, TorusWeights.x_count(3), (0, 1)
-        )
+)
+
+
+def _assert_true_witness(exc, charge, space, weight):
+    """The error names a basis monomial w of the weight with Q(Q(w)) != 0."""
+    text = str(exc.value).split("witness ")[1]
+    [w] = [m for m in enumerate_basis(space, weight, x0_cap=3) if m.text(space.dim) == text]
+    op = charge_operator(charge, space, weight)
+    assert not op(op(State.of(w))).is_zero()
+
+
+def test_torus_mode_detects_non_nilpotent_charge():
+    with pytest.raises(CohomologyError, match="not nilpotent") as exc:
+        cohomology_dims_torus(BAD_JACOBI, THETA3, 0, TorusWeights.x_count(3), (0, 1))
+    _assert_true_witness(exc, BAD_JACOBI, THETA3, 0)
+
+
+def test_capped_mode_detects_non_nilpotent_charge():
+    """Without the Q^2 certificate the capped regime returned a table for
+    this tensor, {(0, -2): 2, (0, -1): 2, (0, 0): 1} at cap 1."""
+    with pytest.raises(CohomologyError, match="not nilpotent") as exc:
+        cohomology_dims_capped(BAD_JACOBI, THETA3, 0, 1)
+    _assert_true_witness(exc, BAD_JACOBI, THETA3, 0)
 
 
 def test_torus_mode_rejects_inhomogeneous_charge():
@@ -204,3 +225,57 @@ def test_table_determinism():
     a = cohomology_dims(charge, THETA1, 1, x0_cap=3)
     b = cohomology_dims(charge, THETA1, 1, x0_cap=3)
     assert a.dims == b.dims and a.stabilization == b.stabilization
+
+
+@hst.composite
+def capped_twists(draw):
+    """(charge, space, max_weight, x0_cap): the twist by a random potential,
+    with d_dR on the form side, or d_dR alone, in one or two variables.  Two
+    variables keep to weight 1 at caps <= 1 and, on the theta side, weight 2
+    at cap 0."""
+    dim = draw(hst.integers(1, 2))
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    exps = hst.tuples(*[hst.integers(0, 3)] * dim).filter(lambda e: 0 < sum(e) <= 3)
+    coeffs = draw(hst.dictionaries(exps, hst.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+    f = Potential.from_terms(dim, [(c, e) for e, c in coeffs.items()])
+    charge = potential_charge(f, side)
+    if side is Side.OMEGA:
+        # d_dR lowers the x_0 degree, so the image-side margin matters
+        d_dR = chiral_de_rham(dim)
+        charge = combine(d_dR, charge) if draw(hst.booleans()) else d_dR
+    if dim == 1:
+        weight, cap = draw(hst.integers(0, 2)), draw(hst.integers(0, 3))
+    else:
+        weight = draw(hst.integers(0, 2 if side is Side.THETA else 1))
+        cap = draw(hst.integers(0, [3, 1, 0][weight]))
+    return charge, make_space(side, dim), weight, cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(capped_twists())
+def test_capped_dims_match_kernel_vector_reference(case):
+    """The rank formula gives the dimensions and stabilization flags that
+    kernel vectors gave."""
+    charge, space, weight, cap = case
+    table = cohomology_dims_capped(charge, space, weight, cap)
+    assert (table.dims, table.stabilization) == reference_capped_table(
+        charge, space, weight, cap
+    )
+
+
+@pytest.mark.parametrize(
+    "entries, dim, weight, cap",
+    [
+        ([(2, 1, 2, 1)], 2, 2, 0),  # b2, whose operator depends on the weight
+        ([(2, 1, 2, 1)], 2, 1, 1),
+        ([(3, 1, 2, 1)], 3, 0, 1),  # Heisenberg
+        ([(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -2)], 3, 0, 1),  # sl2
+    ],
+)
+def test_capped_lie_dims_match_kernel_vector_reference(entries, dim, weight, cap):
+    charge = lie_charge(StructureConstants.from_entries(dim, entries))
+    space = make_space(Side.THETA, dim)
+    table = cohomology_dims_capped(charge, space, weight, cap)
+    assert (table.dims, table.stabilization) == reference_capped_table(
+        charge, space, weight, cap
+    )
