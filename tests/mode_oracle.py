@@ -19,13 +19,17 @@
   rank(I + K) - rank(I), before one rank formula served both regimes:
   ``_capped_dims_once`` verbatim, on a verbatim copy of the block cache it
   used, driven by ``reference_capped_table``.
+- The sparse ``Fraction`` elimination behind ``linalg.rank`` and
+  ``linalg.kernel_basis`` before it reduced integer vectors and visited the
+  pivots through a heap: ``reference_eliminate``, verbatim apart from its
+  name, which scans every earlier pivot for each column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from chiralg.charges import CheckReport
 from chiralg.fock import (
@@ -483,3 +487,44 @@ def reference_capped_table(charge, space: SpaceSpec, max_weight: int, x0_cap: in
         stab[q] = row == bigger
         dims.update(bigger)
     return dims, stab
+
+
+def reference_eliminate(
+    columns: Sequence[Dict[Hashable, Fraction]], track: bool
+) -> Tuple[int, List[Dict[int, Fraction]]]:
+    """Rank of the columns and, when ``track`` is set, the relation
+    {column: coefficient} of each column that depends on earlier ones."""
+    index: Dict[Hashable, int] = {}  # row keys are hashed once, then ints
+    # (pivot row, vector with its implicit 1 at that row left out, combination
+    # of columns it equals); each is reduced against all earlier pivots, so
+    # reducing in this order never brings back a row already cleared
+    pivots: List[Tuple[int, Dict[int, Fraction], Optional[Dict[int, Fraction]]]] = []
+    relations = []
+    for c, col in enumerate(columns):
+        vec = {index.setdefault(r, len(index)): v for r, v in col.items() if v}
+        comb = {c: Fraction(1)}
+        for row, pvec, pcomb in pivots:
+            f = vec.pop(row, None)
+            if f is None:
+                continue
+            for r, v in pvec.items():
+                new = vec.get(r, 0) - f * v
+                if new:
+                    vec[r] = new
+                else:
+                    del vec[r]
+            if track:
+                for j, v in pcomb.items():
+                    new = comb.get(j, 0) - f * v
+                    if new:
+                        comb[j] = new
+                    else:
+                        del comb[j]
+        if vec:
+            row = next(iter(vec))
+            inv = 1 / vec.pop(row)
+            scaled = {j: v * inv for j, v in comb.items()} if track else None
+            pivots.append((row, {r: v * inv for r, v in vec.items()}, scaled))
+        elif track:
+            relations.append(comb)
+    return len(pivots), relations

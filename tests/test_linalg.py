@@ -1,18 +1,45 @@
-"""Sparse elimination against the dense Gauss-Jordan reference."""
+"""Sparse elimination against the dense Gauss-Jordan reference and against
+the Fraction elimination it replaced, on random and on real blocks."""
 
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 from hypothesis import given, settings, strategies as hst
 
+from chiralg import linalg
+from chiralg.charges import (
+    Potential,
+    StructureConstants,
+    chiral_de_rham,
+    combine,
+    default_torus_weights,
+    lie_charge,
+    potential_charge,
+)
+from chiralg.cohomology import cohomology_dims_capped, cohomology_dims_torus
+from chiralg.fock import Side, TorusWeights, make_space
 from chiralg.linalg import kernel_basis, rank
+from chiralg.modfun import delta_zero_modes, induce, polynomial_zero_modes, singular_vectors
 from dense_linalg import kernel_basis as dense_kernel_basis, rank as dense_rank
+from mode_oracle import reference_eliminate
 
 # mixed hashable row keys; the dense reference orders them by repr
 ROWS = hst.sampled_from([0, 1, 2, -5, "a", "b", ("x", 1), ("x", 2), (3, "y"), None])
-# small numerators make explicitly stored zeros and cancellations common
-VALUES = hst.builds(Fraction, hst.integers(-3, 3), hst.integers(1, 3))
+# small numerators make explicitly stored zeros and cancellations common;
+# large ones and large denominators test the integer scaling, and plain
+# ints mixed with Fractions in one column test the lcm of denominators
+SMALL = hst.builds(Fraction, hst.integers(-3, 3), hst.integers(1, 3))
+LARGE = hst.builds(Fraction, hst.integers(-(10**30), 10**30), hst.integers(1, 10**9))
+VALUES = SMALL | LARGE | hst.integers(-3, 3) | hst.integers(-(10**30), 10**30)
 NONZERO = VALUES.filter(bool)
 COLUMNS = hst.dictionaries(ROWS, VALUES, max_size=5)
+
+
+def as_fractions(cols):
+    """The columns with every value a Fraction, as the dense reference needs
+    (it would divide ints into floats)."""
+    return [{r: Fraction(v) for r, v in col.items()} for col in cols]
 
 
 def dense_kernel(cols):
@@ -20,9 +47,36 @@ def dense_kernel(cols):
     return [[rel.get(c, Fraction(0)) for c in range(len(cols))] for rel in kernel_basis(cols)]
 
 
+def assert_matches_dense_reference(cols):
+    exact = as_fractions(cols)
+    assert rank(cols) == dense_rank(exact)
+    assert dense_kernel(cols) == dense_kernel_basis(exact)
+    # every stored coefficient is a nonzero Fraction, never an int
+    assert all(type(v) is Fraction and v for rel in kernel_basis(cols) for v in rel.values())
+
+
+@hst.composite
+def fill_in_chains(draw):
+    """A staircase of pivots, column k leading at row k (its first key, the
+    entry possibly negative) with an entry on row k + 1 and maybe on later
+    rows, so reducing by pivot k brings in the rows of later pivots; then
+    columns supported on the first two rows, which follow that chain down."""
+    rows = draw(hst.lists(ROWS, min_size=2, max_size=6, unique=True))
+    cols = []
+    for k, row in enumerate(rows):
+        col = {row: draw(NONZERO)}
+        for later in rows[k + 1 : k + 2] + draw(hst.lists(hst.sampled_from(rows[k:]), max_size=2)):
+            col[later] = draw(NONZERO)
+        cols.append(col)
+    for _ in range(draw(hst.integers(1, 3))):
+        cols.append({r: draw(NONZERO) for r in draw(hst.lists(hst.sampled_from(rows[:2]), min_size=1, max_size=2))})
+    return cols
+
+
 @hst.composite
 def matrices(draw):
-    cols = draw(hst.lists(COLUMNS, max_size=9))
+    cols = draw(hst.lists(COLUMNS, max_size=4)) + draw(fill_in_chains())
+    cols += draw(hst.lists(COLUMNS, max_size=4))
     # dependent columns: copies of earlier ones, scaled, at random positions
     for _ in range(draw(hst.integers(0, 3))):
         if not cols:
@@ -36,8 +90,7 @@ def matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(matrices())
 def test_rank_and_kernel_match_dense_reference(cols):
-    assert rank(cols) == dense_rank(cols)
-    assert dense_kernel(cols) == dense_kernel_basis(cols)
+    assert_matches_dense_reference(cols)
 
 
 def test_degenerate_matrices_match_dense_reference():
@@ -47,12 +100,124 @@ def test_degenerate_matrices_match_dense_reference():
         [{}, {}],
         [{"a": zero}, {}, {("x", 1): zero, 2: zero}],
         [{1: Fraction(2)}, {1: Fraction(-4)}, {1: zero, "a": Fraction(1, 3)}],
+        [{1: 0, 2: -3}, {2: 6}, {1: 10**30, 2: Fraction(1, 10**9)}],
     ]
     for cols in cases:
-        assert rank(cols) == dense_rank(cols)
-        assert dense_kernel(cols) == dense_kernel_basis(cols)
+        assert_matches_dense_reference(cols)
     # each kernel vector is sparse: a zero coefficient is never stored
     assert kernel_basis([{1: Fraction(2)}, {}, {1: Fraction(-4)}]) == [
         {1: Fraction(1)},
         {2: Fraction(1), 0: Fraction(2)},
     ]
+
+
+def test_fill_in_chain_kernel():
+    """Column 3 meets only the pivot at row a; reducing by it brings in row
+    b, the pivot of column 1, and that brings in row c, the pivot of
+    column 2.  Column 4 starts the chain at row b."""
+    cols = [
+        {"a": -2, "b": Fraction(1, 2)},
+        {"b": 3, "c": 1},
+        {"c": Fraction(-2, 3)},
+        {"a": 4},
+        {"b": 1},
+    ]
+    assert rank(cols) == 3
+    assert kernel_basis(cols) == [
+        {3: Fraction(1), 0: Fraction(2), 1: Fraction(-1, 3), 2: Fraction(-1, 2)},
+        {4: Fraction(1), 1: Fraction(-1, 3), 2: Fraction(-1, 2)},
+    ]
+    assert_matches_dense_reference(cols)
+
+
+# --- real blocks against the Fraction elimination the package used before
+
+
+def _twist_case(draw):
+    """Capped or torus cohomology of a random potential twist: both sides,
+    one or two variables, d_dR on the form side in the capped regime."""
+    dim = draw(hst.integers(1, 2))
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    space = make_space(side, dim)
+    if draw(hst.booleans()):
+        # torus: a homogeneous potential, so the default weights keep it
+        degree = draw(hst.integers(2, 3))
+        exps = hst.tuples(*[hst.integers(0, degree)] * dim).filter(lambda e: sum(e) == degree)
+        coeffs = draw(hst.dictionaries(exps, NONZERO.filter(lambda v: abs(v) < 10**6), min_size=1, max_size=2))
+        f = Potential.from_terms(dim, [(c, e) for e, c in coeffs.items()])
+        charge = potential_charge(f, side)
+        weight = draw(hst.integers(0, 2 if dim == 1 else 1))
+        return partial(cohomology_dims_torus, charge, space, weight, default_torus_weights(f), (-2, 2))
+    exps = hst.tuples(*[hst.integers(0, 3)] * dim).filter(lambda e: 0 < sum(e) <= 3)
+    coeffs = draw(hst.dictionaries(exps, SMALL.filter(bool), min_size=1, max_size=3))
+    f = Potential.from_terms(dim, [(c, e) for e, c in coeffs.items()])
+    charge = potential_charge(f, side)
+    if side is Side.OMEGA and draw(hst.booleans()):
+        charge = combine(chiral_de_rham(dim), charge)
+    weight = draw(hst.integers(0, 2 if dim == 1 else 1))
+    cap = draw(hst.integers(0, 3 if dim == 1 and weight < 2 else 1))
+    return partial(cohomology_dims_capped, charge, space, weight, cap)
+
+
+def _lie_case(draw):
+    """sl2 or b2 under a random diagonal rescaling of the basis, which maps
+    c^k_ij to c^k_ij s_i s_j / s_k and brings in denominators."""
+    name = draw(hst.sampled_from(["sl2", "b2"]))
+    dim, entries = {
+        "sl2": (3, [(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -2)]),
+        "b2": (2, [(2, 1, 2, 1)]),
+    }[name]
+    scales = hst.sampled_from([Fraction(s) for s in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))])
+    s = draw(hst.lists(scales, min_size=dim, max_size=dim))
+    charge = lie_charge(StructureConstants.from_entries(
+        dim, [(k, i, j, v * s[i - 1] * s[j - 1] / s[k - 1]) for k, i, j, v in entries]
+    ))
+    space = make_space(Side.THETA, dim)
+    if draw(hst.booleans()):
+        weight = draw(hst.integers(0, 1))
+        return partial(cohomology_dims_torus, charge, space, weight, TorusWeights.x_count(dim), (0, 1))
+    # capped sl2 stays at weight 0: weight 1 takes seconds
+    weight = 0 if name == "sl2" else draw(hst.integers(0, 1))
+    return partial(cohomology_dims_capped, charge, space, weight, draw(hst.integers(0, 1)))
+
+
+def _module_case(draw):
+    """Singular vectors of a small induced zero-mode module."""
+    base = draw(hst.sampled_from([polynomial_zero_modes, delta_zero_modes]))(draw(hst.integers(0, 3)))
+    cap = draw(hst.integers(0, 3))
+    module = induce(base, cap)
+    weight = draw(hst.integers(0, cap))
+    return partial(singular_vectors, module, weight)
+
+
+@hst.composite
+def real_runs(draw):
+    return draw(hst.sampled_from([_twist_case, _lie_case, _module_case]))(draw)
+
+
+def eliminated_blocks(run):
+    """Every column list the run hands to the elimination."""
+    blocks = []
+    real = linalg._eliminate
+
+    def record(columns, track):
+        blocks.append(columns)
+        return real(columns, track)
+
+    with mock.patch.object(linalg, "_eliminate", record):
+        run()
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_runs())
+def test_elimination_matches_fraction_reference_on_real_blocks(run):
+    """Ranks and kernel vectors, their order, the order of their entries and
+    their Fraction type are those of the scan over every earlier pivot."""
+    for cols in eliminated_blocks(run):
+        for track in (False, True):
+            r, rels = linalg._eliminate(cols, track)
+            ref_r, ref_rels = reference_eliminate(cols, track)
+            assert r == ref_r
+            assert [list(rel.items()) for rel in rels] == [list(rel.items()) for rel in ref_rels]
+            assert all(type(v) is Fraction for rel in rels for v in rel.values())

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chiralg"
@@ -51,3 +52,38 @@ def test_recursion_check_sees_closures_and_skips_methods():
         "    return n * fact(n - 1) if n else 1\n"
     )
     assert sorted(self_calling_functions(tree)) == ["fact", "rec"]
+
+
+def non_stdlib_imports(tree: ast.AST) -> list:
+    """Top-level names of the absolute imports outside the standard library.
+    Relative imports (``from .linalg import rank``) are the package's own."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return [name for name in names if name not in sys.stdlib_module_names]
+
+
+def test_package_imports_only_stdlib():
+    found = {
+        path.name: non_stdlib_imports(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: mods for name, mods in found.items() if mods} == {}
+
+
+def test_stdlib_check_sees_absolute_imports_only():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "import os.path, sympy.core\n"
+        "from heapq import heappush\n"
+        "from math import gcd\n"
+        "from . import fock\n"
+        "from .linalg import rank\n"
+        "from __future__ import annotations\n"
+        "def f():\n"
+        "    from scipy import sparse\n"
+    )
+    assert non_stdlib_imports(tree) == ["numpy", "sympy", "scipy"]
