@@ -19,7 +19,7 @@ from chiralg import (
     check_nilpotent,
     chi_van,
     chiral_de_rham,
-    cohomology_dims,
+    cohomology_dims_capped,
     combine,
     make_space,
     potential_charge,
@@ -49,7 +49,7 @@ print("anticommutes with the de Rham charge?", bool(report))
 # ---------------------------------------------------------------------------
 # Weight-zero cohomology: the Jacobian ring
 # ---------------------------------------------------------------------------
-table = cohomology_dims(q_f, theta, 0, x0_cap=2 * d)
+table = cohomology_dims_capped(q_f, theta, 0, 2 * d)
 print()
 print("weight-0 cohomology of the bare potential charge:", dict(table.dims))
 print("expected: the Jacobian ring k[x]/(x^2), dimension", d)
@@ -58,7 +58,8 @@ print("expected: the Jacobian ring k[x]/(x^2), dimension", d)
 # The twisted de Rham complex and the refined character
 # ---------------------------------------------------------------------------
 total = combine(chiral_de_rham(1), potential_charge(f, Side.OMEGA))
-series, table = chi_van(total, omega, 3, x0_cap=2 * d)
+table = cohomology_dims_capped(total, omega, 3, 2 * d)
+series = chi_van(table)
 print()
 print("cohomology of d_dR + df through weight 3:", dict(table.dims))
 print("cap-stable at every weight?", all(table.stabilization.values()))

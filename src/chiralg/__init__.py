@@ -46,7 +46,8 @@ from .cohomology import (
     CohomologyError,
     CohomologyTable,
     chi_van,
-    cohomology_dims,
+    cohomology_dims_capped,
+    cohomology_dims_torus,
     euler_series,
 )
 from .qseries import (
@@ -63,10 +64,8 @@ from .modfun import (
     ZeroModeModule,
     check_epsilon,
     delta_zero_modes,
-    induce,
     polynomial_zero_modes,
     singular_vectors,
-    zero_modes_from_json,
 )
 
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ class Potential:
 
 
 def default_torus_weights(f: Potential, wx: Optional[Sequence[int]] = None) -> TorusWeights:
-    """The regularizing assignment wpsi_j = D - wx_j, wphi_j = wx_j - D.
+    """The regularizing assignment wphi_j = wx_j - D (so psi_j has D - wx_j).
 
     D is the quasi-homogeneous degree of f under wx (all 1 by default).
     Makes the potential charge torus-homogeneous of shift 0 on both sides.
@@ -85,7 +85,7 @@ def default_torus_weights(f: Potential, wx: Optional[Sequence[int]] = None) -> T
     if wx is None:
         wx = (1,) * f.dim
     D = f.quasi_degree(wx)
-    return TorusWeights.from_x_and_phi(tuple(wx), tuple(w - D for w in wx))
+    return TorusWeights(tuple(wx), tuple(w - D for w in wx))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,13 @@ from .charges import (
     lie_charge,
     potential_charge,
 )
-from .cohomology import CohomologyError, chi_van, cohomology_dims, euler_series
+from .cohomology import (
+    CohomologyError,
+    chi_van,
+    cohomology_dims_capped,
+    cohomology_dims_torus,
+    euler_series,
+)
 from .field import residue_charge
 from .fock import (
     FockError,
@@ -44,16 +50,17 @@ from .fock import (
     normalize,
 )
 from .modfun import (
+    ZERO_MODE_NAMES,
+    InducedTruncation,
     ModuleError,
+    ZeroModeModule,
     check_epsilon,
     delta_zero_modes,
-    induce,
     polynomial_zero_modes,
     singular_vectors,
-    zero_modes_from_json,
 )
 from .oper import charge_operator
-from .qseries import SeriesError, chi_closed_form, compare
+from .qseries import SeriesError, TruncatedSeries, chi_closed_form, compare
 
 # Fixed conventions the numbers depend on; hashed into every result document
 # so downstream comparisons can detect a convention drift.
@@ -93,9 +100,13 @@ def _field(doc, key, typ, where, required=True, default=None):
 
 
 def _fraction(val, where):
+    """An integer, or a string such as "3/2" or "0.25".  Exponent notation is
+    refused: Fraction("1e999999999") would build 10^999999999."""
     try:
         if isinstance(val, float):
             raise ValueError("floats are not exact")
+        if isinstance(val, str) and "e" in val.lower():
+            raise ValueError("exponent notation is not accepted")
         return Fraction(str(val))
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecError(f"{where}: not an exact rational: {val!r} ({exc})")
@@ -107,7 +118,6 @@ class ProblemSpec:
     def __init__(self, doc: dict, validate_lie: bool = True):
         if not isinstance(doc, dict):
             raise SpecError("spec root: expected a JSON object")
-        self.doc = doc
         self.dim = _field(doc, "dim", int, "spec")
         if self.dim < 1:
             raise SpecError("spec.dim: must be >= 1")
@@ -169,19 +179,18 @@ class ProblemSpec:
             tw = _field(doc, "torus_weights", dict, "spec")
             wx = _field(tw, "x", list, "spec.torus_weights")
             wphi = _field(tw, "phi", list, "spec.torus_weights")
-            wpsi = _field(
-                tw, "psi", list, "spec.torus_weights",
-                required=False, default=[-a for a in wphi],
-            )
-            for name, vec in (("x", wx), ("phi", wphi), ("psi", wpsi)):
+            psi = _field(tw, "psi", list, "spec.torus_weights", False, None)
+            for name, vec in (("x", wx), ("phi", wphi)):
                 if len(vec) != self.dim or not all(_is_int(v) for v in vec):
                     raise SpecError(
                         f"spec.torus_weights.{name}: expected {self.dim} integers"
                     )
-            try:
-                self.torus_weights = TorusWeights(tuple(wx), tuple(wphi), tuple(wpsi))
-            except FockError as exc:
-                raise SpecError(f"spec.torus_weights: {exc}")
+            # psi is optional: its weights can only be those of phi negated
+            if psi is not None and not (
+                all(_is_int(v) for v in psi) and psi == [-a for a in wphi]
+            ):
+                raise SpecError(f"spec.torus_weights.psi: expected -phi, got {psi!r}")
+            self.torus_weights = TorusWeights(tuple(wx), tuple(wphi))
 
         caps = _field(doc, "caps", dict, "spec", required=False, default={})
         self.weight_max = _field(caps, "weight_max", int, "spec.caps", False, 4)
@@ -246,10 +255,39 @@ class ProblemSpec:
             raise SpecError(
                 f"spec.zero_modes.builtin: expected 'polynomial' or 'delta', got {name!r}"
             )
+        # an explicit module: dense matrices, rows indexed by target basis vector
+        where = "spec.zero_modes"
+        labels = _field(zm, "labels", list, where)
+        if not all(isinstance(s, str) for s in labels):
+            raise SpecError(f"{where}.labels: expected strings, got {labels!r}")
+        degrees = _field(zm, "degrees", list, where)
+        parities = _field(zm, "parities", list, where)
+        for name, vals in (("degrees", degrees), ("parities", parities)):
+            if not all(_is_int(v) for v in vals):
+                raise SpecError(f"{where}.{name}: expected integers, got {vals!r}")
+        if any(p not in (0, 1) for p in parities):
+            raise SpecError(f"{where}.parities: expected 0 or 1, got {parities!r}")
+        cap = _field(zm, "cap", int, where)
+        raw = _field(zm, "actions", dict, where)
+        n = len(labels)
+        actions = {}
+        for name in ZERO_MODE_NAMES:
+            mat = _field(raw, name, list, where + ".actions")
+            if len(mat) != n or any(
+                not isinstance(row, list) or len(row) != n for row in mat
+            ):
+                raise SpecError(f"{where}.actions.{name}: expected a {n}x{n} matrix")
+            cols = [dict() for _ in range(n)]
+            for r, row in enumerate(mat):
+                for c, entry in enumerate(row):
+                    v = _fraction(entry, f"{where}.actions.{name}[{r}][{c}]")
+                    if v:
+                        cols[c][r] = v
+            actions[name] = cols
         try:
-            return zero_modes_from_json(zm)
-        except (ModuleError, ValueError) as exc:
-            raise SpecError(f"spec.zero_modes: {exc}")
+            return ZeroModeModule(tuple(labels), tuple(degrees), tuple(parities), cap, actions)
+        except ModuleError as exc:
+            raise SpecError(f"{where}: {exc}")
 
 
 # -- payload helpers -----------------------------------------------------------
@@ -356,32 +394,33 @@ def cmd_theta_check(spec: ProblemSpec):
     return payload, 0 if report else 1, None
 
 
-def _regime(spec: ProblemSpec, command: str) -> dict:
-    """Keyword arguments choosing torus or capped cohomology for the spec."""
+def _cohomology_table(spec: ProblemSpec, command: str):
+    """Torus cohomology when the spec gives torus weights and a z window,
+    else capped cohomology when it gives an x_0 cap."""
+    space = spec.space()
+    charge = spec.charge()
     if spec.torus_weights is not None and spec.z_window is not None:
-        return {"torus_weights": spec.torus_weights, "torus_window": spec.z_window}
+        return cohomology_dims_torus(
+            charge, space, spec.weight_max, spec.torus_weights, spec.z_window
+        )
     if spec.x0_cap is not None:
-        return {"x0_cap": spec.x0_cap}
+        return cohomology_dims_capped(charge, space, spec.weight_max, spec.x0_cap)
     raise SpecError(
         f"spec.caps: need x0_cap, or torus_weights with z_window, for '{command}'"
     )
 
 
 def cmd_cohomology(spec: ProblemSpec):
-    space = spec.space()
-    charge = spec.charge()
-    table = cohomology_dims(charge, space, spec.weight_max, **_regime(spec, "cohomology"))
+    table = _cohomology_table(spec, "cohomology")
     code = 0 if all(table.stabilization.values()) else 1
     return {"table": _table_json(table)}, code, table
 
 
 def cmd_chi_van(spec: ProblemSpec, oracle: str):
-    space = spec.space()
-    charge = spec.charge()
-    kwargs = _regime(spec, "chi-van")
     if oracle == "theta":
         d = _require_closed_form_scope(spec, "the theta oracle")
-    series, table = chi_van(charge, space, spec.weight_max, **kwargs)
+    table = _cohomology_table(spec, "chi-van")
+    series = chi_van(table)
     payload = {
         "series": series.to_json_dict((0, 0)),
         "table": _table_json(table),
@@ -394,14 +433,14 @@ def cmd_chi_van(spec: ProblemSpec, oracle: str):
             j: sum(oracle_series.rows.get(j, {}).values())
             for j in range(spec.weight_max + 1)
         }
-        mism = [
-            (j, series.rows.get(j, {}).get(0, 0), collapsed[j])
-            for j in range(spec.weight_max + 1)
-            if series.rows.get(j, {}).get(0, 0) != collapsed[j]
-        ]
         payload["oracle_rows"] = {str(j): v for j, v in collapsed.items()}
-        if mism:
-            j, got, want = mism[0]
+        report = compare(
+            series,
+            TruncatedSeries(spec.weight_max, {j: {0: v} for j, v in collapsed.items()}),
+            zwindow=(0, 0),
+        )
+        if not report:
+            j, _, got, want = report.first_mismatch
             payload["witness"] = {"q": j, "computed": got, "oracle": want}
             code = 1
     return payload, code, table
@@ -483,7 +522,7 @@ def cmd_reconstruct_check(spec: ProblemSpec):
 
 def cmd_singular(spec: ProblemSpec):
     base = spec.zero_mode_module()
-    module = induce(base, spec.weight_max)
+    module = InducedTruncation(base, spec.weight_max)
     dims = {}
     for q in range(spec.weight_max + 1):
         dims[str(q)] = len(singular_vectors(module, q))
@@ -541,10 +580,12 @@ def main(argv=None) -> int:
         print(f"error: '{args.command}' takes no oracle", file=sys.stderr)
         return 2
 
+    # ValueError covers undecodable bytes, bad JSON and over-long integer
+    # literals; RecursionError a too deeply nested document
     try:
         with open(args.spec) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
 

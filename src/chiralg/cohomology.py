@@ -28,7 +28,7 @@ table metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from .fock import (
     Monomial,
@@ -216,24 +216,6 @@ def cohomology_dims_capped(
     )
 
 
-def cohomology_dims(
-    charge: SymbolicCharge,
-    space: SpaceSpec,
-    max_weight: int,
-    *,
-    x0_cap: Optional[int] = None,
-    torus_weights: Optional[TorusWeights] = None,
-    torus_window: Optional[Tuple[int, int]] = None,
-) -> CohomologyTable:
-    if torus_weights is not None and torus_window is not None:
-        return cohomology_dims_torus(
-            charge, space, max_weight, torus_weights, torus_window
-        )
-    if x0_cap is None:
-        raise CohomologyError("need either an x0 cap or a torus window")
-    return cohomology_dims_capped(charge, space, max_weight, x0_cap)
-
-
 def euler_series(
     space: SpaceSpec,
     max_weight: int,
@@ -254,29 +236,15 @@ def euler_series(
     return TruncatedSeries(max_weight, rows, torus_window)
 
 
-def chi_van(
-    charge: SymbolicCharge,
-    space: SpaceSpec,
-    max_weight: int,
-    *,
-    x0_cap: Optional[int] = None,
-    torus_weights: Optional[TorusWeights] = None,
-    torus_window: Optional[Tuple[int, int]] = None,
-) -> Tuple[TruncatedSeries, CohomologyTable]:
-    """q-series of Euler characteristics of fixed-weight cohomology.
+def chi_van(table: CohomologyTable) -> TruncatedSeries:
+    """q-series of Euler characteristics of fixed-weight cohomology, through
+    the table's top weight (both regimes flag every weight they compute).
 
     A capped table may be unstable; its ``stabilization`` flags say where."""
-    table = cohomology_dims(
-        charge,
-        space,
-        max_weight,
-        x0_cap=x0_cap,
-        torus_weights=torus_weights,
-        torus_window=torus_window,
-    )
+    max_weight = max(table.stabilization)
     rows = {}
     for q in range(max_weight + 1):
         chi = table.euler(q)
         if chi:
             rows[q] = {0: chi}
-    return TruncatedSeries(max_weight, rows), table
+    return TruncatedSeries(max_weight, rows)

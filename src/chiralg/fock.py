@@ -160,24 +160,17 @@ def make_space(side: Side, dim: int) -> SpaceSpec:
 
 @dataclass(frozen=True)
 class TorusWeights:
-    """Integer torus weights per direction.
+    """Integer torus weights per direction, given on x and phi.
 
-    Bosonic pairs are forced conjugate (wy = -wx) and the fermionic weights
-    must satisfy wphi + wpsi = 0 in each direction.
+    Each pair is conjugate: y has weight -wx and psi weight -wphi.
     """
 
     wx: tuple
     wphi: tuple
-    wpsi: tuple
 
     def __post_init__(self):
-        if not (len(self.wx) == len(self.wphi) == len(self.wpsi)):
+        if len(self.wx) != len(self.wphi):
             raise FockError("torus weight tuples must have equal length")
-        for j, (a, b) in enumerate(zip(self.wphi, self.wpsi)):
-            if a + b != 0:
-                raise FockError(
-                    f"wphi[{j}] + wpsi[{j}] = {a + b}, expected 0"
-                )
 
     @property
     def dim(self) -> int:
@@ -191,16 +184,12 @@ class TorusWeights:
             return -self.wx[j]
         if mode.family is Family.PHI:
             return self.wphi[j]
-        return self.wpsi[j]
-
-    @staticmethod
-    def from_x_and_phi(wx: Sequence[int], wphi: Sequence[int]) -> "TorusWeights":
-        return TorusWeights(tuple(wx), tuple(wphi), tuple(-a for a in wphi))
+        return -self.wphi[j]
 
     @staticmethod
     def x_count(dim: int) -> "TorusWeights":
         """Grading by (number of x letters) - (number of y letters)."""
-        return TorusWeights((1,) * dim, (0,) * dim, (0,) * dim)
+        return TorusWeights((1,) * dim, (0,) * dim)
 
 
 class Monomial:
@@ -241,9 +230,6 @@ class Monomial:
     @property
     def parity(self) -> int:
         return sum(1 for m in self.modes if m.fermionic) % 2
-
-    def torus(self, weights: TorusWeights) -> int:
-        return sum(weights.of_mode(m) for m in self.modes)
 
     def x0_degree(self, direction: Optional[int] = None) -> int:
         return sum(

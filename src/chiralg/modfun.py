@@ -28,7 +28,7 @@ class ModuleError(ValueError):
     pass
 
 
-_ZERO_MODE_NAMES = ("x0", "y0", "phi0", "psi0")
+ZERO_MODE_NAMES = ("x0", "y0", "phi0", "psi0")
 
 
 @dataclass
@@ -49,10 +49,13 @@ class ZeroModeModule:
     def __post_init__(self):
         if self.cap < 0:
             raise ModuleError(f"degree cap must be >= 0, got {self.cap}")
+        # an empty module would pass every check vacuously
+        if not self.labels:
+            raise ModuleError("a zero-mode module needs at least one basis vector")
         n = len(self.labels)
         if not (len(self.degrees) == len(self.parities) == n):
             raise ModuleError("label/degree/parity lengths differ")
-        for name in _ZERO_MODE_NAMES:
+        for name in ZERO_MODE_NAMES:
             if name not in self.actions or len(self.actions[name]) != n:
                 raise ModuleError(f"missing or misshaped action matrix for {name}")
         self._check_relations()
@@ -114,7 +117,7 @@ def _line_zero_modes(
             labels.append(f"{raising}^{k}" + (" psi0" if eps else "") + suffix)
             degrees.append(k)
             parities.append(eps)
-    actions = {name: [dict() for _ in labels] for name in _ZERO_MODE_NAMES}
+    actions = {name: [dict() for _ in labels] for name in ZERO_MODE_NAMES}
     for (k, eps), i in index.items():
         if k + 1 <= cap:
             actions[raising][i] = {index[(k + 1, eps)]: Fraction(1)}
@@ -135,55 +138,6 @@ def polynomial_zero_modes(cap: int) -> ZeroModeModule:
 def delta_zero_modes(cap: int) -> ZeroModeModule:
     """The delta module C[y0] psi0^eps delta with x0 delta = 0, y-degree <= cap."""
     return _line_zero_modes(cap, "y0", "x0", -1, " delta")
-
-
-def zero_modes_from_json(doc: dict) -> ZeroModeModule:
-    """Build a ZeroModeModule from dense rational matrices.
-
-    Expected keys: labels (a list of strings), degrees (integers), parities
-    (0 or 1), cap (an integer), and actions {name: rows}, each matrix dense
-    with integer or decimal-string rational entries, rows indexed by target
-    basis vector.  Anything else raises ``ModuleError``.
-    """
-    try:
-        labels, degrees, parities = doc["labels"], doc["degrees"], doc["parities"]
-        cap, raw = doc["cap"], doc["actions"]
-    except KeyError as exc:
-        raise ModuleError(f"malformed zero-mode module: {exc}")
-    if not isinstance(labels, list) or any(not isinstance(s, str) for s in labels):
-        raise ModuleError(f"labels: expected a list of strings, got {labels!r}")
-    for key, vals in (("degrees", degrees), ("parities", parities), ("cap", [cap])):
-        if not isinstance(vals, list) or any(type(v) is not int for v in vals):
-            raise ModuleError(f"{key}: expected integers, got {doc[key]!r}")
-    if any(p not in (0, 1) for p in parities):
-        raise ModuleError(f"parities: expected 0 or 1, got {parities!r}")
-    if not isinstance(raw, dict):
-        raise ModuleError("actions must map each zero-mode name to a matrix")
-    n = len(labels)
-    actions = {}
-    for name in _ZERO_MODE_NAMES:
-        if name not in raw:
-            raise ModuleError(f"missing action matrix for {name}")
-        mat = raw[name]
-        if (
-            not isinstance(mat, list)
-            or len(mat) != n
-            or any(not isinstance(row, list) or len(row) != n for row in mat)
-        ):
-            raise ModuleError(f"action matrix for {name} is not {n}x{n}")
-        cols: List[Vector] = [dict() for _ in range(n)]
-        for r, row in enumerate(mat):
-            for c, entry in enumerate(row):
-                try:
-                    if type(entry) is not int and not isinstance(entry, str):
-                        raise ValueError(f"expected an integer or a string, got {entry!r}")
-                    v = Fraction(entry)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ModuleError(f"action matrix for {name}: {exc}")
-                if v:
-                    cols[c][r] = v
-        actions[name] = cols
-    return ZeroModeModule(tuple(labels), tuple(degrees), tuple(parities), cap, actions)
 
 
 # The positive factor lives on the line.  A mode of nonzero index creates
@@ -259,10 +213,6 @@ class InducedTruncation:
         return new_weight, {j: v for j, v in out.items() if v}
 
 
-def induce(base: ZeroModeModule, weight_cap: int) -> InducedTruncation:
-    return InducedTruncation(base, weight_cap)
-
-
 def singular_vectors(module: InducedTruncation, weight: int) -> List[Vector]:
     """Exact basis of the joint kernel of all negative modes at fixed weight.
 
@@ -299,12 +249,12 @@ class EpsilonReport:
 def check_epsilon(base: ZeroModeModule, weight_cap: int) -> EpsilonReport:
     """Truncated check that induction from the singular vectors recovers M.
 
-    For M = induce(N): the weight-0 singular vectors must span exactly N,
+    For M induced from N: the weight-0 singular vectors must span exactly N,
     there must be none in weights 1..cap, and the multiplication map from
     (free positive monomials) x (singular vectors) to M must be bijective
     weight by weight.
     """
-    module = induce(base, weight_cap)
+    module = InducedTruncation(base, weight_cap)
     details = {"weights": {}}
     ok = True
     sing0 = singular_vectors(module, 0)

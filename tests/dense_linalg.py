@@ -1,6 +1,7 @@
 """Dense reference for chiralg.linalg: the Fraction Gauss-Jordan elimination
-the package used before its sparse routine, kept verbatim so tests can
-require the sparse code to return exactly the same ranks and kernel vectors.
+the package used before its sparse routine, kept so tests can require the
+sparse code to return exactly the same ranks and kernel vectors.  Entries are
+converted to Fraction, so int inputs are divided exactly, never in floats.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ def _to_dense(columns: Sequence[Column]):
     dense = [[Fraction(0)] * len(columns) for _ in rows]
     for c, col in enumerate(columns):
         for r, v in col.items():
-            dense[idx[r]][c] = v
+            dense[idx[r]][c] = Fraction(v)
     return dense
 
 

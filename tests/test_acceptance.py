@@ -19,7 +19,7 @@ from chiralg.charges import (
 )
 from chiralg.cohomology import (
     chi_van,
-    cohomology_dims,
+    cohomology_dims_capped,
     cohomology_dims_torus,
     euler_series,
 )
@@ -36,9 +36,9 @@ from chiralg.fock import (
     normalize,
 )
 from chiralg.modfun import (
+    InducedTruncation,
     check_epsilon,
     delta_zero_modes,
-    induce,
     polynomial_zero_modes,
     singular_vectors,
 )
@@ -93,7 +93,7 @@ def test_criterion_04_jacobian_ring():
     ok = True
     for d in range(1, 6):
         charge = potential_charge(Potential.single_variable(d + 1), Side.THETA)
-        table = cohomology_dims(charge, THETA1, 0, x0_cap=2 * d)
+        table = cohomology_dims_capped(charge, THETA1, 0, 2 * d)
         ok = ok and table.dims == {(0, 0): d} and table.stabilization[0]
     verdict(4, "weight-0 Jacobian ring has dimension d in degree 0 (d<=5)", ok)
 
@@ -105,7 +105,7 @@ def test_criterion_05_twisted_de_rham():
             chiral_de_rham(1),
             potential_charge(Potential.single_variable(d + 1), Side.OMEGA),
         )
-        table = cohomology_dims(charge, OMEGA1, 0, x0_cap=2 * d)
+        table = cohomology_dims_capped(charge, OMEGA1, 0, 2 * d)
         ok = (
             ok
             and table.dims == {(0, 1): d}
@@ -132,7 +132,7 @@ def test_criterion_06_nilpotency_and_compatibility():
 
 
 def test_criterion_07_chiral_de_rham_acyclicity():
-    table = cohomology_dims(chiral_de_rham(1), OMEGA1, 4, x0_cap=2)
+    table = cohomology_dims_capped(chiral_de_rham(1), OMEGA1, 4, 2)
     ok = table.dims == {(0, 0): 1} and all(table.stabilization.values())
     verdict(7, "chiral de Rham cohomology: 1 at weight 0, zero in weights 1..4", ok)
 
@@ -192,9 +192,9 @@ def test_criterion_09_lie_algebra_instance():
 
 def test_criterion_10_singular_vector_functor():
     ok = True
-    vac = induce(polynomial_zero_modes(2), 4)
+    vac = InducedTruncation(polynomial_zero_modes(2), 4)
     ok = ok and [len(singular_vectors(vac, q)) for q in range(5)] == [6, 0, 0, 0, 0]
-    delta = induce(delta_zero_modes(3), 4)
+    delta = InducedTruncation(delta_zero_modes(3), 4)
     ok = ok and [len(singular_vectors(delta, q)) for q in range(5)] == [8, 0, 0, 0, 0]
     ok = ok and bool(check_epsilon(polynomial_zero_modes(2), 3))
     ok = ok and bool(check_epsilon(delta_zero_modes(3), 2))
@@ -241,7 +241,8 @@ def test_criterion_12_weightwise_finiteness():
             chiral_de_rham(1),
             potential_charge(Potential.single_variable(d + 1), Side.OMEGA),
         )
-        series, table = chi_van(charge, OMEGA1, 4, x0_cap=2 * d)
+        table = cohomology_dims_capped(charge, OMEGA1, 4, 2 * d)
+        series = chi_van(table)
         ok = ok and all(table.stabilization.values())
         ok = ok and table.dims == {(0, 1): d}
         ok = ok and all(v >= 0 for v in table.dims.values())

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # zero_mode_modules runs the linalg and modfun path, theta_character the
 # fock, cohomology and qseries path; capped_derham and torus_sl2 run
-# cohomology_dims in each regime, through the charge's operator
+# capped and torus cohomology, through the charge's operator
 @pytest.mark.parametrize(
     "workload", ["zero_mode_modules", "theta_character", "capped_derham", "torus_sl2"]
 )

@@ -57,7 +57,8 @@ def test_quasi_degree():
 
 def test_default_torus_weights_z3():
     tw = default_torus_weights(Potential.single_variable(3))
-    assert tw.wx == (1,) and tw.wphi == (-2,) and tw.wpsi == (2,)
+    assert tw == TorusWeights((1,), (-2,))
+    assert tw.of_mode(PSI(0)) == 2
 
 
 def test_chiral_de_rham_weight0():
@@ -179,13 +180,13 @@ def test_check_anticommute_examples():
 
 def test_validate_homogeneity_examples():
     f = Potential.single_variable(3)
-    good = TorusWeights.from_x_and_phi((1,), (-2,))
+    good = TorusWeights((1,), (-2,))
     assert potential_charge(f, Side.THETA).torus_shift(good) == 0
-    bad = TorusWeights.from_x_and_phi((1,), (-1,))
+    bad = TorusWeights((1,), (-1,))
     assert potential_charge(f, Side.THETA).torus_shift(bad) != 0
     g = Potential.from_terms(2, [(1, (2, 1))])
     tw = default_torus_weights(g, wx=(1, 2))
-    assert tw.wpsi == (3, 2)
+    assert [tw.of_mode(PSI(0, j)) for j in (1, 2)] == [3, 2]
     assert potential_charge(g, Side.OMEGA).torus_shift(tw) == 0
 
 

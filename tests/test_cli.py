@@ -1,10 +1,12 @@
 """Batch front-end: spec validation, exit codes, payload determinism."""
 
 import json
+import time
 
 import pytest
 
-from chiralg.cli import LEDGER_HASH, main
+from chiralg.cli import LEDGER_HASH, ProblemSpec, SpecError, main
+from chiralg.modfun import polynomial_zero_modes
 
 SL2 = {"dim": 3, "c": [[3, 1, 2, "1"], [1, 3, 1, "2"], [2, 3, 2, "-2"]]}
 BAD_JACOBI = {"dim": 3, "c": [[3, 1, 2, "1"], [1, 3, 1, "2"], [2, 3, 2, "-1"]]}
@@ -109,6 +111,22 @@ def test_invalid_specs_exit_2(tmp_path, capsys):
             {"dim": 3, "lie": {"dim": 3, "c": [[3, True, 2, "1"]] + SL2["c"][1:]},
              "caps": {"weight_max": 0}},
         ),
+        # psi weights can only be those of phi negated, as integers; without
+        # psi this spec exits 0
+        *(
+            (
+                "cohomology",
+                dict(x2, side="theta", torus_weights={"x": [1], "phi": [-1], "psi": psi},
+                     caps={"weight_max": 0, "z_window": [-2, 2]}),
+            )
+            for psi in ([2], [1, 1], [1.0], [True], ["1"])
+        ),
+        # a non-integer phi weight is refused before psi is compared with -phi
+        (
+            "cohomology",
+            dict(x2, side="theta", torus_weights={"x": [1], "phi": ["a"]},
+                 caps={"weight_max": 0, "z_window": [-2, 2]}),
+        ),
     ]
     for command, spec in cases:
         code, _ = run(tmp_path, command, spec)
@@ -119,6 +137,73 @@ def test_invalid_specs_exit_2(tmp_path, capsys):
 def test_unreadable_spec_exits_2(tmp_path, capsys):
     assert main(["basis", "--spec", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # undecodable bytes, an integer literal over Python's 4300-digit limit,
+    # and nesting deeper than the recursion limit
+    for name, data in (
+        ("bom.json", b"\xff\xfe{}"),
+        ("digits.json", b'{"dim": ' + b"1" * 5000 + b"}"),
+        ("nested.json", b"[" * 200_000),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["basis", "--spec", str(path)]) == 2, name
+        assert "error: cannot read spec" in capsys.readouterr().err
+
+
+def test_exponent_notation_exits_2_quickly(tmp_path, capsys):
+    """Fraction("1e999999999") would build 10^999999999; a coefficient and a
+    zero-mode entry in exponent notation are refused before any of that."""
+    coeff = {
+        "dim": 1,
+        "potential": {"terms": [{"coeff": "1e10000000", "exps": [2]}]},
+        "caps": {"weight_max": 0, "x0_cap": 1},
+    }
+    zero_modes = {
+        "labels": ["1"], "degrees": [0], "parities": [0], "cap": 0,
+        "actions": {name: [["0"]] for name in ("x0", "y0", "phi0", "psi0")},
+    }
+    zero_modes["actions"]["x0"] = [["1e999999999"]]
+    entry = {"dim": 1, "zero_modes": zero_modes, "caps": {"weight_max": 0}}
+    for command, spec, field in (
+        ("nilpotency", coeff, "spec.potential.terms[0].coeff"),
+        ("singular", entry, "spec.zero_modes.actions.x0[0][0]"),
+    ):
+        start = time.monotonic()
+        code, _ = run(tmp_path, command, spec)
+        assert code == 2 and time.monotonic() - start < 5, command
+        assert field in capsys.readouterr().err
+
+
+def test_torus_weights_psi_equal_to_minus_phi_is_accepted(tmp_path):
+    """The refusals of other psi values are cases of test_invalid_specs_exit_2."""
+    spec = {
+        "dim": 1,
+        "potential": {"terms": [{"coeff": "1", "exps": [3]}]},
+        "torus_weights": {"x": [1], "phi": [-2]},
+        "caps": {"weight_max": 1, "z_window": [-2, 2]},
+    }
+    code, text = run(tmp_path, "cohomology", spec)
+    assert code == 0
+    payload = json.loads(text)["payload"]
+    spec["torus_weights"]["psi"] = [2]
+    code, text = run(tmp_path, "cohomology", spec)
+    assert code == 0 and json.loads(text)["payload"] == payload
+
+
+def test_cohomology_commands_need_a_regime(tmp_path, capsys):
+    """Torus weights without a z window, or a window without torus weights,
+    choose neither regime."""
+    x3 = {"dim": 1, "potential": {"terms": [{"coeff": "1", "exps": [3]}]}}
+    for spec in (
+        dict(x3, caps={"weight_max": 1}),
+        dict(x3, caps={"weight_max": 1, "z_window": [-2, 2]}),
+        dict(x3, caps={"weight_max": 1}, torus_weights={"x": [1], "phi": [-2]}),
+    ):
+        for command in ("cohomology", "chi-van"):
+            code, text = run(tmp_path, command, spec)
+            assert code == 2 and text == "", (command, spec)
+            err = capsys.readouterr().err
+            assert "spec.caps: need x0_cap, or torus_weights with z_window" in err
 
 
 def test_payload_determinism(tmp_path):
@@ -218,8 +303,8 @@ def test_theta_oracle_refuses_degree_1_before_computing(tmp_path, capsys, monkey
     def unreachable(*args, **kwargs):
         raise AssertionError("computed before the scope check")
 
-    monkeypatch.setattr(cli, "chi_van", unreachable)
-    monkeypatch.setattr(cli, "euler_series", unreachable)
+    for name in ("chi_van", "cohomology_dims_capped", "cohomology_dims_torus", "euler_series"):
+        monkeypatch.setattr(cli, name, unreachable)
     spec = {
         "dim": 1,
         "side": "omega",
@@ -359,25 +444,78 @@ def test_malformed_zero_mode_actions_exit_2(tmp_path, capsys):
     }
     bad = [
         # a list, not a name -> matrix object
-        dict(zero_modes, actions=["x0", "y0", "phi0", "psi0"]),
+        (dict(zero_modes, actions=["x0", "y0", "phi0", "psi0"]), "actions"),
         # rows not lists
-        dict(zero_modes, labels=["a"], degrees=[0], parities=[0],
-             actions={name: [1] for name in names}),
+        (
+            dict(zero_modes, labels=["a"], degrees=[0], parities=[0],
+                 actions={name: [1] for name in names}),
+            "actions.x0",
+        ),
         # each of these was truncated or split into a valid module
-        dict(valid, degrees=[0.9, 0], cap=0.5),
-        dict(valid, degrees=[True, 0]),
-        dict(valid, cap=False),
-        dict(valid, parities=[0, 3]),
-        dict(valid, labels="ab"),
-        dict(valid, actions=dict(valid["actions"], psi0=[[0, 0], [1.0, 0]])),
+        (dict(valid, degrees=[0.9, 0], cap=0.5), "degrees"),
+        (dict(valid, degrees=[True, 0]), "degrees"),
+        (dict(valid, cap=False), "cap"),
+        (dict(valid, parities=[0, 3]), "parities"),
+        (dict(valid, labels="ab"), "labels"),
+        (dict(valid, actions=dict(valid["actions"], psi0=[[0, 0], [1.0, 0]])), "actions.psi0[1][0]"),
     ]
     code, _ = run(tmp_path, "singular", {"dim": 1, "caps": {"weight_max": 1}, "zero_modes": valid})
     assert code == 0
-    for zm in bad:
+    for zm, field in bad:
         spec = {"dim": 1, "caps": {"weight_max": 1}, "zero_modes": zm}
         code, _ = run(tmp_path, "singular", spec)
         assert code == 2, zm
-        assert "error: spec.zero_modes:" in capsys.readouterr().err
+        assert f"error: spec.zero_modes.{field}:" in capsys.readouterr().err
+
+
+def test_empty_zero_mode_module_exits_2(tmp_path, capsys):
+    """No basis vectors: the singular count and the epsilon check would pass
+    vacuously."""
+    zero_modes = {
+        "labels": [], "degrees": [], "parities": [], "cap": 0,
+        "actions": {name: [] for name in ("x0", "y0", "phi0", "psi0")},
+    }
+    spec = {"dim": 1, "zero_modes": zero_modes, "caps": {"weight_max": 1}}
+    for command in ("singular", "epsilon-check"):
+        code, text = run(tmp_path, command, spec)
+        assert code == 2 and text == "", command
+        assert "at least one basis vector" in capsys.readouterr().err
+
+
+def _zero_mode_json(base):
+    """The spec object of a zero-mode module: dense matrices of strings."""
+    n = base.dim
+    doc = {
+        "labels": list(base.labels),
+        "degrees": list(base.degrees),
+        "parities": list(base.parities),
+        "cap": base.cap,
+        "actions": {},
+    }
+    for name, cols in base.actions.items():
+        mat = [["0"] * n for _ in range(n)]
+        for c, col in enumerate(cols):
+            for r, v in col.items():
+                mat[r][c] = str(v)
+        doc["actions"][name] = mat
+    return doc
+
+
+def test_zero_mode_json_round_trip():
+    base = polynomial_zero_modes(1)
+    back = ProblemSpec({"dim": 1, "zero_modes": _zero_mode_json(base)}).zero_mode_module()
+    assert back.labels == base.labels
+    for name in base.actions:
+        assert back.actions[name] == base.actions[name]
+
+
+def test_zero_mode_json_rejects_malformed_input():
+    with pytest.raises(SpecError):
+        ProblemSpec({"dim": 1, "zero_modes": {"labels": ["a"]}}).zero_mode_module()
+    base = polynomial_zero_modes(1)
+    doc = dict(_zero_mode_json(base), actions={name: [["0"]] for name in base.actions})
+    with pytest.raises(SpecError):
+        ProblemSpec({"dim": 1, "zero_modes": doc}).zero_mode_module()
 
 
 def test_zero_mode_commands_refuse_other_dims(tmp_path, capsys):

@@ -18,7 +18,6 @@ from chiralg.charges import (
 from chiralg.cohomology import (
     CohomologyError,
     chi_van,
-    cohomology_dims,
     cohomology_dims_capped,
     cohomology_dims_torus,
     euler_series,
@@ -85,13 +84,13 @@ def test_linalg_rank_shuffle_invariance():
 def test_jacobian_ring_dims_small():
     for d in (1, 2):
         charge = potential_charge(Potential.single_variable(d + 1), Side.THETA)
-        table = cohomology_dims(charge, THETA1, 0, x0_cap=2 * d)
+        table = cohomology_dims_capped(charge, THETA1, 0, 2 * d)
         assert table.dims == {(0, 0): d}
         assert table.stabilization[0]
 
 
 def test_chiral_de_rham_weight0_and_1():
-    table = cohomology_dims(chiral_de_rham(1), OMEGA1, 1, x0_cap=2)
+    table = cohomology_dims_capped(chiral_de_rham(1), OMEGA1, 1, 2)
     assert table.dims == {(0, 0): 1}
     assert all(table.stabilization.values())
 
@@ -102,7 +101,7 @@ def test_twisted_de_rham_weight0():
             chiral_de_rham(1),
             potential_charge(Potential.single_variable(d + 1), Side.OMEGA),
         )
-        table = cohomology_dims(charge, OMEGA1, 0, x0_cap=2 * d)
+        table = cohomology_dims_capped(charge, OMEGA1, 0, 2 * d)
         assert table.dims == {(0, 1): d}
         assert table.euler(0) == -d
 
@@ -131,11 +130,11 @@ def test_euler_series_empty_window():
 def test_chi_van_q0_coefficients():
     f3 = Potential.single_variable(3)
     charge = combine(chiral_de_rham(1), potential_charge(f3, Side.OMEGA))
-    series, _ = chi_van(charge, OMEGA1, 0, x0_cap=4)
+    series = chi_van(cohomology_dims_capped(charge, OMEGA1, 0, 4))
     assert series.rows[0] == {0: -2}
     f2 = Potential.single_variable(2)
     charge2 = combine(chiral_de_rham(1), potential_charge(f2, Side.OMEGA))
-    series2, _ = chi_van(charge2, OMEGA1, 1, x0_cap=2)
+    series2 = chi_van(cohomology_dims_capped(charge2, OMEGA1, 1, 2))
     assert series2.rows.get(0) == {0: -1}
     assert series2.rows.get(1) is None
 
@@ -144,9 +143,7 @@ def test_chi_van_zero_charge_counts_chains():
     """With a zero differential, chi_van is the alternating chain count."""
     charge = lie_charge(StructureConstants.from_entries(1, []))
     tw = TorusWeights.x_count(1)
-    series, table = chi_van(
-        charge, THETA1, 1, torus_weights=tw, torus_window=(0, 2)
-    )
+    series = chi_van(cohomology_dims_torus(charge, THETA1, 1, tw, (0, 2)))
     for q in (0, 1):
         chi = 0
         for _, degree, _ in enumerate_torus_window(THETA1, q, tw, (0, 2)):
@@ -191,19 +188,13 @@ def test_torus_mode_rejects_inhomogeneous_charge():
         cohomology_dims_torus(charge, OMEGA1, 0, tw, (-1, 1))
 
 
-def test_cohomology_requires_cap_or_torus():
-    charge = chiral_de_rham(1)
-    with pytest.raises(CohomologyError):
-        cohomology_dims(charge, OMEGA1, 1)
-
-
 def test_capped_and_torus_regimes_agree():
     """For f = z^2, z^3, z^4 the weight <= 2 dimensions agree between regimes."""
     for degree, cap in ((2, 3), (3, 6), (4, 8)):
         f = Potential.single_variable(degree)
         charge = potential_charge(f, Side.THETA)
         tw = default_torus_weights(f)
-        capped = cohomology_dims(charge, THETA1, 2, x0_cap=cap)
+        capped = cohomology_dims_capped(charge, THETA1, 2, cap)
         torus = cohomology_dims_torus(charge, THETA1, 2, tw, (-8, 8))
         assert capped.dims == torus.dims
 
@@ -214,7 +205,7 @@ def test_lie_charge_b2_needs_an_operator_per_weight():
     the largest weight acts wrongly on lower weights."""
     charge = lie_charge(StructureConstants.from_entries(2, [(2, 1, 2, 1)]))
     theta2 = make_space(Side.THETA, 2)
-    capped = cohomology_dims(charge, theta2, 2, x0_cap=1)
+    capped = cohomology_dims_capped(charge, theta2, 2, 1)
     assert capped.dims == {(0, -1): 1, (0, 0): 1}
     torus = cohomology_dims_torus(charge, theta2, 2, TorusWeights.x_count(2), (0, 0))
     assert torus.metadata["per_bigrade"] == {"0,-1,0": 1, "0,0,0": 1}
@@ -222,8 +213,8 @@ def test_lie_charge_b2_needs_an_operator_per_weight():
 
 def test_table_determinism():
     charge = potential_charge(Potential.single_variable(3), Side.THETA)
-    a = cohomology_dims(charge, THETA1, 1, x0_cap=3)
-    b = cohomology_dims(charge, THETA1, 1, x0_cap=3)
+    a = cohomology_dims_capped(charge, THETA1, 1, 3)
+    b = cohomology_dims_capped(charge, THETA1, 1, 3)
     assert a.dims == b.dims and a.stabilization == b.stabilization
 
 

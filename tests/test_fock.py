@@ -25,6 +25,11 @@ THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
 
 
+def torus(mono, tw):
+    """The torus value of a monomial: the sum over its letters."""
+    return sum(tw.of_mode(m) for m in mono.modes)
+
+
 def test_make_space_rejects_bad_dim():
     with pytest.raises(FockError):
         make_space(Side.THETA, 0)
@@ -73,7 +78,7 @@ def test_basis_weight0_cap2():
 
 
 def test_basis_omega_torus_regularized():
-    tw = TorusWeights.from_x_and_phi((1,), (-2,))
+    tw = TorusWeights((1,), (-2,))
     window = enumerate_torus_window(OMEGA1, 0, tw, (-1, -1))
     assert [(t, k, m.text()) for t, k, m in window] == [(-1, 1, "x_0 phi_0")]
 
@@ -99,15 +104,20 @@ def test_normalize_rejects_annihilator():
 def test_grade_examples():
     m = next(iter(st(THETA1, X(2), Y(1), PSI(0)).terms))
     assert m.weight == 3 and m.degree == -1
-    tw = TorusWeights.from_x_and_phi((1,), (-2,))  # f = z^3 assignment
-    assert m.torus(tw) == 1 - 1 + 2
+    tw = TorusWeights((1,), (-2,))  # f = z^3 assignment
+    assert torus(m, tw) == 1 - 1 + 2
     vacuum = Monomial()
-    assert (vacuum.weight, vacuum.degree, vacuum.torus(tw)) == (0, 0, 0)
+    assert (vacuum.weight, vacuum.degree, torus(vacuum, tw)) == (0, 0, 0)
 
 
 def test_torus_weights_conjugacy_enforced():
+    # y and psi carry the weights of x and phi negated, by construction
+    tw = TorusWeights((1, -3), (2, 0))
+    for j in (1, 2):
+        x, y, phi, psi = (tw.of_mode(ModeKey(fam, j, 0)) for fam in Family)
+        assert (y, psi) == (-x, -phi)
     with pytest.raises(FockError):
-        TorusWeights((1,), (2,), (1,))
+        TorusWeights((1,), (2, 0))
 
 
 def test_basis_sizes_match_partition_product():
@@ -125,13 +135,13 @@ def test_unbounded_request_rejected_with_diagnostic():
 
 
 def test_unbounded_torus_weights_rejected():
-    tw = TorusWeights((0,), (1,), (-1,))
+    tw = TorusWeights((0,), (1,))
     with pytest.raises(UnboundedBasisError) as err:
         list(enumerate_torus_window(THETA1, 0, tw, (0, 0)))
     assert "x1_0" in str(err.value)
     theta2 = make_space(Side.THETA, 2)
     for wx in ((1, 0), (1, -1)):
-        tw = TorusWeights.from_x_and_phi(wx, (0, 0))
+        tw = TorusWeights(wx, (0, 0))
         with pytest.raises(UnboundedBasisError):
             list(enumerate_torus_window(theta2, 1, tw, (-2, 2)))
 
@@ -152,7 +162,7 @@ def test_normalize_idempotent(modes):
     hst.lists(hst.sampled_from(_CREATORS), max_size=4),
 )
 def test_grade_is_additive(a, b):
-    tw = TorusWeights.from_x_and_phi((1,), (-2,))
+    tw = TorusWeights((1,), (-2,))
     whole = normalize(THETA1, tuple(a) + tuple(b))
     if whole.is_zero():
         return
@@ -165,17 +175,17 @@ def test_grade_is_additive(a, b):
     tb = sum(tw.of_mode(k) for k in b)
     assert m.weight == wa + wb
     assert m.degree == da + db
-    assert m.torus(tw) == ta + tb
+    assert torus(m, tw) == ta + tb
 
 
 def test_enumerated_monomials_satisfy_requested_grade():
-    tw = TorusWeights.from_x_and_phi((1,), (-2,))
+    tw = TorusWeights((1,), (-2,))
     for q in range(4):
         for mono in enumerate_basis(THETA1, q, x0_cap=2):
             assert mono.weight == q and mono.x0_degree() <= 2
         for t, k, mono in enumerate_torus_window(THETA1, q, tw, (-3, 3)):
             assert mono.weight == q and mono.degree == k
-            assert mono.torus(tw) == t and -3 <= t <= 3
+            assert torus(mono, tw) == t and -3 <= t <= 3
 
 
 def test_state_arithmetic_is_exact():
@@ -198,7 +208,7 @@ _WINDOW_CASES = [
 @pytest.mark.parametrize("side, wx, wphi, window, max_weight", _WINDOW_CASES)
 def test_torus_window_matches_capped_enumeration(side, wx, wphi, window, max_weight):
     space = make_space(side, len(wx))
-    tw = TorusWeights.from_x_and_phi(wx, wphi)
+    tw = TorusWeights(wx, wphi)
     lo, hi = window
     bound = max(abs(w) for w in wx + wphi)
     for q in range(max_weight + 1):
@@ -207,7 +217,7 @@ def test_torus_window_matches_capped_enumeration(side, wx, wphi, window, max_wei
         # by at least 1 in one direction: no monomial in the window has more
         # x_0 letters than this cap
         cap = max(abs(lo), abs(hi)) + (q + space.dim) * bound
-        capped = [(m.torus(tw), m) for m in enumerate_basis(space, q, x0_cap=cap)]
+        capped = [(torus(m, tw), m) for m in enumerate_basis(space, q, x0_cap=cap)]
         got = {}
         for t, degree, mono in enumerate_torus_window(space, q, tw, window):
             assert degree == mono.degree
@@ -219,7 +229,7 @@ def test_torus_window_matches_capped_enumeration(side, wx, wphi, window, max_wei
 
 
 def test_empty_torus_window_yields_nothing():
-    tw = TorusWeights.from_x_and_phi((1,), (0,))
+    tw = TorusWeights((1,), (0,))
     assert list(enumerate_torus_window(THETA1, 2, tw, (1, 0))) == []
     # weight 0 of the theta side with these weights has torus values >= 0
     assert list(enumerate_torus_window(THETA1, 0, tw, (-5, -1))) == []
@@ -251,7 +261,7 @@ def test_torus_window_matches_recursive_reference(piece, data):
     sign = data.draw(hst.sampled_from((1, -1)))
     wx = [sign * data.draw(hst.integers(1, 3)) for _ in range(space.dim)]
     wphi = [data.draw(hst.integers(-3, 3)) for _ in range(space.dim)]
-    tw = TorusWeights.from_x_and_phi(wx, wphi)
+    tw = TorusWeights(wx, wphi)
     lo = data.draw(hst.integers(-8, 8))
     window = (lo, data.draw(hst.integers(lo - 1, lo + 8)))
 

@@ -20,7 +20,12 @@ from chiralg.charges import (
 from chiralg.cohomology import cohomology_dims_capped, cohomology_dims_torus
 from chiralg.fock import Side, TorusWeights, make_space
 from chiralg.linalg import kernel_basis, rank
-from chiralg.modfun import delta_zero_modes, induce, polynomial_zero_modes, singular_vectors
+from chiralg.modfun import (
+    InducedTruncation,
+    delta_zero_modes,
+    polynomial_zero_modes,
+    singular_vectors,
+)
 from dense_linalg import kernel_basis as dense_kernel_basis, rank as dense_rank
 from mode_oracle import reference_eliminate
 
@@ -36,21 +41,14 @@ NONZERO = VALUES.filter(bool)
 COLUMNS = hst.dictionaries(ROWS, VALUES, max_size=5)
 
 
-def as_fractions(cols):
-    """The columns with every value a Fraction, as the dense reference needs
-    (it would divide ints into floats)."""
-    return [{r: Fraction(v) for r, v in col.items()} for col in cols]
-
-
 def dense_kernel(cols):
     """The sparse kernel vectors written out over all the columns."""
     return [[rel.get(c, Fraction(0)) for c in range(len(cols))] for rel in kernel_basis(cols)]
 
 
 def assert_matches_dense_reference(cols):
-    exact = as_fractions(cols)
-    assert rank(cols) == dense_rank(exact)
-    assert dense_kernel(cols) == dense_kernel_basis(exact)
+    assert rank(cols) == dense_rank(cols)
+    assert dense_kernel(cols) == dense_kernel_basis(cols)
     # every stored coefficient is a nonzero Fraction, never an int
     assert all(type(v) is Fraction and v for rel in kernel_basis(cols) for v in rel.values())
 
@@ -101,9 +99,12 @@ def test_degenerate_matrices_match_dense_reference():
         [{"a": zero}, {}, {("x", 1): zero, 2: zero}],
         [{1: Fraction(2)}, {1: Fraction(-4)}, {1: zero, "a": Fraction(1, 3)}],
         [{1: 0, 2: -3}, {2: 6}, {1: 10**30, 2: Fraction(1, 10**9)}],
+        [{0: 3}, {0: 1}],
     ]
     for cols in cases:
         assert_matches_dense_reference(cols)
+    # int entries are divided exactly, by the reference too
+    assert dense_kernel_basis([{0: 3}, {0: 1}]) == [[Fraction(-1, 3), Fraction(1)]]
     # each kernel vector is sparse: a zero coefficient is never stored
     assert kernel_basis([{1: Fraction(2)}, {}, {1: Fraction(-4)}]) == [
         {1: Fraction(1)},
@@ -185,7 +186,7 @@ def _module_case(draw):
     """Singular vectors of a small induced zero-mode module."""
     base = draw(hst.sampled_from([polynomial_zero_modes, delta_zero_modes]))(draw(hst.integers(0, 3)))
     cap = draw(hst.integers(0, 3))
-    module = induce(base, cap)
+    module = InducedTruncation(base, cap)
     weight = draw(hst.integers(0, cap))
     return partial(singular_vectors, module, weight)
 

@@ -20,10 +20,8 @@ from chiralg.modfun import (
     ZeroModeModule,
     check_epsilon,
     delta_zero_modes,
-    induce,
     polynomial_zero_modes,
     singular_vectors,
-    zero_modes_from_json,
 )
 from chiralg.oper import apply_mode, instantiate_charge
 from conftest import partition_gf_coeffs
@@ -51,20 +49,20 @@ def test_delta_module_action():
 
 def test_induced_matches_vacuum_fock_truncation():
     cap = 2
-    module = induce(polynomial_zero_modes(cap), 3)
+    module = InducedTruncation(polynomial_zero_modes(cap), 3)
     for q in range(4):
         assert module.dim(q) == len(enumerate_basis(THETA1, q, x0_cap=cap))
 
 
 def test_induce_weight_cap_zero_is_base():
     base = delta_zero_modes(1)
-    module = induce(base, 0)
+    module = InducedTruncation(base, 0)
     assert module.dim(0) == base.dim
 
 
 def test_induced_delta_dims_by_free_enumeration():
     base = delta_zero_modes(3)
-    module = induce(base, 3)
+    module = InducedTruncation(base, 3)
     free = partition_gf_coeffs(3)  # free positive modes of all four families
     for q in range(4):
         assert module.dim(q) == base.dim * free[q]
@@ -72,18 +70,18 @@ def test_induced_delta_dims_by_free_enumeration():
 
 def test_singular_weight0_is_all_of_base():
     for base in (polynomial_zero_modes(2), delta_zero_modes(2)):
-        module = induce(base, 2)
+        module = InducedTruncation(base, 2)
         assert len(singular_vectors(module, 0)) == base.dim
 
 
 def test_vacuum_singular_vectors():
-    module = induce(polynomial_zero_modes(2), 4)
+    module = InducedTruncation(polynomial_zero_modes(2), 4)
     dims = [len(singular_vectors(module, q)) for q in range(5)]
     assert dims == [6, 0, 0, 0, 0]
 
 
 def test_delta_singular_vectors():
-    module = induce(delta_zero_modes(3), 4)
+    module = InducedTruncation(delta_zero_modes(3), 4)
     dims = [len(singular_vectors(module, q)) for q in range(5)]
     assert dims == [8, 0, 0, 0, 0]
 
@@ -93,7 +91,7 @@ def test_induced_vacuum_module_matches_fock_action():
     line, so every mode acts as ``oper.apply_mode`` does there; this pins the
     zero-mode sign convention and the positive-mode action together."""
     cap = 3
-    module = induce(polynomial_zero_modes(cap), cap)
+    module = InducedTruncation(polynomial_zero_modes(cap), cap)
     n = module.base.dim  # basis vector 2k + eps is x0^k psi0^eps
 
     def fock(q, vec):
@@ -124,7 +122,7 @@ def test_induced_vacuum_module_matches_fock_action():
 
 
 def test_nonsingular_probe_detected():
-    module = induce(polynomial_zero_modes(1), 2)
+    module = InducedTruncation(polynomial_zero_modes(1), 2)
     _, img = module.apply_mode(ModeKey(Family.X, 1, 1), 0, {0: Fraction(1)})
     assert img
     _, back = module.apply_mode(ModeKey(Family.Y, 1, -1), 1, img)
@@ -154,7 +152,7 @@ def test_parity_violation_rejected():
 
 
 def test_negative_modes_supercommute_with_zero_modes():
-    module = induce(polynomial_zero_modes(2), 2)
+    module = InducedTruncation(polynomial_zero_modes(2), 2)
     zero_modes = [
         ModeKey(Family.X, 1, 0), ModeKey(Family.Y, 1, 0),
         ModeKey(Family.PHI, 1, 0), ModeKey(Family.PSI, 1, 0),
@@ -204,7 +202,7 @@ def _apply_charge(module, terms, weight, vec):
 def test_singular_vectors_stable_under_potential_charge():
     """The f = z^2 twist has weight 0 and preserves the joint kernel."""
     charge = potential_charge(Potential.single_variable(2), Side.THETA)
-    module = induce(polynomial_zero_modes(3), 4)
+    module = InducedTruncation(polynomial_zero_modes(3), 4)
     for q in (0, 1, 2):
         terms = instantiate_charge(charge, THETA1, q)
         sing = singular_vectors(module, q)
@@ -215,45 +213,8 @@ def test_singular_vectors_stable_under_potential_charge():
         assert rank(sing + images) == base_rank
 
 
-def test_json_round_trip():
-    base = polynomial_zero_modes(1)
-    n = base.dim
-    doc = {
-        "labels": list(base.labels),
-        "degrees": list(base.degrees),
-        "parities": list(base.parities),
-        "cap": base.cap,
-        "actions": {},
-    }
-    for name, cols in base.actions.items():
-        mat = [["0"] * n for _ in range(n)]
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                mat[r][c] = str(v)
-        doc["actions"][name] = mat
-    back = zero_modes_from_json(doc)
-    assert back.labels == base.labels
-    for name in base.actions:
-        assert back.actions[name] == base.actions[name]
-
-
-def test_json_rejects_malformed_input():
-    with pytest.raises(ModuleError):
-        zero_modes_from_json({"labels": ["a"]})
-    base = polynomial_zero_modes(1)
-    doc = {
-        "labels": list(base.labels),
-        "degrees": list(base.degrees),
-        "parities": list(base.parities),
-        "cap": base.cap,
-        "actions": {name: [["0"]] for name in base.actions},
-    }
-    with pytest.raises(ModuleError):
-        zero_modes_from_json(doc)
-
-
 def test_headroom_errors():
-    module = induce(polynomial_zero_modes(1), 2)
+    module = InducedTruncation(polynomial_zero_modes(1), 2)
     with pytest.raises(ModuleError):
         singular_vectors(module, 3)
     with pytest.raises(ModuleError):
