@@ -20,6 +20,7 @@ from chiralg import (
     enumerate_basis,
     euler_series,
     make_space,
+    monomial_text,
 )
 
 # ---------------------------------------------------------------------------
@@ -32,7 +33,7 @@ from chiralg import (
 theta = make_space(Side.THETA, 1)
 print("monomials of conformal weight 2 (x0 capped at 1):")
 for mono in enumerate_basis(theta, 2, x0_cap=1):
-    print("   ", mono.text())
+    print("   ", monomial_text(mono))
 
 print()
 print("graded dimensions with x0 capped at 1:")

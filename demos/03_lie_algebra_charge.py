@@ -19,6 +19,7 @@ from chiralg import (
     check_nilpotent,
     lie_charge,
     make_space,
+    monomial_text,
 )
 from chiralg.cohomology import cohomology_dims_torus
 
@@ -59,5 +60,5 @@ broken = StructureConstants.from_entries(
 report = check_nilpotent(lie_charge(broken), space, 1)
 print()
 print("perturbed tensor still nilpotent?", bool(report))
-print("witness state:", report.witness.text())
+print("witness state:", monomial_text(report.witness))
 print("its image under the squared charge:", report.image.text())

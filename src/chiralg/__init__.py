@@ -10,16 +10,16 @@ from .fock import (
     Family,
     FockError,
     ModeKey,
-    Monomial,
     Side,
     SpaceSpec,
     State,
     TorusWeights,
     UnboundedBasisError,
-    VACUUM,
     enumerate_basis,
     enumerate_torus_window,
     make_space,
+    monomial_key,
+    monomial_text,
     normalize,
 )
 from .oper import (

@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from .fock import (
     Family,
     FockError,
-    Monomial,
     Side,
     SpaceSpec,
     State,
@@ -92,8 +91,8 @@ def default_torus_weights(f: Potential, wx: Optional[Sequence[int]] = None) -> T
 class StructureConstants:
     """Structure constants c^k_{ij} of a finite-dimensional Lie algebra.
 
-    Antisymmetry in the lower indices and the Jacobi identity are verified on
-    construction.
+    Antisymmetry in the lower indices is verified on construction, the
+    Jacobi identity by ``check_jacobi``.
     """
 
     dim: int
@@ -109,6 +108,11 @@ class StructureConstants:
                         raise FockError(
                             f"antisymmetry fails at c^{k+1}_{{{i+1}{j+1}}}"
                         )
+
+    def check_jacobi(self) -> None:
+        """Raise ``FockError`` unless the Jacobi identity holds."""
+        n = self.dim
+        c = self.c
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -127,19 +131,18 @@ class StructureConstants:
 
     @staticmethod
     def from_entries(dim: int, entries, validate: bool = True) -> "StructureConstants":
-        """Build from sparse entries (k, i, j, value), indices 1-based."""
+        """Build from sparse entries (k, i, j, value), indices 1-based, with
+        c^k_{ji} = -c^k_{ij}; the Jacobi identity is checked if ``validate``.
+        A nonzero diagonal entry c^k_{ii} fails the antisymmetry check."""
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
         for k, i, j, val in entries:
             v = Fraction(val)
             c[k - 1][i - 1][j - 1] = v
             c[k - 1][j - 1][i - 1] = -v
-        tup = tuple(tuple(tuple(row) for row in mat) for mat in c)
+        sc = StructureConstants(dim, tuple(tuple(tuple(row) for row in mat) for mat in c))
         if validate:
-            return StructureConstants(dim, tup)
-        obj = object.__new__(StructureConstants)
-        object.__setattr__(obj, "dim", dim)
-        object.__setattr__(obj, "c", tup)
-        return obj
+            sc.check_jacobi()
+        return sc
 
     @staticmethod
     def sl2() -> "StructureConstants":
@@ -215,7 +218,7 @@ def combine(c1: SymbolicCharge, c2: SymbolicCharge) -> SymbolicCharge:
 @dataclass
 class CheckReport:
     passed: bool
-    witness: Optional[Monomial] = None
+    witness: Optional[tuple] = None  # a monomial
     image: Optional[State] = None
     # the first charge's terms at the window, compiled, for reuse
     operator: Optional[ChargeOperator] = field(default=None, compare=False, repr=False)
@@ -284,7 +287,7 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
         return CheckReport(True, operator=o1)
     # a probe built from a minimal surviving annihilator part always works
     probes = (
-        Monomial(conjugate_creators(space, t.modes))
+        conjugate_creators(space, t.modes)
         for t in sorted(
             surviving,
             key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),

@@ -31,12 +31,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Tuple
 
 from .fock import (
-    Monomial,
+    Family,
     SpaceSpec,
     State,
     TorusWeights,
     enumerate_basis,
     enumerate_torus_window,
+    monomial_key,
+    monomial_text,
 )
 from .charges import check_nilpotent
 from .linalg import rank
@@ -71,17 +73,17 @@ class _WeightBlocks:
     def __init__(self, charge: SymbolicCharge, space: SpaceSpec, q: int):
         report = check_nilpotent(charge, space, q)
         if not report:
-            witness = report.witness.text(space.dim)
+            witness = monomial_text(report.witness, space.dim)
             raise CohomologyError(f"charge not nilpotent; witness {witness}")
         self.op = report.operator
-        self.bases: Dict[Hashable, List[Monomial]] = {}
+        self.bases: Dict[Hashable, List[tuple]] = {}
         self._cols: Dict[Hashable, list] = {}
         self._ranks: Dict[Hashable, int] = {}
 
-    def add(self, key, mono: Monomial):
+    def add(self, key, mono: tuple):
         self.bases.setdefault(key, []).append(mono)
 
-    def basis(self, key) -> List[Monomial]:
+    def basis(self, key) -> List[tuple]:
         return self.bases.get(key, [])
 
     def cols(self, key) -> list:
@@ -132,7 +134,7 @@ def cohomology_dims_torus(
         for t, degree, mono in enumerate_torus_window(space, q, torus_weights, reach):
             blocks.add((t, degree), mono)
         for basis in blocks.bases.values():
-            basis.sort(key=Monomial.sort_key)
+            basis.sort(key=monomial_key)
         for t in range(lo, hi + 1):
             for k in sorted(k for (tt, k) in blocks.bases if tt == t):
                 src = (t - shift, k - dshift)  # the block mapping into (t, k)
@@ -155,24 +157,32 @@ def cohomology_dims_torus(
     )
 
 
-def _x0_peak(mono: Monomial) -> int:
-    """Largest x_0 exponent over the directions: what ``enumerate_basis`` caps."""
-    return max([mono.x0_degree(m.direction) for m in mono.modes], default=0)
+def _x0_counts(mono: tuple) -> Tuple[int, int]:
+    """The number of x_0 letters, and the largest number of one direction:
+    what the cap bounds, and what ``enumerate_basis`` caps."""
+    counts: Dict[int, int] = {}
+    for m in mono:
+        if m.index == 0 and m.family is Family.X:
+            counts[m.direction] = counts.get(m.direction, 0) + 1
+    return sum(counts.values()), max(counts.values(), default=0)
 
 
-def _capped_row(blocks: _WeightBlocks, q: int, dshift: int, cap: int, margin: int) -> dict:
+def _capped_row(
+    blocks: _WeightBlocks, x0: dict, q: int, dshift: int, cap: int, margin: int
+) -> dict:
     """The cells of weight q at one cap (``blocks`` may hold a larger one): S
     is the basis of total x_0 degree <= cap, I the image of the basis with
-    at most cap + margin of each x_0."""
+    at most cap + margin of each x_0.  ``x0`` maps each basis monomial to
+    its ``_x0_counts``."""
     reach = cap + margin
     dims: Dict[Tuple[int, int], int] = {}
     for k in sorted(blocks.bases):
-        s = {m for m in blocks.basis(k) if m.x0_degree() <= cap}
+        s = {m for m in blocks.basis(k) if x0[m][0] <= cap}
         s_cols = [c for m, c in zip(blocks.basis(k), blocks.cols(k)) if m in s]
         in_cols = [
             c
             for m, c in zip(blocks.basis(k - dshift), blocks.cols(k - dshift))
-            if c and _x0_peak(m) <= reach
+            if c and x0[m][1] <= reach
         ]
         h = _cell(s, rank(s_cols), in_cols, rank(in_cols))
         if h:
@@ -198,10 +208,12 @@ def cohomology_dims_capped(
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
         blocks = _WeightBlocks(charge, space, q)
+        x0 = {}
         for mono in enumerate_basis(space, q, x0_cap=top):
-            blocks.add(mono.degree, mono)
-        row = _capped_row(blocks, q, dshift, x0_cap, image_margin)
-        bigger = _capped_row(blocks, q, dshift, x0_cap + 1, image_margin)
+            blocks.add(sum(m.degree for m in mono), mono)
+            x0[mono] = _x0_counts(mono)
+        row = _capped_row(blocks, x0, q, dshift, x0_cap, image_margin)
+        bigger = _capped_row(blocks, x0, q, dshift, x0_cap + 1, image_margin)
         stab[q] = row == bigger
         dims.update(bigger)
     return CohomologyTable(

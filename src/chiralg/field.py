@@ -47,8 +47,9 @@ def field_terms(space: SpaceSpec, a: State, n: int, window: int) -> list:
     raw = []
     for mono, coeff in a.terms.items():
         # each letter u_k with the first creator index h of its family
-        letters = [(u, space.creator_threshold(u.family)) for u in mono.modes]
-        for assignment in index_assignments(len(letters), n + mono.weight, window):
+        letters = [(u, space.creator_threshold(u.family)) for u in mono]
+        weight = sum(u.index for u in mono)
+        for assignment in index_assignments(len(letters), n + weight, window):
             c = 1
             for (u, h), m in zip(letters, assignment):
                 c *= _genbinom(m - h, u.index - h)
@@ -65,7 +66,7 @@ def field_terms(space: SpaceSpec, a: State, n: int, window: int) -> list:
 
 def field_mode(space: SpaceSpec, a: State, n: int, v: State) -> State:
     """The operator a_(n) applied to v; raises conformal weight by w(a) + n."""
-    window = max((m.weight for m in v.terms), default=0)
+    window = max((sum(m.index for m in mono) for mono in v.terms), default=0)
     return ChargeOperator(space, field_terms(space, a, n, window))(v)
 
 
@@ -74,7 +75,7 @@ def residue_charge(space: SpaceSpec, a: State, window: int) -> ChargeOperator:
     weight <= window."""
     if not a.is_zero():
         weights = a.weights()
-        degrees = {m.degree for m in a.terms}
+        degrees = {sum(m.degree for m in mono) for mono in a.terms}
         if weights != {1}:
             raise FockError(f"BRST vector must have conformal weight 1, got {weights}")
         if degrees != {1}:

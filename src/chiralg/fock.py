@@ -9,7 +9,9 @@ Which modes are creators depends on the side:
     form side      (OMEGA):   x_{>=0}, y_{>=1}, phi_{>=0}, psi_{>=1}
 
 The conformal weight of a mode equals its index.  All coefficients are exact
-rationals; nothing in this module ever touches floating point.
+rationals; nothing in this module ever touches floating point.  A basis
+monomial is the tuple of its creator modes in canonical order, and the empty
+tuple is the vacuum; its weight and degree are the sums over its modes.
 
 The x_0 modes have weight 0, so a fixed-weight piece is finite only under an
 x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
@@ -27,7 +29,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 
 class FockError(ValueError):
@@ -192,68 +194,21 @@ class TorusWeights:
         return TorusWeights((1,) * dim, (0,) * dim)
 
 
-class Monomial:
-    """Canonically ordered product of creator modes applied to the vacuum.
-
-    The empty monomial is the vacuum.  Fermionic modes never repeat.  The
-    hash is computed on first use and kept: most monomials of an enumerated
-    window are never hashed.
-    """
-
-    __slots__ = ("modes", "_hash")
-
-    def __init__(self, modes: tuple = ()):
-        self.modes = modes
-        self._hash = None
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.modes)
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Monomial and self.modes == other.modes
-        )
-
-    def __repr__(self):
-        return f"Monomial(modes={self.modes!r})"
-
-    @property
-    def weight(self) -> int:
-        return sum(m.index for m in self.modes)
-
-    @property
-    def degree(self) -> int:
-        return sum(m.degree for m in self.modes)
-
-    @property
-    def parity(self) -> int:
-        return sum(1 for m in self.modes if m.fermionic) % 2
-
-    def x0_degree(self, direction: Optional[int] = None) -> int:
-        return sum(
-            1
-            for m in self.modes
-            if m.family is Family.X
-            and m.index == 0
-            and (direction is None or m.direction == direction)
-        )
-
-    def sort_key(self) -> tuple:
-        return tuple(m.key for m in self.modes)
-
-    def text(self, dim: int = 1) -> str:
-        if not self.modes:
-            return "1"
-        return " ".join(m.text(dim) for m in self.modes)
+def monomial_text(mono: tuple, dim: int = 1) -> str:
+    """A monomial, the canonically ordered tuple of its creator modes, as
+    text; the empty monomial is the vacuum "1"."""
+    return " ".join(m.text(dim) for m in mono) or "1"
 
 
-VACUUM = Monomial()
+def monomial_key(mono: tuple) -> tuple:
+    """The sort key of a monomial: the keys of its modes.  It orders as the
+    mode tuples do, and sorts a shuffled basis faster than they do."""
+    return tuple(m.key for m in mono)
 
 
 class State:
-    """Finite rational-linear combination of monomials.  Immutable in use."""
+    """Finite rational-linear combination of monomials, keyed by their mode
+    tuples.  Immutable in use."""
 
     __slots__ = ("terms",)
 
@@ -271,12 +226,12 @@ class State:
         return State()
 
     @staticmethod
-    def of(monomial: Monomial, coeff=1) -> "State":
+    def of(monomial: tuple, coeff=1) -> "State":
         return State({monomial: Fraction(coeff)})
 
     @staticmethod
     def vacuum(coeff=1) -> "State":
-        return State.of(VACUUM, coeff)
+        return State.of((), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -303,7 +258,7 @@ class State:
         return hash(frozenset(self.terms.items()))
 
     def weights(self) -> set:
-        return {m.weight for m in self.terms}
+        return {sum(m.index for m in mono) for mono in self.terms}
 
     def is_homogeneous(self) -> bool:
         return len(self.weights()) <= 1
@@ -312,8 +267,8 @@ class State:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=Monomial.sort_key):
-            parts.append(f"{self.terms[mono]}*{mono.text(dim)}")
+        for mono in sorted(self.terms, key=monomial_key):
+            parts.append(f"{self.terms[mono]}*{monomial_text(mono, dim)}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -354,7 +309,7 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
     if placed is None:
         return State.zero()
     sign, ordered = placed
-    return State.of(Monomial(ordered), Fraction(coeff) * sign)
+    return State.of(ordered, Fraction(coeff) * sign)
 
 
 def _creator_multisets(
@@ -418,7 +373,7 @@ def enumerate_torus_window(
     weight: int,
     torus_weights: TorusWeights,
     window: Tuple[int, int],
-) -> Iterator[Tuple[int, int, Monomial]]:
+) -> Iterator[Tuple[int, int, tuple]]:
     """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
     whose torus value t lies in the closed window ``lo..hi``; unsorted.
 
@@ -454,7 +409,7 @@ def enumerate_torus_window(
             k = max(0, (lo - u + step - 1) // step)
             letters = head + (x0[-1],) * k
             for t in range(u + k * step, hi + 1, step):
-                yield flip * t, degree, Monomial(letters + rest)
+                yield flip * t, degree, letters + rest
                 letters += (x0[-1],)
             j = dim - 2
             while j >= 0 and u + steps[j] > hi:
@@ -478,9 +433,6 @@ def enumerate_basis(
     ``enumerate_torus_window``.  Without the weight-0 fermions and with cap
     0 the basis is the free positive-mode part.
     """
-    out = [
-        Monomial(modes)
-        for modes in _creator_multisets(space, weight, x0_cap, zero_fermion_allowed)
-    ]
-    out.sort(key=Monomial.sort_key)
+    out = list(_creator_multisets(space, weight, x0_cap, zero_fermion_allowed))
+    out.sort(key=monomial_key)
     return out

@@ -206,7 +206,8 @@ class InducedTruncation:
             name = f"{mode.family.value}0"
             for i, c in vec.items():
                 p, b = divmod(i, n)
-                sign = -1 if mode.fermionic and self.positive[weight][p].parity else 1
+                odd = sum(m.fermionic for m in self.positive[weight][p]) & 1
+                sign = -1 if mode.fermionic and odd else 1
                 for r, v in self.base.apply(name, {b: Fraction(1)}).items():
                     j = p * n + r
                     out[j] = out.get(j, Fraction(0)) + c * sign * v
@@ -273,7 +274,7 @@ def check_epsilon(base: ZeroModeModule, weight_cap: int) -> EpsilonReport:
         for pos in module.positive[q]:
             for vec in sing0:
                 w, cur = 0, dict(vec)
-                for mode in reversed(pos.modes):
+                for mode in reversed(pos):
                     w, cur = module.apply_mode(mode, w, cur)
                 cols.append({j: v for j, v in cur.items()})
         r = rank(cols)

@@ -22,7 +22,6 @@ from .fock import (
     Family,
     FockError,
     ModeKey,
-    Monomial,
     SpaceSpec,
     State,
     TorusWeights,
@@ -89,18 +88,18 @@ def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
     acc = {}
     if space.is_creator(mode):
         for mono, coeff in state.terms.items():
-            placed = _koszul_sort((mode,) + mono.modes)
+            placed = _koszul_sort((mode,) + mono)
             if placed is not None:
                 sign, modes = placed
-                _accumulate(acc, Monomial(modes), coeff if sign == 1 else -coeff)
+                _accumulate(acc, modes, coeff if sign == 1 else -coeff)
         return State(acc)
     target = _conjugate(mode)
     rule_sign = _DERIVATION_SIGN[mode.family]
     for mono, coeff in state.terms.items():
-        if target in mono.modes:
-            factor, rest = _remove(mono.modes, target)
+        if target in mono:
+            factor, rest = _remove(mono, target)
             k = factor * rule_sign
-            _accumulate(acc, Monomial(rest), coeff if k == 1 else coeff * k)
+            _accumulate(acc, rest, coeff if k == 1 else coeff * k)
     return State(acc)
 
 
@@ -360,14 +359,14 @@ class ChargeOperator:
             ]
         return out
 
-    def _apply_mono(self, mono: Monomial) -> dict:
+    def _apply_mono(self, mono: tuple) -> dict:
         cached = self._cache.get(mono)
         if cached is None:
             acc = {}
-            for key in self._submultisets(mono.modes):
+            for key in self._submultisets(mono):
                 for coeff, targets, creators in self.groups.get(key, ()):
                     # the group key guarantees every target occurs
-                    factor, modes = 1, mono.modes
+                    factor, modes = 1, mono
                     for target in targets:
                         f, modes = _remove(modes, target)
                         factor *= f
@@ -376,7 +375,7 @@ class ChargeOperator:
                         continue
                     sign, modes = placed
                     k = factor * sign
-                    _accumulate(acc, Monomial(modes), coeff if k == 1 else coeff * k)
+                    _accumulate(acc, modes, coeff if k == 1 else coeff * k)
             cached = {m: c for m, c in acc.items() if c}
             self._cache[mono] = cached
         return cached

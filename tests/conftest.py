@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 from chiralg.charges import Potential
-from chiralg.fock import Family, ModeKey, Monomial, State, normalize
+from chiralg.fock import Family, ModeKey, State, normalize
 
 
 def X(i, d=1):
@@ -31,7 +31,22 @@ def st(space, *modes, coeff=1):
 
 def mono(*modes):
     """Canonically sorted monomial (caller guarantees creator-ness)."""
-    return Monomial(tuple(sorted(modes, key=ModeKey.sort_key)))
+    return tuple(sorted(modes, key=ModeKey.sort_key))
+
+
+def weight(mono):
+    """The conformal weight of a monomial: the sum of its mode indices."""
+    return sum(m.index for m in mono)
+
+
+def degree(mono):
+    """The cohomological degree of a monomial: the sum over its modes."""
+    return sum(m.degree for m in mono)
+
+
+def parity(mono):
+    """The parity of a monomial: its number of fermionic modes mod 2."""
+    return sum(1 for m in mono if m.fermionic) % 2
 
 
 def random_potential(rng: random.Random, dim: int, max_degree: int) -> Potential:

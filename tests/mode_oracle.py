@@ -13,8 +13,9 @@
 - The infinitesimal translation T, which only tests use.
 - The recursive basis enumerators the package used before it walked the
   creators with one explicit stack: ``reference_basis`` and
-  ``reference_torus_window``, verbatim apart from their names and the
-  weight-0 fermion family, which ``SpaceSpec`` no longer names.
+  ``reference_torus_window``, verbatim apart from their names, the
+  weight-0 fermion family, which ``SpaceSpec`` no longer names, and their
+  monomials, which are now bare mode tuples.
 - The capped cohomology the package computed from kernel vectors, as
   rank(I + K) - rank(I), before one rank formula served both regimes:
   ``_capped_dims_once`` verbatim, on a verbatim copy of the block cache it
@@ -36,7 +37,6 @@ from chiralg.fock import (
     Family,
     FockError,
     ModeKey,
-    Monomial,
     Side,
     SpaceSpec,
     State,
@@ -89,7 +89,7 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
     if sign is None:
         return State.zero()
     ordered = tuple(sorted(modes, key=ModeKey.sort_key))
-    return State.of(Monomial(ordered), Fraction(coeff) * sign)
+    return State.of(ordered, Fraction(coeff) * sign)
 
 
 def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
@@ -97,7 +97,7 @@ def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
     if space.is_creator(mode):
         out = State.zero()
         for mono, coeff in state.terms.items():
-            out = out + normalize(space, (mode,) + mono.modes, coeff)
+            out = out + normalize(space, (mode,) + mono, coeff)
         return out
     target = ModeKey(_CONJUGATE[mode.family], mode.direction, -mode.index)
     rule_sign = _DERIVATION_SIGN[mode.family]
@@ -105,20 +105,20 @@ def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
     for mono, coeff in state.terms.items():
         if target.fermionic:
             fermions_passed = 0
-            for pos, m in enumerate(mono.modes):
+            for pos, m in enumerate(mono):
                 if m == target:
                     sign = -1 if fermions_passed % 2 else 1
-                    rest = Monomial(mono.modes[:pos] + mono.modes[pos + 1 :])
+                    rest = mono[:pos] + mono[pos + 1 :]
                     c = coeff * sign * rule_sign
                     out_terms[rest] = out_terms.get(rest, Fraction(0)) + c
                     break
                 if m.fermionic:
                     fermions_passed += 1
         else:
-            mult = sum(1 for m in mono.modes if m == target)
+            mult = sum(1 for m in mono if m == target)
             if mult:
-                pos = mono.modes.index(target)
-                rest = Monomial(mono.modes[:pos] + mono.modes[pos + 1 :])
+                pos = mono.index(target)
+                rest = mono[:pos] + mono[pos + 1 :]
                 c = coeff * mult * rule_sign
                 out_terms[rest] = out_terms.get(rest, Fraction(0)) + c
     return State(out_terms)
@@ -207,7 +207,7 @@ def _monomial_field_mode(
     h = space.creator_threshold(u.family)
     k = u.index
     j = k - h  # derivative order
-    wv = max((m.weight for m in v.terms), default=0)
+    wv = max((sum(m.index for m in mono) for mono in v.terms), default=0)
     if not rest:
         # The tail field is the identity, so only i = n adds anything, in
         # whichever part of the generator field holds it.  A mode of index
@@ -246,7 +246,7 @@ def reference_field_mode(space: SpaceSpec, a: State, n: int, v: State) -> State:
         raise FockError("field reconstruction requires a homogeneous state")
     acc = {}
     for mono, coeff in a.terms.items():
-        _monomial_field_mode(space, mono.modes, n, v, coeff, acc)
+        _monomial_field_mode(space, mono, n, v, coeff, acc)
     return State(acc)
 
 
@@ -258,13 +258,13 @@ def translate(space: SpaceSpec, state: State) -> State:
     """
     out = State.zero()
     for mono, coeff in state.terms.items():
-        for pos, m in enumerate(mono.modes):
+        for pos, m in enumerate(mono):
             h = space.creator_threshold(m.family)
             factor = m.index + 1 - h
             if factor == 0:
                 continue
             raised = ModeKey(m.family, m.direction, m.index + 1)
-            raw = mono.modes[:pos] + (raised,) + mono.modes[pos + 1 :]
+            raw = mono[:pos] + (raised,) + mono[pos + 1 :]
             out = out + normalize(space, raw, coeff * factor)
     return out
 
@@ -353,7 +353,7 @@ def reference_torus_window(
     weight: int,
     torus_weights: TorusWeights,
     window: Tuple[int, int],
-) -> Iterator[Tuple[int, int, Monomial]]:
+) -> Iterator[Tuple[int, int, tuple]]:
     """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
     whose torus value t lies in the closed window ``lo..hi``; unsorted.
 
@@ -375,7 +375,7 @@ def reference_torus_window(
         degree = sum(m.degree for m in base)
         partial = flip * sum(torus_weights.of_mode(m) for m in base)
         for s, modes in _with_x0_letters(base, x0, steps, lo - partial, hi - partial):
-            yield flip * (partial + s), degree, Monomial(modes)
+            yield flip * (partial + s), degree, modes
 
 
 def reference_basis(
@@ -396,8 +396,8 @@ def reference_basis(
     for base in _bases(space, weight, zero_fermion_allowed):
         for exps in _cartesian_exponents(space.dim, x0_cap):
             x0s = tuple(x0[j] for j in range(space.dim) for _ in range(exps[j]))
-            out.append(Monomial(tuple(sorted(base + x0s, key=ModeKey.sort_key))))
-    out.sort(key=Monomial.sort_key)
+            out.append(tuple(sorted(base + x0s, key=ModeKey.sort_key)))
+    out.sort()
     return out
 
 
@@ -418,14 +418,14 @@ class _WeightBlocks:
 
     def __init__(self, op: ChargeOperator):
         self.op = op
-        self.bases: Dict[Hashable, List[Monomial]] = {}
+        self.bases: Dict[Hashable, List[tuple]] = {}
         self._cols: Dict[Hashable, list] = {}
         self._ranks: Dict[Hashable, int] = {}
 
-    def add(self, key, mono: Monomial):
+    def add(self, key, mono: tuple):
         self.bases.setdefault(key, []).append(mono)
 
-    def basis(self, key) -> List[Monomial]:
+    def basis(self, key) -> List[tuple]:
         return self.bases.get(key, [])
 
     def cols(self, key) -> list:
@@ -440,9 +440,19 @@ class _WeightBlocks:
         return self._ranks[key]
 
 
-def _x0_peak(mono: Monomial) -> int:
+def _x0_degree(mono: tuple, direction: Optional[int] = None) -> int:
+    return sum(
+        1
+        for m in mono
+        if m.family is Family.X
+        and m.index == 0
+        and (direction is None or m.direction == direction)
+    )
+
+
+def _x0_peak(mono: tuple) -> int:
     """Largest x_0 exponent over the directions: what ``enumerate_basis`` caps."""
-    return max([mono.x0_degree(m.direction) for m in mono.modes], default=0)
+    return max([_x0_degree(mono, m.direction) for m in mono], default=0)
 
 
 def _capped_dims_once(
@@ -456,7 +466,7 @@ def _capped_dims_once(
     dims: Dict[Tuple[int, int], int] = {}
     for k in sorted(blocks.bases):
         basis, cols = blocks.basis(k), blocks.cols(k)
-        small = [i for i, mono in enumerate(basis) if mono.x0_degree() <= x0_cap]
+        small = [i for i, mono in enumerate(basis) if _x0_degree(mono) <= x0_cap]
         kern = kernel_basis([cols[i] for i in small])
         k_cols = [{basis[small[i]]: v for i, v in vec.items()} for vec in kern]
         in_cols = [
@@ -481,7 +491,7 @@ def reference_capped_table(charge, space: SpaceSpec, max_weight: int, x0_cap: in
     for q in range(max_weight + 1):
         blocks = _WeightBlocks(charge_operator(charge, space, q))
         for mono in enumerate_basis(space, q, x0_cap=top):
-            blocks.add(mono.degree, mono)
+            blocks.add(sum(m.degree for m in mono), mono)
         row = _capped_dims_once(blocks, q, dshift, x0_cap, image_margin)
         bigger = _capped_dims_once(blocks, q, dshift, x0_cap + 1, image_margin)
         stab[q] = row == bigger

@@ -28,7 +28,7 @@ from chiralg.fock import (
     make_space,
 )
 from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
-from conftest import X, Y, PHI, PSI, random_potential, st
+from conftest import X, Y, PHI, PSI, random_potential, st, weight
 from mode_oracle import basis_check, full_bracket_terms
 
 THETA1 = make_space(Side.THETA, 1)
@@ -100,13 +100,22 @@ def test_potential_omega_weight1():
 def test_structure_constants_antisymmetry_enforced():
     with pytest.raises(FockError):
         StructureConstants(1, (((Fraction(1),),),))
+    # a diagonal entry c^k_{ii} != 0 cannot be antisymmetrised, and
+    # validate=False skips only the Jacobi check
+    for validate in (True, False):
+        with pytest.raises(FockError, match=r"antisymmetry fails at c\^1_\{11\}"):
+            StructureConstants.from_entries(2, [(1, 1, 1, 1)], validate=validate)
 
 
 def test_structure_constants_jacobi_enforced():
     with pytest.raises(FockError):
         StructureConstants.from_entries(3, BAD_JACOBI)
-    # the bypass constructor skips the check
-    StructureConstants.from_entries(3, BAD_JACOBI, validate=False)
+    # validate=False skips the Jacobi check, and so does the constructor
+    bad = StructureConstants.from_entries(3, BAD_JACOBI, validate=False)
+    with pytest.raises(FockError, match="Jacobi"):
+        bad.check_jacobi()
+    with pytest.raises(FockError, match="Jacobi"):
+        StructureConstants(3, bad.c).check_jacobi()
 
 
 def _heisenberg3():
@@ -210,7 +219,7 @@ def test_charges_preserve_weight():
         for q in range(3):
             for mono in enumerate_basis(space, q, x0_cap=1):
                 out = op(State.of(mono))
-                assert all(m.weight == q for m in out.terms)
+                assert all(weight(m) == q for m in out.terms)
 
 
 def test_random_potentials_are_nilpotent():

@@ -90,6 +90,18 @@ def test_nilpotency_jacobi_violation_witnessed(tmp_path):
     assert "witness" in payload and payload["witness"]["square"]
 
 
+def test_nilpotency_refuses_a_diagonal_lie_entry(tmp_path, capsys):
+    # c^1_{11} = 1 cannot be antisymmetrised: nilpotency skips only the
+    # Jacobi check, so it refuses the spec as the other commands do
+    spec = {"dim": 2, "lie": {"dim": 2, "c": [[1, 1, 1, "1"]]},
+            "caps": {"weight_max": 1, "x0_cap": 1}}
+    for command in ("nilpotency", "cohomology", "basis"):
+        code, text = run(tmp_path, command, spec)
+        assert (code, text) == (2, ""), command
+        err = capsys.readouterr().err
+        assert err == "error: spec.lie: antisymmetry fails at c^1_{11}\n", command
+
+
 def test_invalid_specs_exit_2(tmp_path, capsys):
     x2 = {"dim": 1, "side": "omega", "potential": {"terms": [{"coeff": "1", "exps": [2]}]}}
     cases = [

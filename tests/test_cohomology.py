@@ -29,9 +29,11 @@ from chiralg.fock import (
     enumerate_basis,
     enumerate_torus_window,
     make_space,
+    monomial_text,
 )
 from chiralg.linalg import kernel_basis, rank
 from chiralg.oper import charge_operator
+from conftest import X, degree
 from mode_oracle import reference_capped_table
 
 THETA1 = make_space(Side.THETA, 1)
@@ -44,20 +46,20 @@ def test_boundary_matrix_multiplication_pattern():
     charge = potential_charge(Potential.single_variable(3), Side.THETA)
     op = charge_operator(charge, THETA1, 0)
     basis = enumerate_basis(THETA1, 0, x0_cap=3)
-    domain = [m for m in basis if m.degree == -1]
-    codomain = [m for m in basis if m.degree == 0]
+    domain = [m for m in basis if degree(m) == -1]
+    codomain = [m for m in basis if degree(m) == 0]
     assert (len(codomain), len(domain)) == (4, 4)
-    assert {m.text() for m in domain} == {
+    assert {monomial_text(m) for m in domain} == {
         "psi_0", "x_0 psi_0", "x_0 x_0 psi_0", "x_0 x_0 x_0 psi_0"
     }
     # entries: x0^k psi_0 -> 3 x0^{k+2}, truncated by the cap
-    dom = {m.x0_degree(): c for c, m in enumerate(domain)}
-    cod = {m.x0_degree(): r for r, m in enumerate(codomain)}
+    dom = {m.count(X(0)): c for c, m in enumerate(domain)}
+    cod = {m.count(X(0)): r for r, m in enumerate(codomain)}
     entries = {}
     for c, mono in enumerate(domain):
         for image, coeff in op(State.of(mono)).terms.items():
-            if image.x0_degree() <= 3:
-                entries[(cod[image.x0_degree()], c)] = coeff
+            if image.count(X(0)) <= 3:
+                entries[(cod[image.count(X(0))], c)] = coeff
     assert entries == {(cod[k + 2], dom[k]): Fraction(3) for k in (0, 1)}
 
 
@@ -161,7 +163,11 @@ BAD_JACOBI = lie_charge(
 def _assert_true_witness(exc, charge, space, weight):
     """The error names a basis monomial w of the weight with Q(Q(w)) != 0."""
     text = str(exc.value).split("witness ")[1]
-    [w] = [m for m in enumerate_basis(space, weight, x0_cap=3) if m.text(space.dim) == text]
+    [w] = [
+        m
+        for m in enumerate_basis(space, weight, x0_cap=3)
+        if monomial_text(m, space.dim) == text
+    ]
     op = charge_operator(charge, space, weight)
     assert not op(op(State.of(w))).is_zero()
 

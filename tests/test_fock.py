@@ -8,7 +8,6 @@ from chiralg.fock import (
     Family,
     FockError,
     ModeKey,
-    Monomial,
     Side,
     State,
     TorusWeights,
@@ -16,9 +15,11 @@ from chiralg.fock import (
     enumerate_basis,
     enumerate_torus_window,
     make_space,
+    monomial_key,
+    monomial_text,
     normalize,
 )
-from conftest import X, Y, PHI, PSI, partition_gf_coeffs, st
+from conftest import X, Y, PHI, PSI, degree, partition_gf_coeffs, st, weight
 from mode_oracle import reference_basis, reference_torus_window
 
 THETA1 = make_space(Side.THETA, 1)
@@ -27,7 +28,7 @@ OMEGA1 = make_space(Side.OMEGA, 1)
 
 def torus(mono, tw):
     """The torus value of a monomial: the sum over its letters."""
-    return sum(tw.of_mode(m) for m in mono.modes)
+    return sum(tw.of_mode(m) for m in mono)
 
 
 def test_make_space_rejects_bad_dim():
@@ -60,7 +61,7 @@ def test_basis_weight2_cap0_no_zero_fermion():
     basis = enumerate_basis(
         THETA1, 2, x0_cap=0, zero_fermion_allowed=False
     )
-    texts = {m.text() for m in basis}
+    texts = {monomial_text(m) for m in basis}
     assert texts == {
         "x_1 x_1", "x_1 y_1", "y_1 y_1", "x_1 psi_1", "x_1 phi_1",
         "y_1 psi_1", "y_1 phi_1", "psi_1 phi_1", "x_2", "y_2",
@@ -71,7 +72,7 @@ def test_basis_weight2_cap0_no_zero_fermion():
 
 def test_basis_weight0_cap2():
     basis = enumerate_basis(THETA1, 0, x0_cap=2)
-    assert {m.text() for m in basis} == {
+    assert {monomial_text(m) for m in basis} == {
         "1", "x_0", "x_0 x_0", "psi_0", "x_0 psi_0", "x_0 x_0 psi_0"
     }
     assert len(basis) == 6
@@ -80,7 +81,7 @@ def test_basis_weight0_cap2():
 def test_basis_omega_torus_regularized():
     tw = TorusWeights((1,), (-2,))
     window = enumerate_torus_window(OMEGA1, 0, tw, (-1, -1))
-    assert [(t, k, m.text()) for t, k, m in window] == [(-1, 1, "x_0 phi_0")]
+    assert [(t, k, monomial_text(m)) for t, k, m in window] == [(-1, 1, "x_0 phi_0")]
 
 
 def test_normalize_fermion_swap():
@@ -103,11 +104,12 @@ def test_normalize_rejects_annihilator():
 
 def test_grade_examples():
     m = next(iter(st(THETA1, X(2), Y(1), PSI(0)).terms))
-    assert m.weight == 3 and m.degree == -1
+    assert weight(m) == 3 and degree(m) == -1
     tw = TorusWeights((1,), (-2,))  # f = z^3 assignment
     assert torus(m, tw) == 1 - 1 + 2
-    vacuum = Monomial()
-    assert (vacuum.weight, vacuum.degree, torus(vacuum, tw)) == (0, 0, 0)
+    vacuum = ()
+    assert (weight(vacuum), degree(vacuum), torus(vacuum, tw)) == (0, 0, 0)
+    assert next(iter(State.vacuum().terms)) == vacuum
 
 
 def test_torus_weights_conjugacy_enforced():
@@ -153,7 +155,7 @@ _CREATORS = [X(0), X(1), X(2), Y(1), Y(2), PSI(0), PSI(1), PHI(1), PHI(2)]
 def test_normalize_idempotent(modes):
     once = normalize(THETA1, modes)
     for m, c in once.terms.items():
-        again = normalize(THETA1, m.modes, c)
+        again = normalize(THETA1, m, c)
         assert again == State({m: c})
 
 
@@ -173,8 +175,8 @@ def test_grade_is_additive(a, b):
     wb = sum(k.index for k in b)
     db = sum(k.degree for k in b)
     tb = sum(tw.of_mode(k) for k in b)
-    assert m.weight == wa + wb
-    assert m.degree == da + db
+    assert weight(m) == wa + wb
+    assert degree(m) == da + db
     assert torus(m, tw) == ta + tb
 
 
@@ -182,9 +184,9 @@ def test_enumerated_monomials_satisfy_requested_grade():
     tw = TorusWeights((1,), (-2,))
     for q in range(4):
         for mono in enumerate_basis(THETA1, q, x0_cap=2):
-            assert mono.weight == q and mono.x0_degree() <= 2
+            assert weight(mono) == q and mono.count(X(0)) <= 2
         for t, k, mono in enumerate_torus_window(THETA1, q, tw, (-3, 3)):
-            assert mono.weight == q and mono.degree == k
+            assert weight(mono) == q and degree(mono) == k
             assert torus(mono, tw) == t and -3 <= t <= 3
 
 
@@ -220,11 +222,11 @@ def test_torus_window_matches_capped_enumeration(side, wx, wphi, window, max_wei
         capped = [(torus(m, tw), m) for m in enumerate_basis(space, q, x0_cap=cap)]
         got = {}
         for t, degree, mono in enumerate_torus_window(space, q, tw, window):
-            assert degree == mono.degree
+            assert degree == sum(m.degree for m in mono)
             got.setdefault(t, []).append(mono)
         for t in range(lo, hi + 1):
             want = [m for tm, m in capped if tm == t]
-            assert sorted(got.pop(t, []), key=Monomial.sort_key) == want
+            assert sorted(got.pop(t, []), key=monomial_key) == want
         assert not got, f"torus values outside the window: {sorted(got)}"
 
 
@@ -266,8 +268,14 @@ def test_torus_window_matches_recursive_reference(piece, data):
     window = (lo, data.draw(hst.integers(lo - 1, lo + 8)))
 
     def triples(it):
-        return sorted((t, k, m.sort_key()) for t, k, m in it)
+        return sorted((t, k, monomial_key(m)) for t, k, m in it)
 
     assert triples(enumerate_torus_window(space, weight, tw, window)) == triples(
         reference_torus_window(space, weight, tw, window)
     )
+
+
+@given(hst.lists(hst.lists(hst.sampled_from(_CREATORS), max_size=5), max_size=12))
+def test_monomial_key_orders_as_mode_tuples(words):
+    monos = [tuple(sorted(w, key=ModeKey.sort_key)) for w in words]
+    assert sorted(monos, key=monomial_key) == sorted(monos)

@@ -99,7 +99,7 @@ def test_induced_vacuum_module_matches_fock_action():
         for i, c in vec.items():
             p, b = divmod(i, n)
             k, eps = divmod(b, 2)
-            modes = module.positive[q][p].modes + (ModeKey(Family.X, 1, 0),) * k
+            modes = module.positive[q][p] + (ModeKey(Family.X, 1, 0),) * k
             modes += (ModeKey(Family.PSI, 1, 0),) * eps
             out = out + normalize(THETA1, modes, c)
         return out
