@@ -110,12 +110,17 @@ class StructureConstants:
                         )
 
     def check_jacobi(self) -> None:
-        """Raise ``FockError`` unless the Jacobi identity holds."""
+        """Raise ``FockError`` unless the Jacobi identity holds.
+
+        With c antisymmetric, the Jacobiator is totally antisymmetric in
+        (i, j, k) and vanishes when two of them are equal, so i < j < k
+        suffices and the first failure found is the lexicographically first.
+        """
         n = self.dim
         c = self.c
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
                     for l in range(n):
                         s = sum(
                             c[m][i][j] * c[l][m][k]

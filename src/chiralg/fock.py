@@ -107,10 +107,6 @@ class ModeKey:
             f"index={self.index!r})"
         )
 
-    @property
-    def weight(self) -> int:
-        return self.index
-
     def sort_key(self) -> tuple:
         return self.key
 
@@ -228,10 +224,6 @@ class State:
     @staticmethod
     def of(monomial: tuple, coeff=1) -> "State":
         return State({monomial: Fraction(coeff)})
-
-    @staticmethod
-    def vacuum(coeff=1) -> "State":
-        return State.of((), coeff)
 
     def is_zero(self) -> bool:
         return not self.terms

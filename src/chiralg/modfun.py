@@ -218,24 +218,29 @@ def singular_vectors(module: InducedTruncation, weight: int) -> List[Vector]:
     """Exact basis of the joint kernel of all negative modes at fixed weight.
 
     Modes of index < -weight automatically kill the whole piece, so indices
-    -1..-weight suffice.  Requires head-room: weight <= cap.
+    -1..-weight suffice.  Requires head-room: weight <= cap.  Negative modes
+    act on the positive factor only, so the kernel is ker A (x) base, with A
+    the action on the positive monomials: it is taken once and each kernel
+    vector is lifted to every base vector, in the order and with the keys
+    that eliminating the whole block-diagonal matrix gives.
     """
     if weight > module.weight_cap:
         raise ModuleError(
             f"insufficient head-room: weight {weight} > cap {module.weight_cap}"
         )
-    n = module.dim(weight)
-    if n == 0:
-        return []
-    columns = [dict() for _ in range(n)]
+    columns = [dict() for _ in module.positive.get(weight, [])]
     for idx in range(1, weight + 1):
         for fam in (Family.X, Family.Y, Family.PHI, Family.PSI):
-            mode = ModeKey(fam, 1, -idx)
-            for i in range(n):
-                _, img = module.apply_mode(mode, weight, {i: Fraction(1)})
-                for j, v in img.items():
-                    columns[i][(fam, idx, j)] = v
-    return kernel_basis(columns)
+            images = module._positive_images(ModeKey(fam, 1, -idx), weight)
+            for col, image in zip(columns, images):
+                for slot, v in image:
+                    col[(fam, idx, slot)] = v
+    n = module.base.dim
+    return [
+        {p * n + b: c for p, c in vec.items()}
+        for vec in kernel_basis(columns)
+        for b in range(n)
+    ]
 
 
 @dataclass

@@ -108,14 +108,6 @@ class OperatorTerm:
     coefficient: Fraction
     modes: tuple  # normally ordered: annihilators strictly right of creators
 
-    @property
-    def weight(self) -> int:
-        return sum(m.index for m in self.modes)
-
-    @property
-    def degree(self) -> int:
-        return sum(m.degree for m in self.modes)
-
     def text(self, dim: int = 1) -> str:
         body = " ".join(m.text(dim) for m in self.modes) or "1"
         return f"{self.coefficient}*:{body}:"

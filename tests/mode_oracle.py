@@ -24,6 +24,14 @@
   ``linalg.kernel_basis`` before it reduced integer vectors and visited the
   pivots through a heap: ``reference_eliminate``, verbatim apart from its
   name, which scans every earlier pivot for each column.
+- The singular vectors of an induced module as the package found them
+  before it took the kernel on the positive factor alone: one column per
+  basis vector of the whole weight piece, each built by
+  ``InducedTruncation.apply_mode``.  ``reference_singular_vectors`` is
+  verbatim apart from its name.
+- The Jacobi check of ``StructureConstants`` over every index quadruple,
+  before it visited i < j < k only: ``reference_check_jacobi``, verbatim
+  apart from taking the constants as an argument.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from chiralg.charges import CheckReport
+from chiralg.charges import CheckReport, StructureConstants
 from chiralg.fock import (
     Family,
     FockError,
@@ -45,6 +53,7 @@ from chiralg.fock import (
     enumerate_basis,
 )
 from chiralg.linalg import kernel_basis, rank
+from chiralg.modfun import InducedTruncation, ModuleError, Vector
 from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
@@ -538,3 +547,48 @@ def reference_eliminate(
         elif track:
             relations.append(comb)
     return len(pivots), relations
+
+
+def reference_singular_vectors(module: InducedTruncation, weight: int) -> List[Vector]:
+    """Exact basis of the joint kernel of all negative modes at fixed weight.
+
+    Modes of index < -weight automatically kill the whole piece, so indices
+    -1..-weight suffice.  Requires head-room: weight <= cap.
+    """
+    if weight > module.weight_cap:
+        raise ModuleError(
+            f"insufficient head-room: weight {weight} > cap {module.weight_cap}"
+        )
+    n = module.dim(weight)
+    if n == 0:
+        return []
+    columns = [dict() for _ in range(n)]
+    for idx in range(1, weight + 1):
+        for fam in (Family.X, Family.Y, Family.PHI, Family.PSI):
+            mode = ModeKey(fam, 1, -idx)
+            for i in range(n):
+                _, img = module.apply_mode(mode, weight, {i: Fraction(1)})
+                for j, v in img.items():
+                    columns[i][(fam, idx, j)] = v
+    return kernel_basis(columns)
+
+
+def reference_check_jacobi(sc: StructureConstants) -> None:
+    """Raise ``FockError`` unless the Jacobi identity holds."""
+    n = sc.dim
+    c = sc.c
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    s = sum(
+                        c[m][i][j] * c[l][m][k]
+                        + c[m][j][k] * c[l][m][i]
+                        + c[m][k][i] * c[l][m][j]
+                        for m in range(n)
+                    )
+                    if s:
+                        raise FockError(
+                            f"Jacobi identity fails at (i,j,k,l)="
+                            f"({i+1},{j+1},{k+1},{l+1})"
+                        )

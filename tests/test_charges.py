@@ -29,7 +29,7 @@ from chiralg.fock import (
 )
 from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
 from conftest import X, Y, PHI, PSI, random_potential, st, weight
-from mode_oracle import basis_check, full_bracket_terms
+from mode_oracle import basis_check, full_bracket_terms, reference_check_jacobi
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -65,7 +65,7 @@ def test_chiral_de_rham_weight0():
     op = charge_operator(chiral_de_rham(1), OMEGA1, 1)
     assert op(st(OMEGA1, X(0))) == st(OMEGA1, PHI(0))
     assert op(st(OMEGA1, PSI(1))) == st(OMEGA1, Y(1))
-    assert op(State.vacuum()).is_zero()
+    assert op(State.of(())).is_zero()
 
 
 def test_potential_theta_weight0_contraction():
@@ -116,6 +116,42 @@ def test_structure_constants_jacobi_enforced():
         bad.check_jacobi()
     with pytest.raises(FockError, match="Jacobi"):
         StructureConstants(3, bad.c).check_jacobi()
+
+
+@hst.composite
+def lie_tensors(draw):
+    """Antisymmetric structure constants of dims 1-4 with small sparse
+    entries, most of which break the Jacobi identity somewhere."""
+    dim = draw(hst.integers(1, 4))
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    entries = draw(hst.lists(
+        hst.tuples(
+            hst.integers(1, dim),
+            hst.sampled_from(pairs) if pairs else hst.nothing(),
+            hst.sampled_from((1, -1, 2, "1/2")),
+        ),
+        max_size=6 if pairs else 0,
+    ))
+    return StructureConstants.from_entries(
+        dim, [(k, i, j, v) for k, (i, j), v in entries], validate=False
+    )
+
+
+def _jacobi_failure(check, sc):
+    try:
+        check(sc)
+    except FockError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(lie_tensors())
+def test_check_jacobi_matches_full_index_loop(sc):
+    """Over i < j < k only, the Jacobi check reports the same first failing
+    (i, j, k, l) as the loop over every index quadruple, or passes with it."""
+    want = _jacobi_failure(reference_check_jacobi, sc)
+    assert _jacobi_failure(StructureConstants.check_jacobi, sc) == want
 
 
 def _heisenberg3():

@@ -35,26 +35,26 @@ def _mode_ops(space, a, ns, window):
 
 def test_vacuum_field_is_identity():
     v = st(THETA1, X(0), PSI(1))
-    assert field_mode(THETA1, State.vacuum(), 0, v) == v
+    assert field_mode(THETA1, State.of(()), 0, v) == v
     for n in (-2, -1, 1, 2):
-        assert field_mode(THETA1, State.vacuum(), n, v).is_zero()
+        assert field_mode(THETA1, State.of(()), n, v).is_zero()
 
 
 def test_generator_field_mode():
-    assert field_mode(THETA1, st(THETA1, X(0)), 1, State.vacuum()) == st(
+    assert field_mode(THETA1, st(THETA1, X(0)), 1, State.of(())) == st(
         THETA1, X(1)
     )
 
 
 def test_square_field_constant_mode():
     a = st(THETA1, X(0), X(0))
-    assert field_mode(THETA1, a, 0, State.vacuum()) == a
+    assert field_mode(THETA1, a, 0, State.of(())) == a
 
 
 def test_inhomogeneous_state_rejected():
     bad = st(THETA1, X(0)) + st(THETA1, X(1))
     with pytest.raises(FockError):
-        field_mode(THETA1, bad, 0, State.vacuum())
+        field_mode(THETA1, bad, 0, State.of(()))
 
 
 def test_creation_axiom():
@@ -64,8 +64,8 @@ def test_creation_axiom():
         for mono in enumerate_basis(THETA1, q, x0_cap=1):
             a = State.of(mono)
             for n in (-3, -2, -1):
-                assert field_mode(THETA1, a, n, State.vacuum()).is_zero()
-            assert field_mode(THETA1, a, 0, State.vacuum()) == a
+                assert field_mode(THETA1, a, n, State.of(())).is_zero()
+            assert field_mode(THETA1, a, 0, State.of(())) == a
 
 
 def test_translation_covariance():

@@ -109,7 +109,7 @@ def test_grade_examples():
     assert torus(m, tw) == 1 - 1 + 2
     vacuum = ()
     assert (weight(vacuum), degree(vacuum), torus(vacuum, tw)) == (0, 0, 0)
-    assert next(iter(State.vacuum().terms)) == vacuum
+    assert next(iter(State.of(()).terms)) == vacuum
 
 
 def test_torus_weights_conjugacy_enforced():
@@ -191,8 +191,8 @@ def test_enumerated_monomials_satisfy_requested_grade():
 
 
 def test_state_arithmetic_is_exact():
-    v = State.vacuum(Fraction(1, 3)) + State.vacuum(Fraction(2, 3))
-    assert v == State.vacuum()
+    v = State.of((), Fraction(1, 3)) + State.of((), Fraction(2, 3))
+    assert v == State.of(())
     assert (v - v).is_zero()
 
 

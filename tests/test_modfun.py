@@ -1,9 +1,15 @@
 """Zero-mode modules, induction, singular vectors, the epsilon check."""
 
-import pytest
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as hst
 
 from chiralg.charges import Potential, potential_charge
+from chiralg.cli import ProblemSpec
 from chiralg.fock import (
     Family,
     ModeKey,
@@ -25,6 +31,7 @@ from chiralg.modfun import (
 )
 from chiralg.oper import apply_mode, instantiate_charge
 from conftest import partition_gf_coeffs
+from mode_oracle import reference_singular_vectors
 
 THETA1 = make_space(Side.THETA, 1)
 
@@ -219,3 +226,101 @@ def test_headroom_errors():
         singular_vectors(module, 3)
     with pytest.raises(ModuleError):
         module.apply_mode(ModeKey(Family.X, 1, 2), 1, {0: Fraction(1)})
+
+
+def _direct_sum_json(bases, order):
+    """The spec object of the direct sum of zero-mode modules of one cap,
+    with its basis permuted by ``order``: dense matrices of strings."""
+    labels, degrees, parities, cols = [], [], [], {name: [] for name in bases[0].actions}
+    for s, base in enumerate(bases):
+        off = len(labels)
+        labels += [f"{label} [{s}]" for label in base.labels]
+        degrees += base.degrees
+        parities += base.parities
+        for name, mat in base.actions.items():
+            cols[name] += [{r + off: v for r, v in col.items()} for col in mat]
+    n = len(labels)
+    new = {old: i for i, old in enumerate(order)}
+    actions = {}
+    for name, mat in cols.items():
+        dense = [["0"] * n for _ in range(n)]
+        for c, col in enumerate(mat):
+            for r, v in col.items():
+                dense[new[r]][new[c]] = str(v)
+        actions[name] = dense
+    return {
+        "labels": [labels[i] for i in order],
+        "degrees": [degrees[i] for i in order],
+        "parities": [parities[i] for i in order],
+        "cap": bases[0].cap,
+        "actions": actions,
+    }
+
+
+_GOLDEN_CASES = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "cases.json").read_text()
+)
+_EXPLICIT = next(c for c in _GOLDEN_CASES if c["name"] == "singular_explicit")
+
+
+@hst.composite
+def zero_mode_modules(draw):
+    """Built-in modules at caps 0-3, the explicit golden module, and
+    permuted direct sums of built-ins parsed through ``ProblemSpec``."""
+    builtins = (polynomial_zero_modes, delta_zero_modes)
+    kind = draw(hst.sampled_from(("builtin", "golden", "sum")))
+    if kind == "golden":
+        return ProblemSpec(_EXPLICIT["spec"]).zero_mode_module()
+    cap = draw(hst.integers(0, 3))
+    if kind == "builtin":
+        return draw(hst.sampled_from(builtins))(cap)
+    bases = [f(cap) for f in draw(hst.tuples(*[hst.sampled_from(builtins)] * 2))]
+    order = draw(hst.permutations(range(sum(b.dim for b in bases))))
+    doc = _direct_sum_json(bases, order)
+    return ProblemSpec({"dim": 1, "zero_modes": doc}).zero_mode_module()
+
+
+class _RescaledInduction(InducedTruncation):
+    """An induced module whose negative modes act through the entries of
+    the true action, each scaled by a drawn factor, zero included.
+
+    The true negative modes of a free positive part have no joint kernel
+    above weight 0, so on true modules every lift is of the weight-0 kernel
+    with one positive monomial, where the lift's order and index cannot be
+    wrong.  These act on the positive factor alone, as the true ones do,
+    but with kernels of many vectors."""
+
+    def __init__(self, base, weight_cap, seed):
+        super().__init__(base, weight_cap)
+        self._rng = random.Random(seed)
+
+    def _positive_images(self, mode, weight):
+        key = (mode, weight)
+        if key not in self._images:
+            images = super()._positive_images(mode, weight)
+            factors = (0, 0, 1, -1, 2, Fraction(1, 3))
+            self._images[key] = [
+                [(slot, c * self._rng.choice(factors)) for slot, c in image]
+                for image in images
+            ]
+        return self._images[key]
+
+
+@settings(max_examples=40, deadline=None)
+@given(zero_mode_modules(), hst.integers(0, 4), hst.none() | hst.integers(0, 2**32))
+def test_singular_vectors_match_reference(base, weight_cap, seed):
+    """The kernel taken on the positive factor and lifted to each base vector
+    is the kernel of the whole weight piece: the same vectors in the same
+    order, with the same keys in the same order."""
+    if seed is None:
+        module = InducedTruncation(base, weight_cap)
+    else:
+        module = _RescaledInduction(base, weight_cap, seed)
+    assert singular_vectors(module, -1) == []
+    for q in range(weight_cap + 1):
+        got = singular_vectors(module, q)
+        want = reference_singular_vectors(module, q)
+        assert got == want, q
+        assert [list(v) for v in got] == [list(v) for v in want], q
+    with pytest.raises(ModuleError, match="head-room"):
+        singular_vectors(module, weight_cap + 1)

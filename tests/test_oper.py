@@ -54,14 +54,14 @@ def test_apply_mode_odd_left_derivation():
 
 def test_apply_mode_kills_vacuum():
     for mode in (Y(0), X(-1), PHI(0), PSI(-1)):
-        assert apply_mode(THETA1, mode, State.vacuum()).is_zero()
+        assert apply_mode(THETA1, mode, State.of(())).is_zero()
 
 
 def test_apply_term_annihilate_then_create():
     term = OperatorTerm(Fraction(1), (X(1), PHI(-1)))
     for apply in (apply_term, _compiled):
         assert apply(OMEGA1, term, st(OMEGA1, PSI(1))) == st(OMEGA1, X(1))
-        assert apply(OMEGA1, term, State.vacuum()).is_zero()
+        assert apply(OMEGA1, term, State.of(())).is_zero()
 
 
 def test_apply_term_pure_creators():
@@ -123,7 +123,7 @@ def test_instantiate_abelian_lie_charge_is_empty():
 
 
 def test_translate_examples():
-    assert translate(THETA1, State.vacuum()).is_zero()
+    assert translate(THETA1, State.of(())).is_zero()
     assert translate(THETA1, st(THETA1, X(0))) == st(THETA1, X(1))
     assert translate(THETA1, st(THETA1, Y(1))) == st(THETA1, Y(2))
 
