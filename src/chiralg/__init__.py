@@ -21,6 +21,7 @@ from .fock import (
     monomial_key,
     monomial_text,
     normalize,
+    torus_window_counts,
 )
 from .oper import (
     OperatorTerm,

@@ -45,11 +45,11 @@ from .fock import (
     State,
     TorusWeights,
     enumerate_basis,
-    enumerate_torus_window,
     make_space,
     monomial_key,
     monomial_text,
     normalize,
+    torus_window_counts,
 )
 from .modfun import (
     ZERO_MODE_NAMES,
@@ -345,8 +345,8 @@ def cmd_basis(spec: ProblemSpec):
         else:
             tw = spec.default_weights()
             lo, hi = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)
-            for _, degree, _ in enumerate_torus_window(space, q, tw, (lo, hi)):
-                dims[(q, degree)] = dims.get((q, degree), 0) + 1
+            for (_, degree), n in torus_window_counts(space, q, tw, (lo, hi)).items():
+                dims[(q, degree)] = dims.get((q, degree), 0) + n
     payload = {
         "dims": {f"{q},{k}": v for (q, k), v in sorted(dims.items())},
         "regularization": "x0_cap" if spec.x0_cap is not None else "torus",

@@ -39,6 +39,7 @@ from .fock import (
     enumerate_torus_window,
     monomial_key,
     monomial_text,
+    torus_window_counts,
 )
 from .charges import check_nilpotent
 from .linalg import rank
@@ -237,13 +238,15 @@ def euler_series(
     """Bigraded Euler characteristic of the plain graded space.
 
     No differential is involved: per bigrade the Euler characteristic of a
-    complex equals that of its chains.
+    complex equals that of its chains.  Every x_0-free base is still visited,
+    but its x_0 placements are counted (``torus_window_counts``) and no
+    monomial is built.
     """
     rows: Dict[int, Dict[int, int]] = {}
     for q in range(max_weight + 1):
         chi: Dict[int, int] = {}
-        for t, degree, _ in enumerate_torus_window(space, q, weights, torus_window):
-            chi[t] = chi.get(t, 0) + (-1 if degree % 2 else 1)
+        for (t, degree), n in torus_window_counts(space, q, weights, torus_window).items():
+            chi[t] = chi.get(t, 0) + (-n if degree % 2 else n)
         rows[q] = {t: chi[t] for t in sorted(chi) if chi[t]}
     return TruncatedSeries(max_weight, rows, torus_window)
 

@@ -18,9 +18,13 @@ x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
 one sign).  Both kinds of piece come from one enumerator of creator
 multisets, an explicit stack over the creators in mode order that emits
 each multiset as a canonically ordered tuple.  ``enumerate_basis`` runs it
-with each x{j}_0 allowed up to the cap and sorts the piece once.
-``enumerate_torus_window`` runs it without x_0 to get the bases, then an
-odometer places the x_0 letters whose torus values land in a closed window.
+with each x{j}_0 allowed up to the cap and sorts the piece once.  A torus
+window has one run generator: it runs the enumerator without x_0 to get the
+bases, and an odometer over the x_0 exponents of all directions but the
+last yields, per base and position, the range of last-direction exponents
+whose torus values land in a closed window.  ``enumerate_torus_window``
+expands each run into its monomials; ``torus_window_counts`` sums the runs
+per (torus value, degree) and builds no monomial.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 
 class FockError(ValueError):
@@ -360,6 +364,62 @@ def _check_regularizing(wx: Sequence[int]) -> None:
         )
 
 
+def _torus_runs(
+    space: SpaceSpec,
+    weight: int,
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+) -> Iterator[tuple]:
+    """Yield ``(base, degree, exps, k, t, n)``, one run per x_0-free base and
+    placement of the x_0 letters of every direction but the last, for the
+    basis monomials of the weight whose torus value lies in ``lo..hi``.
+
+    ``base`` (positive modes and weight-0 fermions) is built once, with its
+    degree, which x_0 letters do not change.  ``exps`` holds the x_0
+    exponents of directions 1..d-1; it is the odometer's own list, so read
+    it before asking for the next run.  The run is the n >= 1 monomials with
+    k, k + 1, ..., k + n - 1 letters x{d}_0, at torus values t, t + wx_d, ...
+    The x_0 weights must be nonzero and of one sign, so that the window is
+    finite; otherwise ``UnboundedBasisError`` is raised.
+    """
+    wx = torus_weights.wx
+    _check_regularizing(wx)
+    # solve in units u = flip * t, in which every x_0 weight is positive
+    flip = -1 if wx[0] < 0 else 1
+    steps = [flip * w for w in wx]
+    step = steps[-1]
+    lo, hi = window if flip > 0 else (-window[1], -window[0])
+    # the torus value and degree of every mode a base of this weight can hold
+    modes = [
+        ModeKey(family, j, index)
+        for family in Family
+        for j in range(1, space.dim + 1)
+        for index in range(weight + 1)
+    ]
+    value = {m: flip * torus_weights.of_mode(m) for m in modes}
+    degree_of = {m: m.degree for m in modes}
+    for base in _creator_multisets(space, weight, 0, True):
+        u = sum(map(value.__getitem__, base))
+        degree = sum(map(degree_of.__getitem__, base))
+        # an odometer over the x_0 exponents of every direction but the last;
+        # the last direction's exponents that land in lo..hi form a range
+        exps = [0] * (space.dim - 1)
+        while True:
+            k = max(0, (lo - u + step - 1) // step)
+            first = u + k * step
+            if first <= hi:
+                yield base, degree, exps, k, flip * first, (hi - first) // step + 1
+            j = space.dim - 2
+            while j >= 0 and u + steps[j] > hi:
+                u -= exps[j] * steps[j]
+                exps[j] = 0
+                j -= 1
+            if j < 0:
+                break
+            exps[j] += 1
+            u += steps[j]
+
+
 def enumerate_torus_window(
     space: SpaceSpec,
     weight: int,
@@ -369,49 +429,59 @@ def enumerate_torus_window(
     """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
     whose torus value t lies in the closed window ``lo..hi``; unsorted.
 
-    Each x_0-free base (positive modes and weight-0 fermions) is built once,
-    with its degree and partial torus value, and an odometer over the x_0
-    exponent vectors gives those that land in the window.  The x_0 weights
-    must be nonzero and of one sign, so that the window is finite;
-    otherwise ``UnboundedBasisError`` is raised.
+    Each run of ``_torus_runs`` is expanded into its monomials, the x_0
+    letters going in at their insertion points in the base.
     """
-    wx = torus_weights.wx
-    _check_regularizing(wx)
-    dim = space.dim
-    # solve in units u = flip * t, in which every x_0 weight is positive
-    flip = -1 if wx[0] < 0 else 1
-    steps = [flip * w for w in wx]
-    step = steps[-1]
-    lo, hi = window if flip > 0 else (-window[1], -window[0])
-    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(dim)]
-    for base in _creator_multisets(space, weight, 0, True):
-        u = flip * sum(torus_weights.of_mode(m) for m in base)
-        # each x{j}_0 letter goes in at its insertion point in the base
-        cuts = [bisect_left(base, m.key, key=ModeKey.sort_key) for m in x0]
-        # x_0 letters have degree 0, so the degree is the base's
-        degree = sum(m.degree for m in base)
-        # an odometer over the x_0 exponents of every direction but the last;
-        # the last direction's exponents that land in lo..hi form a range
-        exps = [0] * (dim - 1)
-        while True:
-            head = base[: cuts[0]]
-            for j in range(dim - 1):
-                head += (x0[j],) * exps[j] + base[cuts[j] : cuts[j + 1]]
-            rest = base[cuts[-1] :]
-            k = max(0, (lo - u + step - 1) // step)
-            letters = head + (x0[-1],) * k
-            for t in range(u + k * step, hi + 1, step):
-                yield flip * t, degree, letters + rest
-                letters += (x0[-1],)
-            j = dim - 2
-            while j >= 0 and u + steps[j] > hi:
-                u -= exps[j] * steps[j]
-                exps[j] = 0
-                j -= 1
-            if j < 0:
-                break
-            exps[j] += 1
-            u += steps[j]
+    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
+    last, stride = x0[-1], torus_weights.wx[-1]
+    base = None
+    for run_base, degree, exps, k, first, n in _torus_runs(
+        space, weight, torus_weights, window
+    ):
+        # consecutive runs share their base, so cut each base once: the
+        # segments before, between and after its x_0 insertion points
+        if run_base is not base:
+            base = run_base
+            cuts = [bisect_left(base, m.key, key=ModeKey.sort_key) for m in x0]
+            front, *between = [
+                base[i:j] for i, j in zip([0] + cuts, cuts + [len(base)])
+            ]
+            rest = between[-1]
+        letters = front
+        for letter, e, segment in zip(x0, exps, between):
+            letters += (letter,) * e + segment
+        letters += (last,) * k
+        for t in range(first, first + n * stride, stride):
+            yield t, degree, letters + rest
+            letters += (last,)
+
+
+def torus_window_counts(
+    space: SpaceSpec,
+    weight: int,
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+) -> Dict[Tuple[int, int], int]:
+    """The number of basis monomials of ``enumerate_torus_window`` per
+    ``(t, degree)``, summed over the runs of ``_torus_runs``; no monomial is
+    built."""
+    stride = torus_weights.wx[-1]
+    # a run adds 1 from its first torus value on and -1 one stride past its
+    # last; summing along each stride then gives the counts
+    edges: Dict[Tuple[int, int], int] = {}
+    for _, degree, _, _, first, n in _torus_runs(space, weight, torus_weights, window):
+        edges[first, degree] = edges.get((first, degree), 0) + 1
+        end = first + n * stride
+        edges[end, degree] = edges.get((end, degree), 0) - 1
+    lo, hi = window
+    ts = range(lo, hi + 1) if stride > 0 else range(hi, lo - 1, -1)
+    counts: Dict[Tuple[int, int], int] = {}
+    for degree in {k for _, k in edges}:
+        for t in ts:
+            n = counts.get((t - stride, degree), 0) + edges.get((t, degree), 0)
+            if n:
+                counts[t, degree] = n
+    return counts
 
 
 def enumerate_basis(

@@ -318,7 +318,8 @@ class ChargeOperator:
     A term acts nonzero on a monomial only if the conjugate creators of all
     its annihilators occur in the monomial (with multiplicity), so terms are
     grouped by that required multiset and each monomial only visits the
-    groups matching submultisets of its own modes.
+    groups matching submultisets of its own modes, built no longer than the
+    longest group key.
 
     Each term is compiled once into a plan (coefficient, targets, creators):
     the conjugate creators its annihilators remove, in the order they act,
@@ -335,20 +336,24 @@ class ChargeOperator:
             self.groups.setdefault(conjugate_creators(space, t.modes), []).append(
                 _compile(space, t)
             )
+        self._longest = max(map(len, self.groups), default=0)
         self._cache: dict = {}
 
     def _submultisets(self, modes: tuple):
+        """The submultisets of a mode tuple no longer than the longest group
+        key, each canonically ordered, in the order of the full enumeration."""
         runs = []
         for m in modes:
             if runs and runs[-1][0] is m:
                 runs[-1][1] += 1
             else:
                 runs.append([m, 1])
+        longest = self._longest
         out = [()]
         for m, mult in runs:
-            out = [
-                acc + (m,) * take for acc in out for take in range(mult + 1)
-            ]
+            tails = [(m,) * take for take in range(mult + 1)]
+            # a tail may bring acc up to the longest key, and no further
+            out = [acc + tail for acc in out for tail in tails[: longest + 1 - len(acc)]]
         return out
 
     def _apply_mono(self, mono: tuple) -> dict:

@@ -32,6 +32,12 @@
 - The Jacobi check of ``StructureConstants`` over every index quadruple,
   before it visited i < j < k only: ``reference_check_jacobi``, verbatim
   apart from taking the constants as an argument.
+- The Euler series as the package summed it before it counted each base's
+  x_0 placements: one sign per monomial of ``enumerate_torus_window``.
+  ``reference_euler_series`` is verbatim apart from its name.
+- Every submultiset of a monomial's modes, as ``ChargeOperator`` listed
+  them before it stopped at the longest group key:
+  ``reference_submultisets``, verbatim apart from taking no operator.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from chiralg.fock import (
     TorusWeights,
     _check_regularizing,
     enumerate_basis,
+    enumerate_torus_window,
 )
 from chiralg.linalg import kernel_basis, rank
 from chiralg.modfun import InducedTruncation, ModuleError, Vector
@@ -63,6 +70,7 @@ from chiralg.oper import (
     instantiate_charge,
     normal_order,
 )
+from chiralg.qseries import TruncatedSeries
 
 _CONJUGATE = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Family.PSI: Family.PHI}
 
@@ -592,3 +600,38 @@ def reference_check_jacobi(sc: StructureConstants) -> None:
                             f"Jacobi identity fails at (i,j,k,l)="
                             f"({i+1},{j+1},{k+1},{l+1})"
                         )
+
+
+def reference_euler_series(
+    space: SpaceSpec,
+    max_weight: int,
+    torus_window: Tuple[int, int],
+    weights: TorusWeights,
+) -> TruncatedSeries:
+    """Bigraded Euler characteristic of the plain graded space.
+
+    No differential is involved: per bigrade the Euler characteristic of a
+    complex equals that of its chains.
+    """
+    rows: Dict[int, Dict[int, int]] = {}
+    for q in range(max_weight + 1):
+        chi: Dict[int, int] = {}
+        for t, degree, _ in enumerate_torus_window(space, q, weights, torus_window):
+            chi[t] = chi.get(t, 0) + (-1 if degree % 2 else 1)
+        rows[q] = {t: chi[t] for t in sorted(chi) if chi[t]}
+    return TruncatedSeries(max_weight, rows, torus_window)
+
+
+def reference_submultisets(modes: tuple):
+    runs = []
+    for m in modes:
+        if runs and runs[-1][0] is m:
+            runs[-1][1] += 1
+        else:
+            runs.append([m, 1])
+    out = [()]
+    for m, mult in runs:
+        out = [
+            acc + (m,) * take for acc in out for take in range(mult + 1)
+        ]
+    return out

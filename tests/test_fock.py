@@ -18,9 +18,11 @@ from chiralg.fock import (
     monomial_key,
     monomial_text,
     normalize,
+    torus_window_counts,
 )
+from chiralg.cohomology import euler_series
 from conftest import X, Y, PHI, PSI, degree, partition_gf_coeffs, st, weight
-from mode_oracle import reference_basis, reference_torus_window
+from mode_oracle import reference_basis, reference_euler_series, reference_torus_window
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -255,17 +257,23 @@ def test_basis_matches_recursive_reference(piece, cap, zero_fermions):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(_pieces(), hst.data())
-def test_torus_window_matches_recursive_reference(piece, data):
-    space, weight = piece
-    # regularizing: every x_0 weight nonzero and of one sign
+def _torus_case(data):
+    """A piece, torus weights regularizing x_0 (every wx nonzero and of one
+    sign, |w| <= 3, wphi in -3..3) and a window lo..hi, empty when
+    hi = lo - 1."""
+    space, weight = data.draw(_pieces())
     sign = data.draw(hst.sampled_from((1, -1)))
     wx = [sign * data.draw(hst.integers(1, 3)) for _ in range(space.dim)]
     wphi = [data.draw(hst.integers(-3, 3)) for _ in range(space.dim)]
-    tw = TorusWeights(wx, wphi)
     lo = data.draw(hst.integers(-8, 8))
     window = (lo, data.draw(hst.integers(lo - 1, lo + 8)))
+    return space, weight, TorusWeights(wx, wphi), window
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.data())
+def test_torus_window_matches_recursive_reference(data):
+    space, weight, tw, window = _torus_case(data)
 
     def triples(it):
         return sorted((t, k, monomial_key(m)) for t, k, m in it)
@@ -273,6 +281,42 @@ def test_torus_window_matches_recursive_reference(piece, data):
     assert triples(enumerate_torus_window(space, weight, tw, window)) == triples(
         reference_torus_window(space, weight, tw, window)
     )
+
+
+def _tally(triples) -> dict:
+    counts = {}
+    for t, degree, _ in triples:
+        counts[t, degree] = counts.get((t, degree), 0) + 1
+    return counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_window_counts_and_euler_series_match_the_monomials(data):
+    """The counts equal the (t, degree) tally of the enumerated window and of
+    the recursive reference, and the Euler series built from them equals the
+    per-monomial sum, through the drawn weight."""
+    space, weight, tw, window = _torus_case(data)
+    counts = torus_window_counts(space, weight, tw, window)
+    assert counts == _tally(enumerate_torus_window(space, weight, tw, window))
+    assert counts == _tally(reference_torus_window(space, weight, tw, window))
+    got = euler_series(space, weight, window, tw)
+    want = reference_euler_series(space, weight, window, tw)
+    assert got == want
+    assert repr(got) == repr(want)  # the same rows in the same order
+
+
+def test_window_counts_of_empty_and_unreachable_windows():
+    tw = TorusWeights((1, 2), (0, -1))
+    theta2 = make_space(Side.THETA, 2)
+    # hi < lo
+    assert torus_window_counts(theta2, 2, tw, (1, 0)) == {}
+    # every x_0 placement of every base lies above hi
+    assert torus_window_counts(theta2, 0, tw, (-9, -1)) == {}
+    # the vacuum and psi1_0
+    assert torus_window_counts(theta2, 0, tw, (0, 0)) == {(0, 0): 1, (0, -1): 1}
+    with pytest.raises(UnboundedBasisError):
+        torus_window_counts(theta2, 1, TorusWeights((1, -1), (0, 0)), (0, 3))
 
 
 @given(hst.lists(hst.lists(hst.sampled_from(_CREATORS), max_size=5), max_size=12))

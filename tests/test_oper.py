@@ -32,7 +32,7 @@ from chiralg.oper import (
 )
 from conftest import X, Y, PHI, PSI, degree, st, weight
 import mode_oracle
-from mode_oracle import apply_term, translate
+from mode_oracle import apply_term, reference_submultisets, translate
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -289,3 +289,15 @@ def test_compiled_plans_match_reference_action(case):
         want = want + apply_term(space, t, state)
     assert ChargeOperator(space, terms)(state) == want
     assert apply_mode(space, mode, state) == mode_oracle.apply_mode(space, mode, state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_cases())
+def test_submultisets_stop_at_the_longest_group_key(case):
+    """The bounded enumeration is the full one with the submultisets longer
+    than every group key left out, in the same order."""
+    space, terms, state, _ = case
+    op = ChargeOperator(space, terms)
+    for mono in state.terms:
+        want = [s for s in reference_submultisets(mono) if len(s) <= op._longest]
+        assert op._submultisets(mono) == want
