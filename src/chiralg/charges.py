@@ -25,8 +25,9 @@ from .oper import (
     annihilated_weight,
     combine_terms,
     conjugate_creators,
+    contractions,
     instantiate_charge,
-    normal_order,
+    normal_product,
 )
 
 
@@ -234,13 +235,10 @@ class CheckReport:
 
 def _contracting_products(space, left, right):
     """Normally ordered terms of every product t1 t2 (t1 in ``left``, t2 in
-    ``right``) that hold at least one contraction.
-
-    t1 t2 is :t1 t2: plus terms in which an annihilator of t1 contracts
-    with a creator of t2, so only pairs where t2 holds the conjugate of an
-    annihilator of t1 are ordered, and each product's one full-length term,
-    its uncontracted part, is dropped.
-    """
+    ``right``) that hold a contraction: by Wick's theorem, the normal
+    product of the rest of each set of ``contractions`` of the word.  In two
+    normally ordered terms only an annihilator of t1 and its conjugate
+    creator in t2 can contract, so only such pairs are expanded."""
     by_creator = {}
     for pos, t2 in enumerate(right):
         for m in t2.modes:
@@ -253,9 +251,9 @@ def _contracting_products(space, left, right):
             partners.update(by_creator.get(m, ()))
         for pos in sorted(partners):
             t2 = right[pos]
-            word = t1.modes + t2.modes
-            product = normal_order(space, t1.coefficient * t2.coefficient, word)
-            out.extend(t for t in product if len(t.modes) < len(word))
+            word, c = t1.modes + t2.modes, t1.coefficient * t2.coefficient
+            products = (normal_product(space, c * f, rest) for f, rest in contractions(space, word))
+            out.extend(t for t in products if t is not None)
     return out
 
 
@@ -291,13 +289,7 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
     if not surviving:
         return CheckReport(True, operator=o1)
     # a probe built from a minimal surviving annihilator part always works
-    probes = (
-        conjugate_creators(space, t.modes)
-        for t in sorted(
-            surviving,
-            key=lambda t: sum(1 for m in t.modes if not space.is_creator(m)),
-        )
-    )
+    probes = sorted((conjugate_creators(space, t.modes) for t in surviving), key=len)
     o2 = o1 if t2s is None else ChargeOperator(space, t2s)
     for mono in probes:
         v = State.of(mono)
@@ -317,13 +309,12 @@ def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> Ch
     The square is expanded as a sum of normally ordered terms, and every
     term able to act on weight <= window must cancel; this covers all basis
     monomials regardless of any x_0 cap.  By Wick's theorem each product
-    t1 t2 of two terms is :t1 t2: plus its contractions, and as every term
-    is odd, :t1 t2: = -:t2 t1: and :t t: = 0, so the uncontracted parts
-    cancel over all pairs.  Only the pairs in which an annihilator of t1
-    meets its conjugate creator in t2 are therefore normally ordered, and
-    their contracted terms alone are summed; the result is exactly that of
-    the full square.  A charge with an even pattern is refused.  The probes
-    are the monomials of conjugate creators of the surviving terms, fewest
+    t1 t2 of two terms is :t1 t2: plus the normal products its contractions
+    leave, and as every term is odd, :t1 t2: = -:t2 t1: and :t t: = 0, so
+    the uncontracted parts cancel over all pairs.  Only the contractions are
+    therefore enumerated and summed, and the result is exactly that of the
+    full square.  A charge with an even pattern is refused.  The probes are
+    the monomials of conjugate creators of the surviving terms, fewest
     annihilators first; a witness is the first probe v with Q(Q(v))
     nonzero, and its image is Q(Q(v)).  The report's ``operator`` is the
     charge compiled from the same terms, valid on weight <= window.

@@ -1,4 +1,4 @@
-"""Mode actions on states, normally ordered operator terms, symbolic charges.
+"""Mode actions on states, operator terms normally ordered by Wick's theorem, charges.
 
 Creator modes act by multiplication.  An annihilator mode is the unique
 (super-)derivation pairing against its conjugate creator and killing the
@@ -128,43 +128,50 @@ def _contraction(a: ModeKey, b: ModeKey) -> int:
     return 0
 
 
-def normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) -> list:
-    """Expand a raw mode product into normally ordered terms.
+def contractions(space: SpaceSpec, word: Sequence[ModeKey]) -> list:
+    """Every nonempty set of Wick contractions of a mode word, as (factor,
+    rest), ``rest`` being the word without the contracted letters.
 
-    Moving an annihilator right past a creator picks up the Koszul sign plus
-    the scalar contraction of the pair, a shorter word.  Words wait on a
-    worklist, so the length of the product does not bound the stack.  Within
-    the creator and annihilator blocks all modes mutually (super-)commute,
-    so each block is put in canonical order.
+    A pair is an annihilator and its conjugate creator to its right, worth
+    ``_contraction``; a fermion pair also takes the parity of the fermions
+    still standing between them, pairs leaving in the order of their
+    creators.  Each creator extends the sets found before it.
     """
+    creator = space.is_creator
+    waiting = {}  # annihilator -> its positions so far
+    fermions = 0  # bit mask of the fermion positions
+    sets = [(1, 0)]  # (factor, bit mask of the contracted positions)
+    for j, m in enumerate(word):
+        if m.fermionic:
+            fermions |= 1 << j
+        if not creator(m):
+            waiting.setdefault(m, []).append(j)
+        elif waiting:
+            grown = []
+            for i in waiting.get(_conjugate(m), ()):
+                delta = _contraction(word[i], m)
+                between = fermions & ((1 << j) - (2 << i)) if m.fermionic else 0
+                for factor, taken in sets:
+                    if not taken >> i & 1:
+                        sign = -delta if (between & ~taken).bit_count() & 1 else delta
+                        grown.append((sign * factor, taken | 1 << i | 1 << j))
+            sets += grown
+    return [
+        (factor, tuple(m for p, m in enumerate(word) if not taken >> p & 1))
+        for factor, taken in sets[1:]
+    ]
+
+
+def normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) -> list:
+    """Expand a raw mode product into normally ordered terms by Wick's
+    theorem: the normal product of the word and of the rest of each set of
+    its ``contractions``."""
     coeff = Fraction(coeff)
     if not coeff:
         return []
-    creator = space.is_creator
-    out = []
-    # (coefficient, word, p): no annihilator stands just left of a creator
-    # before position p
-    work = [(coeff, tuple(modes), 0)]
-    while work:
-        c, word, p = work.pop()
-        last = len(word) - 1
-        while p < last and (creator(word[p]) or not creator(word[p + 1])):
-            p += 1
-        if p < last:
-            a, b = word[p], word[p + 1]
-            resume = max(p - 1, 0)
-            delta = _contraction(a, b)
-            if delta:
-                work.append((c if delta > 0 else -c, word[:p] + word[p + 2 :], resume))
-            swapped = word[:p] + (b, a) + word[p + 2 :]
-            work.append((-c if a.fermionic and b.fermionic else c, swapped, resume))
-            continue
-        # No annihilator sits left of a creator: what is left of the word
-        # is its own normal product.
-        term = normal_product(space, c, word)
-        if term is not None:
-            out.append(term)
-    return out
+    expansion = [(1, tuple(modes))] + contractions(space, modes)
+    terms = (normal_product(space, coeff * factor, rest) for factor, rest in expansion)
+    return [t for t in terms if t is not None]
 
 
 def normal_product(

@@ -4,8 +4,12 @@
   it compiled charge terms into plans, kept verbatim (with the Koszul sign
   of ``fock.normalize`` as it was then) so tests can require the compiled
   path to give exactly the same states.
+- The worklist normal ordering the package used before it expanded products
+  by Wick's theorem: ``reference_normal_order`` moves one annihilator right
+  past one creator at a time and is verbatim apart from its name.
 - The square of a charge expanded over every pair of terms, as the
-  nilpotency check did before it ordered only the pairs that can contract.
+  nilpotency check did before it ordered only the pairs that can contract,
+  each product ordered by ``reference_normal_order``.
 - The nilpotency check that applies the charge twice to every capped basis
   monomial, which ``check_nilpotent`` offered as its "basis" method.
 - The recursive field reconstruction the package used before it expanded
@@ -68,7 +72,8 @@ from chiralg.oper import (
     charge_operator,
     combine_terms,
     instantiate_charge,
-    normal_order,
+    normal_product,
+    _contraction,
 )
 from chiralg.qseries import TruncatedSeries
 
@@ -150,8 +155,47 @@ def apply_term(space: SpaceSpec, term: OperatorTerm, state: State) -> State:
     return out.scale(term.coefficient)
 
 
+def reference_normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) -> list:
+    """Expand a raw mode product into normally ordered terms.
+
+    Moving an annihilator right past a creator picks up the Koszul sign plus
+    the scalar contraction of the pair, a shorter word.  Words wait on a
+    worklist, so the length of the product does not bound the stack.  Within
+    the creator and annihilator blocks all modes mutually (super-)commute,
+    so each block is put in canonical order.
+    """
+    coeff = Fraction(coeff)
+    if not coeff:
+        return []
+    creator = space.is_creator
+    out = []
+    # (coefficient, word, p): no annihilator stands just left of a creator
+    # before position p
+    work = [(coeff, tuple(modes), 0)]
+    while work:
+        c, word, p = work.pop()
+        last = len(word) - 1
+        while p < last and (creator(word[p]) or not creator(word[p + 1])):
+            p += 1
+        if p < last:
+            a, b = word[p], word[p + 1]
+            resume = max(p - 1, 0)
+            delta = _contraction(a, b)
+            if delta:
+                work.append((c if delta > 0 else -c, word[:p] + word[p + 2 :], resume))
+            swapped = word[:p] + (b, a) + word[p + 2 :]
+            work.append((-c if a.fermionic and b.fermionic else c, swapped, resume))
+            continue
+        # No annihilator sits left of a creator: what is left of the word
+        # is its own normal product.
+        term = normal_product(space, c, word)
+        if term is not None:
+            out.append(term)
+    return out
+
+
 def _product_terms(space, t1, t2):
-    return normal_order(space, t1.coefficient * t2.coefficient, t1.modes + t2.modes)
+    return reference_normal_order(space, t1.coefficient * t2.coefficient, t1.modes + t2.modes)
 
 
 def full_bracket_terms(space: SpaceSpec, t1s, t2s, window: int) -> list:

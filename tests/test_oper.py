@@ -27,12 +27,18 @@ from chiralg.oper import (
     SymbolicCharge,
     apply_mode,
     charge_operator,
+    combine_terms,
     instantiate_charge,
     normal_order,
 )
 from conftest import X, Y, PHI, PSI, degree, st, weight
 import mode_oracle
-from mode_oracle import apply_term, reference_submultisets, translate
+from mode_oracle import (
+    apply_term,
+    reference_normal_order,
+    reference_submultisets,
+    translate,
+)
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -90,6 +96,15 @@ def test_normal_order_long_word():
     terms = normal_order(THETA1, Fraction(1), (Y(-1),) + xs)
     by_modes = {t.modes: t.coefficient for t in terms}
     assert by_modes == {xs + (Y(-1),): Fraction(1), xs[1:]: Fraction(1)}
+
+
+def test_normal_order_long_word_of_one_repeated_boson():
+    """y_{-1} x_1^k = :x_1^k y_{-1}: + k x_1^{k-1}: the contractions with the
+    k equal creators, one at each position, add up."""
+    k = 1199
+    terms = combine_terms(normal_order(THETA1, Fraction(1), (Y(-1),) + (X(1),) * k))
+    by_modes = {t.modes: t.coefficient for t in terms}
+    assert by_modes == {(X(1),) * k + (Y(-1),): Fraction(1), (X(1),) * (k - 1): Fraction(k)}
 
 
 def test_instantiate_chiral_de_rham_window2():
@@ -301,3 +316,32 @@ def test_submultisets_stop_at_the_longest_group_key(case):
     for mono in state.terms:
         want = [s for s in reference_submultisets(mono) if len(s) <= op._longest]
         assert op._submultisets(mono) == want
+
+
+@hst.composite
+def planted_words(draw):
+    """(space, word) on either side in dims 1-2 with indices -2..2 and at most
+    8 letters: annihilators, then the conjugate creators of some of them in
+    shuffled order, so that repeated bosons contract more than once and
+    fermion pairs cross, with free letters put in anywhere."""
+    space = make_space(draw(hst.sampled_from([Side.THETA, Side.OMEGA])), draw(hst.integers(1, 2)))
+    mode = hst.builds(
+        ModeKey, hst.sampled_from(list(Family)), hst.integers(1, space.dim), hst.integers(-2, 2)
+    )
+    annihilators = draw(hst.lists(mode.filter(lambda m: not space.is_creator(m)), max_size=4))
+    planted = [_conjugate(a) for a in annihilators if draw(hst.booleans())]
+    word = annihilators + draw(hst.permutations(planted))
+    for m in draw(hst.lists(mode, max_size=8 - len(word))):
+        word.insert(draw(hst.integers(0, len(word))), m)
+    return space, tuple(word)
+
+
+@settings(max_examples=500, deadline=None)
+@given(planted_words(), NONZERO)
+def test_wick_normal_order_matches_worklist(case, coeff):
+    """Wick's theorem gives exactly the terms of moving one annihilator
+    right past one creator at a time."""
+    space, word = case
+    assert combine_terms(normal_order(space, coeff, word)) == combine_terms(
+        reference_normal_order(space, coeff, word)
+    )
