@@ -139,9 +139,15 @@ class StructureConstants:
     def from_entries(dim: int, entries, validate: bool = True) -> "StructureConstants":
         """Build from sparse entries (k, i, j, value), indices 1-based, with
         c^k_{ji} = -c^k_{ij}; the Jacobi identity is checked if ``validate``.
-        A nonzero diagonal entry c^k_{ii} fails the antisymmetry check."""
+        A nonzero diagonal entry c^k_{ii} fails the antisymmetry check, and
+        two entries for one k and pair {i, j} are refused."""
         c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for k, i, j, val in entries:
+        seen = {}
+        for pos, (k, i, j, val) in enumerate(entries):
+            lo, hi = sorted((i, j))
+            first = seen.setdefault((k, lo, hi), pos)
+            if first != pos:
+                raise FockError(f"entries {first} and {pos} both set c^{k}_{{{lo}{hi}}}")
             v = Fraction(val)
             c[k - 1][i - 1][j - 1] = v
             c[k - 1][j - 1][i - 1] = -v

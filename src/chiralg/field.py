@@ -10,8 +10,8 @@ its letters' fields, with no contractions.  So a_(n) of a monomial of weight
 q is a sum over the assignments of mode indices m_i to its letters with
 sum m_i = n + q: each gives the normally ordered word :u_{m_1} ... u_{m_r}:
 times the product of its letters' coefficients.  On states of weight <= W
-only the words that remove at most W act (``oper.index_assignments``), so
-the sum is finite, and ``ChargeOperator`` applies it like any charge.
+only the words that remove at most W act (``oper.mode_words``), so the sum
+is finite, and ``ChargeOperator`` applies it like any charge.
 
 Under these conventions the residue mode a_(-1) of a weight-1 vector is
 weight preserving, which is the BRST contract.
@@ -21,13 +21,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .fock import FockError, ModeKey, SpaceSpec, State
-from .oper import (
-    ChargeOperator,
-    combine_terms,
-    index_assignments,
-    normal_product,
-)
+from .fock import FockError, SpaceSpec, State
+from .oper import ChargeOperator, combine_terms, mode_words, normal_product
 
 
 def _genbinom(m: int, j: int) -> int:
@@ -39,25 +34,24 @@ def _genbinom(m: int, j: int) -> int:
 
 
 def field_terms(space: SpaceSpec, a: State, n: int, window: int) -> list:
-    """Normally ordered terms of a_(n) acting on weight <= window."""
+    """Normally ordered terms of a_(n) acting on weight <= window: the normal
+    product of each mode word of a monomial's letters, times their binomials."""
     if not a.is_homogeneous():
         raise FockError("field reconstruction requires a homogeneous state")
     if window < 0:
         raise FockError("weight window must be >= 0")
     raw = []
     for mono, coeff in a.terms.items():
-        # each letter u_k with the first creator index h of its family
-        letters = [(u, space.creator_threshold(u.family)) for u in mono]
+        letters = [(u.family, u.direction) for u in mono]
+        firsts = [space.creator_threshold(u.family) for u in mono]
         weight = sum(u.index for u in mono)
-        for assignment in index_assignments(len(letters), n + weight, window):
+        for modes in mode_words(letters, n + weight, window):
             c = 1
-            for (u, h), m in zip(letters, assignment):
-                c *= _genbinom(m - h, u.index - h)
+            # the letter u_k, the first creator index h of its family, its mode u_m
+            for u, h, m in zip(mono, firsts, modes):
+                c *= _genbinom(m.index - h, u.index - h)
             if not c:
                 continue
-            modes = tuple(
-                ModeKey(u.family, u.direction, m) for (u, _), m in zip(letters, assignment)
-            )
             term = normal_product(space, coeff * c, modes)
             if term is not None:
                 raw.append(term)

@@ -1,4 +1,4 @@
-"""Mode actions on states, operator terms normally ordered by Wick's theorem, charges.
+"""Mode actions on states, Wick normal ordering of mode words, charges instantiated on them.
 
 Creator modes act by multiplication.  An annihilator mode is the unique
 (super-)derivation pairing against its conjugate creator and killing the
@@ -251,52 +251,43 @@ class SymbolicCharge:
         )
 
 
-def index_assignments(n: int, total: int, window: int):
-    """Every n-tuple of mode indices summing to ``total`` whose negative
-    entries sum to at least -window.
+def mode_words(letters: Sequence[tuple], total: int, window: int):
+    """Every word of modes of ``letters`` (family, direction), indices
+    summing to ``total``, whose negative indices sum to at least -window.
 
     Creators start at index 0 or 1, so a negative index is an annihilator
-    and the negative entries sum to minus the weight a word removes: these
-    are the index words that can act on a state of weight <= window.
-    Tuples come in lexicographic order, each built from the previous one a
-    position at a time, so n does not bound the stack.
+    and the negative indices sum to minus the weight a word removes: these
+    are the words that can act on a state of weight <= window.  Words come
+    in lexicographic order of their indices, from one explicit stack of
+    (word so far, what the remaining positions must sum to, weight they may
+    still remove), so a long pattern needs no recursion.
     """
+    n = len(letters)
     if n == 0:
         if total == 0:
             yield ()
         return
-    if total < -window:
+    if total < -window:  # every node pushed below keeps rem >= -room
         return
-    # rem[i] and room[i]: what positions i.. must sum to, and how much weight
-    # they may still remove; positions i.. can always complete if
-    # rem[i] >= -room[i], which every step below keeps
-    idx, rem, room = [0] * n, [0] * n, [0] * n
-    rem[0], room[0] = total, window
-    i = 0
-    while True:
-        for j in range(i, n - 1):  # least indices from i on
-            idx[j] = -room[j]
-            rem[j + 1] = rem[j] + room[j]
-            room[j + 1] = 0
-        idx[-1] = rem[-1]
-        yield tuple(idx)
-        i = n - 2
-        while i >= 0 and idx[i] == rem[i] + room[i]:
-            i -= 1
-        if i < 0:
-            return
-        idx[i] += 1
-        rem[i + 1] = rem[i] - idx[i]
-        room[i + 1] = room[i] + min(idx[i], 0)
-        i += 1
+    stack = [((), total, window)]
+    while stack:
+        word, rem, room = stack.pop()
+        fam, direction = letters[len(word)]
+        if len(word) == n - 1:
+            yield word + (ModeKey(fam, direction, rem),)
+            continue
+        # an index above rem + room would leave the rest more to remove
+        # than they may; children pushed in descending index pop ascending
+        for i in range(rem + room, -room - 1, -1):
+            stack.append((word + (ModeKey(fam, direction, i),), rem - i, room + min(i, 0)))
 
 
 def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) -> list:
     """Normally ordered terms of the charge acting on weight <= window.
 
-    Exactly the index assignments that can act nonzero on some state of
-    weight <= window survive: every annihilator index is >= -window and the
-    total annihilated weight is <= window.
+    Exactly the mode words that can act nonzero on some state of weight <=
+    window survive: every annihilator index is >= -window and the total
+    annihilated weight is <= window.
     """
     if window < 0:
         raise FockError("weight window must be >= 0")
@@ -310,11 +301,7 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
             continue
         for fam, direction in letters:
             space.check_direction(ModeKey(fam, direction, 0))
-        for assignment in index_assignments(len(letters), 0, window):
-            modes = tuple(
-                ModeKey(fam, direction, idx)
-                for (fam, direction), idx in zip(letters, assignment)
-            )
+        for modes in mode_words(letters, 0, window):
             raw.extend(normal_order(space, coeff, modes))
     return combine_terms(raw)
 
@@ -337,14 +324,12 @@ class ChargeOperator:
     """
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
-        self.space = space
         self.groups: dict = {}
         for t in terms:
             self.groups.setdefault(conjugate_creators(space, t.modes), []).append(
                 _compile(space, t)
             )
         self._longest = max(map(len, self.groups), default=0)
-        self._cache: dict = {}
 
     def _submultisets(self, modes: tuple):
         """The submultisets of a mode tuple no longer than the longest group
@@ -364,25 +349,21 @@ class ChargeOperator:
         return out
 
     def _apply_mono(self, mono: tuple) -> dict:
-        cached = self._cache.get(mono)
-        if cached is None:
-            acc = {}
-            for key in self._submultisets(mono):
-                for coeff, targets, creators in self.groups.get(key, ()):
-                    # the group key guarantees every target occurs
-                    factor, modes = 1, mono
-                    for target in targets:
-                        f, modes = _remove(modes, target)
-                        factor *= f
-                    placed = _koszul_sort(creators + modes)
-                    if placed is None:
-                        continue
-                    sign, modes = placed
-                    k = factor * sign
-                    _accumulate(acc, modes, coeff if k == 1 else coeff * k)
-            cached = {m: c for m, c in acc.items() if c}
-            self._cache[mono] = cached
-        return cached
+        acc = {}
+        for key in self._submultisets(mono):
+            for coeff, targets, creators in self.groups.get(key, ()):
+                # the group key guarantees every target occurs
+                factor, modes = 1, mono
+                for target in targets:
+                    f, modes = _remove(modes, target)
+                    factor *= f
+                placed = _koszul_sort(creators + modes)
+                if placed is None:
+                    continue
+                sign, modes = placed
+                k = factor * sign
+                _accumulate(acc, modes, coeff if k == 1 else coeff * k)
+        return {m: c for m, c in acc.items() if c}
 
     def __call__(self, state: State) -> State:
         acc = {}

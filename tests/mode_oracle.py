@@ -42,6 +42,11 @@
 - Every submultiset of a monomial's modes, as ``ChargeOperator`` listed
   them before it stopped at the longest group key:
   ``reference_submultisets``, verbatim apart from taking no operator.
+- The odometer over index tuples that charge instantiation and field
+  reconstruction walked before one stack of mode words served both:
+  ``reference_index_assignments``, verbatim apart from its name; its
+  tuples, zipped with a word's letters, are the words ``oper.mode_words``
+  yields, in the same order.
 """
 
 from __future__ import annotations
@@ -679,3 +684,43 @@ def reference_submultisets(modes: tuple):
             acc + (m,) * take for acc in out for take in range(mult + 1)
         ]
     return out
+
+
+def reference_index_assignments(n: int, total: int, window: int):
+    """Every n-tuple of mode indices summing to ``total`` whose negative
+    entries sum to at least -window.
+
+    Creators start at index 0 or 1, so a negative index is an annihilator
+    and the negative entries sum to minus the weight a word removes: these
+    are the index words that can act on a state of weight <= window.
+    Tuples come in lexicographic order, each built from the previous one a
+    position at a time, so n does not bound the stack.
+    """
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < -window:
+        return
+    # rem[i] and room[i]: what positions i.. must sum to, and how much weight
+    # they may still remove; positions i.. can always complete if
+    # rem[i] >= -room[i], which every step below keeps
+    idx, rem, room = [0] * n, [0] * n, [0] * n
+    rem[0], room[0] = total, window
+    i = 0
+    while True:
+        for j in range(i, n - 1):  # least indices from i on
+            idx[j] = -room[j]
+            rem[j + 1] = rem[j] + room[j]
+            room[j + 1] = 0
+        idx[-1] = rem[-1]
+        yield tuple(idx)
+        i = n - 2
+        while i >= 0 and idx[i] == rem[i] + room[i]:
+            i -= 1
+        if i < 0:
+            return
+        idx[i] += 1
+        rem[i + 1] = rem[i] - idx[i]
+        room[i + 1] = room[i] + min(idx[i], 0)
+        i += 1

@@ -107,6 +107,13 @@ def test_structure_constants_antisymmetry_enforced():
             StructureConstants.from_entries(2, [(1, 1, 1, 1)], validate=validate)
 
 
+def test_structure_constants_refuse_a_repeated_entry():
+    # the second row would overwrite the first: c^3_{12} = -1, or 2
+    for second in ((3, 2, 1, 1), (3, 1, 2, 2)):
+        with pytest.raises(FockError, match=r"entries 0 and 1 both set c\^3_\{12\}"):
+            StructureConstants.from_entries(3, [(3, 1, 2, 1), second], validate=False)
+
+
 def test_structure_constants_jacobi_enforced():
     with pytest.raises(FockError):
         StructureConstants.from_entries(3, BAD_JACOBI)
@@ -131,6 +138,7 @@ def lie_tensors(draw):
             hst.sampled_from((1, -1, 2, "1/2")),
         ),
         max_size=6 if pairs else 0,
+        unique_by=lambda e: e[:2],
     ))
     return StructureConstants.from_entries(
         dim, [(k, i, j, v) for k, (i, j), v in entries], validate=False
@@ -325,6 +333,7 @@ def _random_lie_charge(draw, dim):
                     hst.integers(1, dim), hst.sampled_from(pairs), hst.integers(-2, 2).filter(bool)
                 ),
                 max_size=3,
+                unique_by=lambda e: e[:2],
             )
         )
         entries = [(k, i, j, v) for k, (i, j), v in drawn]

@@ -123,6 +123,12 @@ def test_invalid_specs_exit_2(tmp_path, capsys):
             {"dim": 3, "lie": {"dim": 3, "c": [[3, True, 2, "1"]] + SL2["c"][1:]},
              "caps": {"weight_max": 0}},
         ),
+        # a second row for one k and pair {i, j} would overwrite the first
+        *(
+            ("nilpotency",
+             {"dim": 3, "lie": {"dim": 3, "c": SL2["c"] + [row]}, "caps": {"weight_max": 1}})
+            for row in ([3, 2, 1, "1"], [3, 1, 2, "2"])
+        ),
         # psi weights can only be those of phi negated, as integers; without
         # psi this spec exits 0
         *(

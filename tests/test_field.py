@@ -5,7 +5,10 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from fractions import Fraction
+
 from chiralg.charges import Potential, chiral_de_rham, potential_charge
+from chiralg.cli import _brst_vector
 from chiralg.field import field_mode, field_terms, residue_charge
 from chiralg.fock import (
     FockError,
@@ -227,3 +230,34 @@ def test_field_terms_exact_below_their_window(case, w, extra):
         for mono in _capped_basis(space, q, 1):
             v = State.of(mono)
             assert small(v) == large(v)
+
+
+@hst.composite
+def brst_cases(draw):
+    """A theta-side potential charge, 1-2 variables, up to three terms with
+    exponents <= 4 and rational coefficients, or the bare chiral de Rham
+    differential on the omega side."""
+    dim = draw(hst.integers(1, 2))
+    if draw(hst.booleans()):
+        return make_space(Side.OMEGA, dim), chiral_de_rham(dim)
+    exps = hst.tuples(*[hst.integers(0, 4)] * dim).filter(any)
+    coeff = hst.builds(Fraction, COEFF, hst.integers(1, 3))
+    terms = hst.lists(hst.tuples(coeff, exps), min_size=1, max_size=3, unique_by=lambda t: t[1])
+    f = Potential(dim, tuple(draw(terms)))
+    return make_space(Side.THETA, dim), potential_charge(f, Side.THETA)
+
+
+@settings(max_examples=30, deadline=None)
+@given(brst_cases())
+def test_residue_charge_matches_instantiated_charge(case):
+    """The residue mode a_(-1) of the vector the CLI builds for a charge acts
+    as the instantiated charge on every capped basis monomial of weight <= 2:
+    the same mode words, weighted by the letters' binomials on one route and
+    by the pattern coefficients on the other."""
+    space, charge = case
+    brst = residue_charge(space, _brst_vector(charge, space), 2)
+    op = charge_operator(charge, space, 2)
+    for q in range(3):
+        for mono in _capped_basis(space, q, 2):
+            v = State.of(mono)
+            assert brst(v) == op(v), mono

@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -29,12 +30,14 @@ from chiralg.oper import (
     charge_operator,
     combine_terms,
     instantiate_charge,
+    mode_words,
     normal_order,
 )
 from conftest import X, Y, PHI, PSI, degree, st, weight
 import mode_oracle
 from mode_oracle import (
     apply_term,
+    reference_index_assignments,
     reference_normal_order,
     reference_submultisets,
     translate,
@@ -105,6 +108,24 @@ def test_normal_order_long_word_of_one_repeated_boson():
     terms = combine_terms(normal_order(THETA1, Fraction(1), (Y(-1),) + (X(1),) * k))
     by_modes = {t.modes: t.coefficient for t in terms}
     assert by_modes == {(X(1),) * k + (Y(-1),): Fraction(1), (X(1),) * (k - 1): Fraction(k)}
+
+
+LETTERS = hst.lists(hst.tuples(hst.sampled_from(list(Family)), hst.integers(1, 2)), max_size=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(LETTERS, hst.integers(-4, 4), hst.integers(0, 5))
+def test_mode_words_match_index_assignments(letters, total, window):
+    """The stack of mode words yields the odometer's index tuples, each put
+    on the letters as modes, in the same order.  The two streams are
+    compared a word at a time: eight letters at window 5 make 896,940."""
+    families, directions = zip(*letters) if letters else ((), ())
+    want = (
+        tuple(map(ModeKey, families, directions, idx))
+        for idx in reference_index_assignments(len(letters), total, window)
+    )
+    for k, (got, ref) in enumerate(zip_longest(mode_words(letters, total, window), want)):
+        assert got == ref, k
 
 
 def test_instantiate_chiral_de_rham_window2():
