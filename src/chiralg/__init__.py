@@ -26,7 +26,6 @@ from .fock import (
 from .oper import (
     OperatorTerm,
     SymbolicCharge,
-    apply_mode,
     instantiate_charge,
     normal_order,
 )

@@ -385,6 +385,14 @@ def _require_closed_form_scope(spec: ProblemSpec, what: str) -> int:
 
 def cmd_theta_check(spec: ProblemSpec):
     d = _require_closed_form_scope(spec, "'theta-check'")
+    # the closed form grades z by x = 1, phi = 1 - D; other weights space
+    # the same series differently
+    default = default_torus_weights(spec.potential)
+    if spec.default_weights() != default:
+        raise SpecError(
+            f"spec.torus_weights: 'theta-check' needs the default weights "
+            f"x {list(default.wx)}, phi {list(default.wphi)}"
+        )
     payload, _, series = cmd_char(spec)
     oracle = chi_closed_form(d, spec.q_max)
     report = compare(series, oracle, zwindow=spec.z_window, qmax=spec.q_max)

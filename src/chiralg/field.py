@@ -47,9 +47,11 @@ def field_terms(space: SpaceSpec, a: State, n: int, window: int) -> list:
         weight = sum(u.index for u in mono)
         for modes in mode_words(letters, n + weight, window):
             c = 1
-            # the letter u_k, the first creator index h of its family, its mode u_m
+            # the letter u_k, the first creator index h of its family, its mode
+            # u_m; at k = h the binomial is 1
             for u, h, m in zip(mono, firsts, modes):
-                c *= _genbinom(m.index - h, u.index - h)
+                if u.index != h:
+                    c *= _genbinom(m.index - h, u.index - h)
             if not c:
                 continue
             term = normal_product(space, coeff * c, modes)

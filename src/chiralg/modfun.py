@@ -4,11 +4,11 @@ A ZeroModeModule is a finite, degree-capped approximation of a module over
 the zero-mode algebra on the odd cotangent bundle of the affine line
 (generators x0, y0, phi0, psi0 with [y0, x0] = 1 and {psi0, phi0} = 1).
 Induction adjoins free positive modes of all four families: the induced
-module is (free positive part) x (zero-mode module).  Modes of nonzero index
-act on the positive factor through ``oper.apply_mode``, the action on Fock
-spaces, and never touch the zero-mode factor; zero modes act on the
-zero-mode factor with the Koszul sign of the positive modes they pass.  Only
-d = 1 is implemented; products of lines reduce to it.
+module is (free positive part) x (zero-mode module).  A mode of nonzero
+index acts on the positive factor as a one-term ``oper.ChargeOperator``, the
+action on Fock spaces, and never touches the zero-mode factor; zero modes
+act on the zero-mode factor with the Koszul sign of the positive modes they
+pass.  Only d = 1 is implemented; products of lines reduce to it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .fock import Family, ModeKey, Side, State, enumerate_basis, make_space
+from .fock import Family, ModeKey, Side, enumerate_basis, make_space
 from .linalg import kernel_basis, rank
-from .oper import apply_mode
+from .oper import ChargeOperator, OperatorTerm
 
 Vector = Dict[int, Fraction]  # basis index -> coefficient
 
@@ -170,12 +170,11 @@ class InducedTruncation:
     def _positive_images(self, mode: ModeKey, weight: int) -> List[list]:
         key = (mode, weight)
         if key not in self._images:
+            _LINE.check_direction(mode)
             slots = {m: p for p, m in enumerate(self.positive[weight + mode.index])}
+            op = ChargeOperator(_LINE, [OperatorTerm(Fraction(1), (mode,))])
             self._images[key] = [
-                [
-                    (slots[m], c)
-                    for m, c in apply_mode(_LINE, mode, State.of(mono)).terms.items()
-                ]
+                [(slots[m], c) for m, c in op.image(mono).items()]
                 for mono in self.positive[weight]
             ]
         return self._images[key]

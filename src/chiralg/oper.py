@@ -61,8 +61,9 @@ def _accumulate(acc: dict, key, value) -> None:
 
 # Every mode acts in one of two steps on a canonically ordered mode tuple: an
 # annihilator removes one letter of its conjugate creator (``_remove``), a
-# creator is inserted with ``_koszul_sort``.  ``apply_mode`` and the compiled
-# plans of ``ChargeOperator`` both run on these two steps.
+# creator is inserted with ``_koszul_sort``.  Each term of a
+# ``ChargeOperator``, a single mode included, is compiled into a plan of these
+# two steps.
 
 
 def _remove(modes: tuple, target: ModeKey):
@@ -81,26 +82,6 @@ def _remove(modes: tuple, target: ModeKey):
         if m.fermionic:
             passed += 1
     return (-1 if passed & 1 else 1), rest
-
-
-def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
-    space.check_direction(mode)
-    acc = {}
-    if space.is_creator(mode):
-        for mono, coeff in state.terms.items():
-            placed = _koszul_sort((mode,) + mono)
-            if placed is not None:
-                sign, modes = placed
-                _accumulate(acc, modes, coeff if sign == 1 else -coeff)
-        return State(acc)
-    target = _conjugate(mode)
-    rule_sign = _DERIVATION_SIGN[mode.family]
-    for mono, coeff in state.terms.items():
-        if target in mono:
-            factor, rest = _remove(mono, target)
-            k = factor * rule_sign
-            _accumulate(acc, rest, coeff if k == 1 else coeff * k)
-    return State(acc)
 
 
 @dataclass(frozen=True)
@@ -301,19 +282,19 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
             continue
         for fam, direction in letters:
             space.check_direction(ModeKey(fam, direction, 0))
-        for modes in mode_words(letters, 0, window):
-            raw.extend(normal_order(space, coeff, modes))
+        # without a letter of the conjugate family in its direction, no pair
+        # of a word contracts: each word is its normal product alone
+        if any((_CONJUGATE[f], d) in letters for f, d in letters):
+            for modes in mode_words(letters, 0, window):
+                raw.extend(normal_order(space, coeff, modes))
+        else:
+            terms = (normal_product(space, coeff, m) for m in mode_words(letters, 0, window))
+            raw.extend(t for t in terms if t is not None)
     return combine_terms(raw)
 
 
 class ChargeOperator:
     """Instantiated charge compiled for fast application.
-
-    A term acts nonzero on a monomial only if the conjugate creators of all
-    its annihilators occur in the monomial (with multiplicity), so terms are
-    grouped by that required multiset and each monomial only visits the
-    groups matching submultisets of its own modes, built no longer than the
-    longest group key.
 
     Each term is compiled once into a plan (coefficient, targets, creators):
     the conjugate creators its annihilators remove, in the order they act,
@@ -321,55 +302,49 @@ class ChargeOperator:
     folded into the coefficient.  A plan runs on the mode tuple with integer
     multiplicities and Koszul signs and costs one rational multiply per
     image monomial.
+
+    A term acts nonzero on a monomial only if the monomial holds all its
+    targets (with multiplicity), so plans are filed under their first
+    target: a monomial visits the target-free plans and those of each of its
+    distinct letters, and skips a plan whose other targets it lacks.
     """
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
-        self.groups: dict = {}
+        self.plans: dict = {}  # first target or None -> [(coeff, targets, creators, rest)]
         for t in terms:
-            self.groups.setdefault(conjugate_creators(space, t.modes), []).append(
-                _compile(space, t)
+            coeff, targets, creators = _compile(space, t)
+            self.plans.setdefault(targets[0] if targets else None, []).append(
+                (coeff, targets, creators, frozenset(targets[1:]))
             )
-        self._longest = max(map(len, self.groups), default=0)
 
-    def _submultisets(self, modes: tuple):
-        """The submultisets of a mode tuple no longer than the longest group
-        key, each canonically ordered, in the order of the full enumeration."""
-        runs = []
-        for m in modes:
-            if runs and runs[-1][0] is m:
-                runs[-1][1] += 1
-            else:
-                runs.append([m, 1])
-        longest = self._longest
-        out = [()]
-        for m, mult in runs:
-            tails = [(m,) * take for take in range(mult + 1)]
-            # a tail may bring acc up to the longest key, and no further
-            out = [acc + tail for acc in out for tail in tails[: longest + 1 - len(acc)]]
-        return out
-
-    def _apply_mono(self, mono: tuple) -> dict:
+    def image(self, mono: tuple) -> dict:
+        """The image of one monomial, {monomial: coefficient}, zeros dropped."""
         acc = {}
-        for key in self._submultisets(mono):
-            for coeff, targets, creators in self.groups.get(key, ()):
-                # the group key guarantees every target occurs
+        letters = dict.fromkeys(mono)
+        for first in (None, *letters):
+            for coeff, targets, creators, rest in self.plans.get(first, ()):
+                if not rest <= letters.keys():
+                    continue
                 factor, modes = 1, mono
                 for target in targets:
+                    if target not in modes:  # a repeated boson occurs too few times
+                        break
                     f, modes = _remove(modes, target)
                     factor *= f
-                placed = _koszul_sort(creators + modes)
-                if placed is None:
-                    continue
-                sign, modes = placed
-                k = factor * sign
-                _accumulate(acc, modes, coeff if k == 1 else coeff * k)
+                else:
+                    placed = _koszul_sort(creators + modes)
+                    if placed is None:
+                        continue
+                    sign, modes = placed
+                    k = factor * sign
+                    _accumulate(acc, modes, coeff if k == 1 else coeff * k)
         return {m: c for m, c in acc.items() if c}
 
     def __call__(self, state: State) -> State:
         acc = {}
         for mono, coeff in state.terms.items():
             one = coeff == 1
-            for m, c in self._apply_mono(mono).items():
+            for m, c in self.image(mono).items():
                 _accumulate(acc, m, c if one else coeff * c)
         return State(acc)
 

@@ -39,9 +39,6 @@
 - The Euler series as the package summed it before it counted each base's
   x_0 placements: one sign per monomial of ``enumerate_torus_window``.
   ``reference_euler_series`` is verbatim apart from its name.
-- Every submultiset of a monomial's modes, as ``ChargeOperator`` listed
-  them before it stopped at the longest group key:
-  ``reference_submultisets``, verbatim apart from taking no operator.
 - The odometer over index tuples that charge instantiation and field
   reconstruction walked before one stack of mode words served both:
   ``reference_index_assignments``, verbatim apart from its name; its
@@ -101,7 +98,7 @@ def _fermion_sort_sign(fermions: Sequence[ModeKey]):
     return -1 if inversions % 2 else 1
 
 
-def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
+def _normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
     """Canonical form of a raw creator product, with the Koszul sign.
 
     Bosons commute freely; each transposition of two fermionic letters flips
@@ -124,7 +121,7 @@ def apply_mode(space: SpaceSpec, mode: ModeKey, state: State) -> State:
     if space.is_creator(mode):
         out = State.zero()
         for mono, coeff in state.terms.items():
-            out = out + normalize(space, (mode,) + mono, coeff)
+            out = out + _normalize(space, (mode,) + mono, coeff)
         return out
     target = ModeKey(_CONJUGATE[mode.family], mode.direction, -mode.index)
     rule_sign = _DERIVATION_SIGN[mode.family]
@@ -331,7 +328,7 @@ def translate(space: SpaceSpec, state: State) -> State:
                 continue
             raised = ModeKey(m.family, m.direction, m.index + 1)
             raw = mono[:pos] + (raised,) + mono[pos + 1 :]
-            out = out + normalize(space, raw, coeff * factor)
+            out = out + _normalize(space, raw, coeff * factor)
     return out
 
 
@@ -669,21 +666,6 @@ def reference_euler_series(
             chi[t] = chi.get(t, 0) + (-1 if degree % 2 else 1)
         rows[q] = {t: chi[t] for t in sorted(chi) if chi[t]}
     return TruncatedSeries(max_weight, rows, torus_window)
-
-
-def reference_submultisets(modes: tuple):
-    runs = []
-    for m in modes:
-        if runs and runs[-1][0] is m:
-            runs[-1][1] += 1
-        else:
-            runs.append([m, 1])
-    out = [()]
-    for m, mult in runs:
-        out = [
-            acc + (m,) * take for acc in out for take in range(mult + 1)
-        ]
-    return out
 
 
 def reference_index_assignments(n: int, total: int, window: int):

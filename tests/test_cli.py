@@ -35,11 +35,17 @@ def test_theta_check_passes(tmp_path):
     code, text = run(tmp_path, "theta-check", spec)
     assert code == 0
     assert json.loads(text)["payload"]["equal"] is True
+    # the default torus weights, given explicitly
+    spec["torus_weights"] = {"x": [1], "phi": [-2]}
+    code, text = run(tmp_path, "theta-check", spec)
+    assert code == 0
+    assert json.loads(text)["payload"]["equal"] is True
 
 
 def test_theta_check_refuses_other_sides_and_dims(tmp_path, capsys):
-    # the closed form is the one-variable, omega-side character: these specs
-    # would otherwise exit 1 with a false witness
+    # the closed form is the one-variable, omega-side character, graded by
+    # the default torus weights: these specs would otherwise exit 1 with a
+    # false witness (x = 2, phi = -4 spaces the series in z^2 steps)
     def potential(*exps):
         return {"terms": [{"coeff": "1", "exps": list(e)} for e in exps]}
 
@@ -47,6 +53,15 @@ def test_theta_check_refuses_other_sides_and_dims(tmp_path, capsys):
         ({"dim": 1, "side": "theta", "potential": potential([3])}, "spec.side"),
         ({"dim": 2, "side": "omega", "potential": potential([1, 1])}, "spec.dim"),
         ({"dim": 2, "side": "omega", "potential": potential([3, 0], [0, 3])}, "spec.dim"),
+        (
+            {
+                "dim": 1,
+                "side": "omega",
+                "potential": potential([3]),
+                "torus_weights": {"x": [2], "phi": [-4]},
+            },
+            "spec.torus_weights",
+        ),
     ]
     for spec, field in cases:
         spec["caps"] = {"q_max": 2, "weight_max": 2, "z_window": [-6, 3]}

@@ -29,9 +29,9 @@ from chiralg.modfun import (
     polynomial_zero_modes,
     singular_vectors,
 )
-from chiralg.oper import apply_mode, instantiate_charge
+from chiralg.oper import instantiate_charge
 from conftest import partition_gf_coeffs
-from mode_oracle import reference_singular_vectors
+from mode_oracle import apply_mode, reference_singular_vectors
 
 THETA1 = make_space(Side.THETA, 1)
 
@@ -95,8 +95,9 @@ def test_delta_singular_vectors():
 
 def test_induced_vacuum_module_matches_fock_action():
     """The induced vacuum module is the x0-capped Fock space of the theta
-    line, so every mode acts as ``oper.apply_mode`` does there; this pins the
-    zero-mode sign convention and the positive-mode action together."""
+    line, so every mode acts as the reference mode action does there; this
+    pins the zero-mode sign convention and the positive-mode action
+    together."""
     cap = 3
     module = InducedTruncation(polynomial_zero_modes(cap), cap)
     n = module.base.dim  # basis vector 2k + eps is x0^k psi0^eps

@@ -26,7 +26,6 @@ from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
     SymbolicCharge,
-    apply_mode,
     charge_operator,
     combine_terms,
     instantiate_charge,
@@ -39,12 +38,22 @@ from mode_oracle import (
     apply_term,
     reference_index_assignments,
     reference_normal_order,
-    reference_submultisets,
     translate,
 )
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
+CONJUGATE = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Family.PSI: Family.PHI}
+
+
+def _compiled(space, term, state):
+    """One term through its compiled plan."""
+    return ChargeOperator(space, [term])(state)
+
+
+def apply_mode(space, mode, state):
+    """One mode, as a one-term operator."""
+    return _compiled(space, OperatorTerm(Fraction(1), (mode,)), state)
 
 
 def test_apply_mode_y_derivative():
@@ -78,11 +87,6 @@ def test_apply_term_pure_creators():
     for apply in (apply_term, _compiled):
         out = apply(OMEGA1, term, st(OMEGA1, PSI(1)))
         assert out == st(OMEGA1, X(0), PHI(0), PSI(1))
-
-
-def _compiled(space, term, state):
-    """One term through its compiled plan."""
-    return ChargeOperator(space, [term])(state)
 
 
 def test_normal_order_contraction():
@@ -126,6 +130,38 @@ def test_mode_words_match_index_assignments(letters, total, window):
     )
     for k, (got, ref) in enumerate(zip_longest(mode_words(letters, total, window), want)):
         assert got == ref, k
+
+
+@hst.composite
+def pattern_charges(draw):
+    """(space, charge, window) on either side in dims 1-2: each pattern is
+    1-3 random letters, and on about half the draws also the conjugate
+    family of one of them in its direction, so that its words contract."""
+    space = make_space(draw(hst.sampled_from([Side.THETA, Side.OMEGA])), draw(hst.integers(1, 2)))
+    letter = hst.tuples(hst.sampled_from(list(Family)), hst.integers(1, space.dim))
+    patterns = []
+    for _ in range(draw(hst.integers(1, 3))):
+        letters = draw(hst.lists(letter, min_size=1, max_size=3))
+        if draw(hst.booleans()):
+            fam, direction = draw(hst.sampled_from(letters))
+            letters.insert(draw(hst.integers(0, len(letters))), (CONJUGATE[fam], direction))
+        patterns.append((draw(NONZERO), tuple(letters)))
+    return space, SymbolicCharge(tuple(patterns)), draw(hst.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_charges())
+def test_instantiate_charge_matches_reference_normal_order(case):
+    """Every pattern's terms are the worklist normal order of each of the
+    odometer's words, contracted or not."""
+    space, charge, window = case
+    raw = []
+    for coeff, letters in charge.patterns:
+        families, directions = zip(*letters)
+        for idx in reference_index_assignments(len(letters), 0, window):
+            word = tuple(map(ModeKey, families, directions, idx))
+            raw += reference_normal_order(space, coeff, word)
+    assert instantiate_charge(charge, space, window) == combine_terms(raw)
 
 
 def test_instantiate_chiral_de_rham_window2():
@@ -262,8 +298,7 @@ NONZERO = hst.builds(Fraction, hst.integers(-3, 3).filter(bool), hst.integers(1,
 
 
 def _conjugate(mode):
-    pairs = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Family.PSI: Family.PHI}
-    return ModeKey(pairs[mode.family], mode.direction, -mode.index)
+    return ModeKey(CONJUGATE[mode.family], mode.direction, -mode.index)
 
 
 @hst.composite
@@ -273,9 +308,12 @@ def term_cases(draw):
 
     Besides the weight-preserving terms of a random pattern charge, the
     terms of a field mode a_(n) with wt(a) + n != 0 change weight, one term
-    annihilates a random submultiset of a state monomial's letters, and the
-    single mode is often the conjugate of one of them, so repeated bosons
-    and fermion signs are met on most draws.
+    annihilates letters of a state monomial, and the single mode is often
+    the conjugate of one of them, so repeated bosons and fermion signs are
+    met on most draws.  That term may take a letter more often than it
+    occurs, and the letters of a weight-1 monomial besides, so its targets
+    are often not all in the monomial: a first target present and a later
+    one absent, or a repeated boson that occurs too few times.
     """
     side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
     dim = draw(hst.integers(1, 3))
@@ -300,11 +338,11 @@ def term_cases(draw):
     state = State({m: draw(NONZERO) for m in monos})
     letters = draw(hst.sampled_from(monos))
     if letters:
-        picked = draw(hst.lists(hst.sampled_from(range(len(letters))), max_size=3, unique=True))
-        creators = draw(hst.lists(hst.sampled_from(_capped_basis(space, 1, 1)), max_size=1))
-        word = (creators[0] if creators else ()) + tuple(
-            _conjugate(letters[i]) for i in picked
-        )
+        picked = draw(hst.lists(hst.sampled_from(range(len(letters))), max_size=3))
+        weight1 = hst.lists(hst.sampled_from(_capped_basis(space, 1, 1)), max_size=1)
+        extra, creators = draw(weight1), draw(weight1)
+        targets = tuple(letters[i] for i in picked) + (extra[0] if extra else ())
+        word = (creators[0] if creators else ()) + tuple(map(_conjugate, targets))
         keep += normal_order(space, draw(NONZERO), word)
     random_mode = hst.builds(
         ModeKey, hst.sampled_from(list(Family)), hst.integers(1, dim), hst.integers(-3, 3)
@@ -317,26 +355,14 @@ def term_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(term_cases())
 def test_compiled_plans_match_reference_action(case):
-    """ChargeOperator's plans and apply_mode give exactly the States of the
-    reference term-by-term, mode-by-mode action."""
+    """ChargeOperator's plans, of many terms or of one mode, give exactly
+    the States of the reference term-by-term, mode-by-mode action."""
     space, terms, state, mode = case
     want = State()
     for t in terms:
         want = want + apply_term(space, t, state)
     assert ChargeOperator(space, terms)(state) == want
     assert apply_mode(space, mode, state) == mode_oracle.apply_mode(space, mode, state)
-
-
-@settings(max_examples=200, deadline=None)
-@given(term_cases())
-def test_submultisets_stop_at_the_longest_group_key(case):
-    """The bounded enumeration is the full one with the submultisets longer
-    than every group key left out, in the same order."""
-    space, terms, state, _ = case
-    op = ChargeOperator(space, terms)
-    for mono in state.terms:
-        want = [s for s in reference_submultisets(mono) if len(s) <= op._longest]
-        assert op._submultisets(mono) == want
 
 
 @hst.composite

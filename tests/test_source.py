@@ -4,7 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chiralg"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "chiralg"
 
 
 def self_calling_functions(tree: ast.AST) -> list:
@@ -87,3 +88,45 @@ def test_stdlib_check_sees_absolute_imports_only():
         "    from scipy import sparse\n"
     )
     assert non_stdlib_imports(tree) == ["numpy", "sympy", "scipy"]
+
+
+def oracle_names_used(tree: ast.AST) -> set:
+    """Names a test module takes from ``mode_oracle``, by ``from mode_oracle
+    import name`` or as ``mode_oracle.name``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "mode_oracle":
+            names.update(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "mode_oracle"
+        ):
+            names.add(node.attr)
+    return names
+
+
+def test_every_reference_is_used_by_a_test():
+    # a reference that no test compares against is dead code
+    oracle = ast.parse((TESTS / "mode_oracle.py").read_text())
+    public = {
+        node.name
+        for node in oracle.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    used = set()
+    for path in TESTS.glob("test_*.py"):
+        used |= oracle_names_used(ast.parse(path.read_text()))
+    assert sorted(public - used) == []
+
+
+def test_oracle_use_check_sees_both_import_forms():
+    tree = ast.parse(
+        "import mode_oracle\n"
+        "from mode_oracle import apply_term, translate as tr\n"
+        "from chiralg.oper import normal_order\n"
+        "def test_x():\n"
+        "    mode_oracle.apply_mode(1, 2, 3)\n"
+        "    other.reference_basis\n"
+    )
+    assert oracle_names_used(tree) == {"apply_term", "translate", "apply_mode"}
