@@ -51,7 +51,9 @@ class Potential:
 
     @staticmethod
     def from_terms(dim: int, terms) -> "Potential":
-        return Potential(dim, tuple((Fraction(c), tuple(e)) for c, e in terms))
+        """Zero terms are dropped once every exponent vector is checked."""
+        f = Potential(dim, tuple((Fraction(c), tuple(e)) for c, e in terms))
+        return Potential(dim, tuple(t for t in f.terms if t[0]))
 
     @staticmethod
     def single_variable(degree: int, coeff=1) -> "Potential":

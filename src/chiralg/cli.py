@@ -368,7 +368,7 @@ def _require_closed_form_scope(spec: ProblemSpec, what: str) -> int:
     """d in -z^-d theta(z^d)/theta(z), the character of the one-variable
     twisted de Rham complex of f = c z^(d+1).  The theta side has Euler number
     +d at q^0, not -d, and more variables have other characters, so ``what``
-    refuses both, as it refuses a spec with no potential or with d < 1."""
+    refuses both, as it refuses a spec with no potential, a zero one or d < 1."""
     if spec.side is not Side.OMEGA:
         raise SpecError(
             f"spec.side: {what} needs side 'omega', got '{spec.side.value}'"
@@ -377,6 +377,8 @@ def _require_closed_form_scope(spec: ProblemSpec, what: str) -> int:
         raise SpecError(f"spec.dim: {what} needs dim 1, got {spec.dim}")
     if spec.potential is None:
         raise SpecError(f"spec.potential: required for {what}")
+    if not spec.potential.terms:
+        raise SpecError(f"spec.potential: {what} needs a nonzero potential")
     d = spec.potential.quasi_degree((1,)) - 1
     if d < 1:
         raise SpecError("spec.potential: degree must be >= 2 for the theta oracle")
@@ -393,6 +395,8 @@ def cmd_theta_check(spec: ProblemSpec):
             f"spec.torus_weights: 'theta-check' needs the default weights "
             f"x {list(default.wx)}, phi {list(default.wphi)}"
         )
+    if spec.z_window is None:
+        raise SpecError("spec.caps.z_window: required for 'theta-check'")
     payload, _, series = cmd_char(spec)
     oracle = chi_closed_form(d, spec.q_max)
     report = compare(series, oracle, zwindow=spec.z_window, qmax=spec.q_max)

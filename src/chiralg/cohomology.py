@@ -1,8 +1,9 @@
 """Differentials as exact matrices per bigrade; cohomology dimensions; characters.
 
 Every cell, a (weight, degree) or (weight, torus, degree) grade, comes from
-one formula.  With S basis monomials spanning the cell, K = ker Q on span(S)
-and I the span of the images of the incoming chains,
+one routine, the ``cell`` method of ``_WeightBlocks``.  With S basis
+monomials spanning the cell, K = ker Q on span(S) and I the span of the
+images of the incoming chains,
 
     h = |S| - rank Q_S - rank I + rank(I with the rows of S removed).
 
@@ -10,10 +11,13 @@ This is dim K - dim(K intersect I): as Q^2 = 0, I lies in ker Q, so
 K intersect I = span(S) intersect I, the kernel of projecting I off span(S).
 So h >= 0.  Q^2 = 0 is proved per weight q on the terms instantiated for q:
 ``check_nilpotent`` covers every state of weight <= q at any x_0 degree, and
-a failure raises ``CohomologyError`` with its witness.
+a failure raises ``CohomologyError`` with its witness.  The two regimes
+differ only in which monomials of a block they keep for S and for I.
 
 Torus-regularized: every bigrade is finite, S is a whole block and I the
-image of the block mapping into it, inside span(S), so the last rank is 0.
+image of the whole block mapping into it, inside span(S), so the last rank
+is 0.  Each block is ranked once, as S of its own cell and as the source of
+the cell its charge maps it to.
 
 Capped: S is the basis of total x_0 degree <= cap and I the image of the
 basis with at most cap + margin of each x_0.  The cap is not
@@ -65,45 +69,50 @@ class CohomologyTable:
 
 class _WeightBlocks:
     """The basis of one weight q bucketed by grade key, (torus, degree) or
-    degree, with the charge's image columns and their rank memoised per key.
+    degree, each block sorted once.  The charge's image columns are memoised
+    per key, and each selection's columns and rank per (key, selection).
 
     The charge is instantiated once, at window q: the Q^2 check runs on
     those terms and hands back the operator that gives the columns.
     """
 
-    def __init__(self, charge: SymbolicCharge, space: SpaceSpec, q: int):
+    def __init__(self, charge: SymbolicCharge, space: SpaceSpec, q: int, keyed):
         report = check_nilpotent(charge, space, q)
         if not report:
             witness = monomial_text(report.witness, space.dim)
             raise CohomologyError(f"charge not nilpotent; witness {witness}")
         self.op = report.operator
         self.bases: Dict[Hashable, List[tuple]] = {}
+        for key, mono in keyed:
+            self.bases.setdefault(key, []).append(mono)
+        for basis in self.bases.values():
+            basis.sort(key=monomial_key)
         self._cols: Dict[Hashable, list] = {}
-        self._ranks: Dict[Hashable, int] = {}
+        self._picks: Dict[tuple, tuple] = {}
 
-    def add(self, key, mono: tuple):
-        self.bases.setdefault(key, []).append(mono)
+    def _pick(self, key, keep) -> tuple:
+        """(monomials, nonzero image columns, their rank) of the monomials of
+        block ``key`` that ``keep`` keeps; ``keep`` None keeps them all."""
+        if (key, keep) not in self._picks:
+            basis = self.bases.get(key, [])
+            if key not in self._cols:
+                self._cols[key] = [self.op(State.of(m)).terms for m in basis]
+            pairs = [
+                (m, c) for m, c in zip(basis, self._cols[key]) if keep is None or keep(m)
+            ]
+            cols = [c for _, c in pairs if c]
+            self._picks[key, keep] = ([m for m, _ in pairs], cols, rank(cols))
+        return self._picks[key, keep]
 
-    def basis(self, key) -> List[tuple]:
-        return self.bases.get(key, [])
-
-    def cols(self, key) -> list:
-        """Image of each basis monomial of the key, as a sparse column."""
-        if key not in self._cols:
-            self._cols[key] = [self.op(State.of(m)).terms for m in self.basis(key)]
-        return self._cols[key]
-
-    def rank(self, key) -> int:
-        if key not in self._ranks:
-            self._ranks[key] = rank(self.cols(key))
-        return self._ranks[key]
-
-
-def _cell(s: set, r_out: int, in_cols: list, r_in: int) -> int:
-    """h = |S| - rank Q_S - rank I + rank(I with the rows of S removed), for
-    I spanned by ``in_cols``."""
-    off = [{m: v for m, v in col.items() if m not in s} for col in in_cols]
-    return len(s) - r_out - r_in + rank(off)
+    def cell(self, key, src, s_keep, in_keep) -> int:
+        """h = |S| - rank Q_S - rank I + rank(I with the rows of S removed),
+        for S the monomials of block ``key`` that ``s_keep`` keeps and I the
+        image columns of those of block ``src`` that ``in_keep`` keeps."""
+        kept, _, r_out = self._pick(key, s_keep)
+        _, in_cols, r_in = self._pick(src, in_keep)
+        s = set(kept)
+        off = [{m: v for m, v in col.items() if m not in s} for col in in_cols]
+        return len(s) - r_out - r_in + rank(off)
 
 
 def _degree_shift(charge: SymbolicCharge) -> int:
@@ -128,22 +137,16 @@ def cohomology_dims_torus(
     lo, hi = torus_window
     dims: Dict[Tuple[int, int], int] = {}
     per_bigrade: Dict[Tuple[int, int, int], int] = {}
+    # the window's cells and the sources t - shift of their incoming maps
+    reach = (min(lo, lo - shift), max(hi, hi - shift))
     for q in range(max_weight + 1):
-        blocks = _WeightBlocks(charge, space, q)
-        # one extra torus column on each side for the incoming maps
-        reach = (lo - abs(shift), hi + abs(shift))
-        for t, degree, mono in enumerate_torus_window(space, q, torus_weights, reach):
-            blocks.add((t, degree), mono)
-        for basis in blocks.bases.values():
-            basis.sort(key=monomial_key)
-        for t in range(lo, hi + 1):
-            for k in sorted(k for (tt, k) in blocks.bases if tt == t):
-                src = (t - shift, k - dshift)  # the block mapping into (t, k)
-                r_out, r_in = blocks.rank((t, k)), blocks.rank(src)
-                h = _cell(set(blocks.basis((t, k))), r_out, blocks.cols(src), r_in)
-                if h:
-                    per_bigrade[(q, k, t)] = h
-                dims[(q, k)] = dims.get((q, k), 0) + h
+        window = enumerate_torus_window(space, q, torus_weights, reach)
+        blocks = _WeightBlocks(charge, space, q, (((t, k), m) for t, k, m in window))
+        for t, k in sorted(key for key in blocks.bases if lo <= key[0] <= hi):
+            h = blocks.cell((t, k), (t - shift, k - dshift), None, None)
+            if h:
+                per_bigrade[(q, k, t)] = h
+            dims[(q, k)] = dims.get((q, k), 0) + h
     dims = {key: v for key, v in dims.items() if v}
     return CohomologyTable(
         dims=dims,
@@ -168,29 +171,6 @@ def _x0_counts(mono: tuple) -> Tuple[int, int]:
     return sum(counts.values()), max(counts.values(), default=0)
 
 
-def _capped_row(
-    blocks: _WeightBlocks, x0: dict, q: int, dshift: int, cap: int, margin: int
-) -> dict:
-    """The cells of weight q at one cap (``blocks`` may hold a larger one): S
-    is the basis of total x_0 degree <= cap, I the image of the basis with
-    at most cap + margin of each x_0.  ``x0`` maps each basis monomial to
-    its ``_x0_counts``."""
-    reach = cap + margin
-    dims: Dict[Tuple[int, int], int] = {}
-    for k in sorted(blocks.bases):
-        s = {m for m in blocks.basis(k) if x0[m][0] <= cap}
-        s_cols = [c for m, c in zip(blocks.basis(k), blocks.cols(k)) if m in s]
-        in_cols = [
-            c
-            for m, c in zip(blocks.basis(k - dshift), blocks.cols(k - dshift))
-            if c and x0[m][1] <= reach
-        ]
-        h = _cell(s, rank(s_cols), in_cols, rank(in_cols))
-        if h:
-            dims[(q, k)] = h
-    return dims
-
-
 def cohomology_dims_capped(
     charge: SymbolicCharge,
     space: SpaceSpec,
@@ -208,15 +188,21 @@ def cohomology_dims_capped(
     dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
-        blocks = _WeightBlocks(charge, space, q)
-        x0 = {}
-        for mono in enumerate_basis(space, q, x0_cap=top):
-            blocks.add(sum(m.degree for m in mono), mono)
-            x0[mono] = _x0_counts(mono)
-        row = _capped_row(blocks, x0, q, dshift, x0_cap, image_margin)
-        bigger = _capped_row(blocks, x0, q, dshift, x0_cap + 1, image_margin)
-        stab[q] = row == bigger
-        dims.update(bigger)
+        basis = enumerate_basis(space, q, x0_cap=top)
+        x0 = {mono: _x0_counts(mono) for mono in basis}
+        blocks = _WeightBlocks(
+            charge, space, q, ((sum(m.degree for m in mono), mono) for mono in basis)
+        )
+        rows = []
+        for cap in (x0_cap, x0_cap + 1):
+            # S: total x_0 degree <= cap; I: at most cap + margin of each x_0
+            reach = cap + image_margin
+            s_keep = lambda mono: x0[mono][0] <= cap
+            in_keep = lambda mono: x0[mono][1] <= reach
+            cells = ((k, blocks.cell(k, k - dshift, s_keep, in_keep)) for k in sorted(blocks.bases))
+            rows.append({(q, k): h for k, h in cells if h})
+        stab[q] = rows[0] == rows[1]
+        dims.update(rows[1])
     return CohomologyTable(
         dims=dims,
         stabilization=stab,

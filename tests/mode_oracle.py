@@ -24,6 +24,10 @@
   rank(I + K) - rank(I), before one rank formula served both regimes:
   ``_capped_dims_once`` verbatim, on a verbatim copy of the block cache it
   used, driven by ``reference_capped_table``.
+- The torus cohomology by the same kernel vectors, rank(I + K) - rank(I)
+  per bigrade: ``reference_torus_table``, new rather than kept, which files
+  each image column under the bigrade of its monomials instead of reading
+  the source block off the charge's torus shift.
 - The sparse ``Fraction`` elimination behind ``linalg.rank`` and
   ``linalg.kernel_basis`` before it reduced integer vectors and visited the
   pivots through a heap: ``reference_eliminate``, verbatim apart from its
@@ -561,6 +565,43 @@ def reference_capped_table(charge, space: SpaceSpec, max_weight: int, x0_cap: in
         dims.update(bigger)
     return dims, stab
 
+
+
+def reference_torus_table(
+    charge, space: SpaceSpec, max_weight: int, torus_weights: TorusWeights, window
+):
+    """(dims, per_bigrade) of the torus regime by kernel vectors: per
+    bigrade, rank(I + K) - rank(I) for K the kernel vectors of the block and
+    I every image column that lands in it.  A column's bigrade is read off
+    its monomials, so the charge's shift and its sign are never used; the
+    basis is enumerated |shift| past each end of the window, which holds
+    every source.  ``per_bigrade`` is keyed "q,k,t" as in the table."""
+    shift = abs(charge.torus_shift(torus_weights))
+    lo, hi = window
+    dims: Dict[Tuple[int, int], int] = {}
+    per_bigrade: Dict[str, int] = {}
+    for q in range(max_weight + 1):
+        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        for t, k, mono in reference_torus_window(
+            space, q, torus_weights, (lo - shift, hi + shift)
+        ):
+            blocks.add((t, k), mono)
+        incoming: Dict[Tuple[int, int], list] = {}
+        for key in blocks.bases:
+            for col in blocks.cols(key):
+                if col:
+                    mono = next(iter(col))
+                    t = sum(torus_weights.of_mode(m) for m in mono)
+                    incoming.setdefault((t, sum(m.degree for m in mono)), []).append(col)
+        for t, k in sorted(key for key in blocks.bases if lo <= key[0] <= hi):
+            basis, in_cols = blocks.basis((t, k)), incoming.get((t, k), [])
+            kern = kernel_basis(blocks.cols((t, k)))
+            k_cols = [{basis[i]: v for i, v in vec.items()} for vec in kern]
+            h = rank(in_cols + k_cols) - rank(in_cols)
+            if h:
+                per_bigrade[f"{q},{k},{t}"] = h
+                dims[(q, k)] = dims.get((q, k), 0) + h
+    return dims, per_bigrade
 
 def reference_eliminate(
     columns: Sequence[Dict[Hashable, Fraction]], track: bool

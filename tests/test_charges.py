@@ -45,6 +45,12 @@ def test_potential_validation():
         Potential.from_terms(2, [(1, (1,))])
     with pytest.raises(FockError):
         Potential.from_terms(1, [(1, (2,)), (3, (2,))])
+    # zero terms are dropped, but only after the duplicate check
+    with pytest.raises(FockError):
+        Potential.from_terms(1, [(0, (2,)), (3, (2,))])
+    f = Potential.from_terms(1, [(1, (3,)), (0, (2,))])
+    assert f == Potential.single_variable(3)
+    assert f.quasi_degree((1,)) == 3
 
 
 def test_quasi_degree():

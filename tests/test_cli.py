@@ -366,6 +366,48 @@ def test_chi_van_theta_oracle_degree_2_and_3(tmp_path):
         assert "witness" not in payload
 
 
+
+def test_zero_potential_terms_are_dropped(tmp_path, capsys):
+    """f = 0 x^3 is the zero potential, outside the closed form (the theta
+    oracle gave the false witness q 0, computed 1, oracle -2), and
+    f = x^3 + 0 x^2 is x^3 (theta-check refused it as not quasi-homogeneous)."""
+    def spec(*terms, **caps):
+        return {
+            "dim": 1,
+            "side": "omega",
+            "potential": {"terms": [{"coeff": c, "exps": [e]} for c, e in terms]},
+            "caps": caps,
+        }
+
+    zero = spec(("0", 3), weight_max=1, x0_cap=2)
+    code, _ = run(tmp_path, "chi-van", zero, "--oracle", "theta")
+    assert code == 2
+    assert "spec.potential" in capsys.readouterr().err
+    code, _ = run(tmp_path, "theta-check", dict(zero, caps={"q_max": 2, "z_window": [-6, 3]}))
+    assert code == 2
+    assert "spec.potential" in capsys.readouterr().err
+    cubic = spec(("1", 3), ("0", 2), q_max=3, z_window=[-8, 3], weight_max=1, x0_cap=2)
+    code, text = run(tmp_path, "theta-check", cubic)
+    assert code == 0
+    assert json.loads(text)["payload"]["equal"] is True
+    code, text = run(tmp_path, "chi-van", cubic, "--oracle", "theta")
+    assert code == 0
+    assert json.loads(text)["payload"]["table"] == json.loads(
+        run(tmp_path, "chi-van", spec(("1", 3), weight_max=1, x0_cap=2), "--oracle", "theta")[1]
+    )["payload"]["table"]
+
+
+def test_theta_check_names_itself_without_a_z_window(tmp_path, capsys):
+    spec = {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "1", "exps": [3]}]},
+        "caps": {"q_max": 2},
+    }
+    code, _ = run(tmp_path, "theta-check", spec)
+    assert code == 2
+    assert "spec.caps.z_window: required for 'theta-check'" in capsys.readouterr().err
+
 def test_anticommute_command(tmp_path):
     spec = {
         "dim": 1,

@@ -1,6 +1,7 @@
 """Cohomology dimensions in both regimes, Euler-characteristic series."""
 
 import random
+from itertools import product
 
 import pytest
 from fractions import Fraction
@@ -34,7 +35,7 @@ from chiralg.fock import (
 from chiralg.linalg import kernel_basis, rank
 from chiralg.oper import charge_operator
 from conftest import X, degree
-from mode_oracle import reference_capped_table
+from mode_oracle import reference_capped_table, reference_torus_table
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)
@@ -276,3 +277,73 @@ def test_capped_lie_dims_match_kernel_vector_reference(entries, dim, weight, cap
     assert (table.dims, table.stabilization) == reference_capped_table(
         charge, space, weight, cap
     )
+
+
+@hst.composite
+def torus_twists(draw):
+    """(charge, space, max_weight, torus weights, window): the twist by a
+    random potential of weighted degree D under random x weights of one
+    sign, in one or two variables.  phi_j = x_j - D + s makes the charge
+    torus homogeneous of shift s, which is drawn nonzero; in one variable
+    this is any phi weight."""
+    dim = draw(hst.integers(1, 2))
+    sign = draw(hst.sampled_from([1, -1]))
+    wx = tuple(sign * w for w in draw(hst.tuples(*[hst.integers(1, 2)] * dim)))
+    exps = [e for e in product(range(4), repeat=dim) if 0 < sum(e) <= 3]
+    weighted = {e: sum(w * n for w, n in zip(wx, e)) for e in exps}
+    total = draw(hst.sampled_from(sorted(set(weighted.values()))))
+    terms = draw(
+        hst.lists(
+            hst.sampled_from([e for e in exps if weighted[e] == total]),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    f = Potential.from_terms(dim, [(draw(hst.integers(-3, 3).filter(bool)), e) for e in terms])
+    shift = draw(hst.integers(-3, 3).filter(bool))
+    tw = TorusWeights(wx, tuple(w - total + shift for w in wx))
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    charge = potential_charge(f, side)
+    assert charge.torus_shift(tw) == shift
+    lo = draw(hst.integers(-4, 4))
+    window = (lo, lo + draw(hst.integers(0, 4)))
+    return charge, make_space(side, dim), draw(hst.integers(0, 3 - dim)), tw, window
+
+
+def _assert_torus_matches_reference(charge, space, weight, tw, window):
+    table = cohomology_dims_torus(charge, space, weight, tw, window)
+    dims, per_bigrade = reference_torus_table(charge, space, weight, tw, window)
+    assert (table.dims, table.metadata["per_bigrade"]) == (dims, per_bigrade)
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_twists())
+def test_torus_dims_match_kernel_vector_reference(case):
+    """Every incoming map comes from the block at t - shift, which the basis
+    window reaches on the side it lies."""
+    _assert_torus_matches_reference(*case)
+
+
+def test_torus_shift_two_example():
+    """theta-side x^3 under x = 1, phi = 0 has shift 2; reading the source
+    block at t + shift gave {(0,0): 7, (1,-1): 6, (1,0): 13, (1,1): 7}."""
+    charge = potential_charge(Potential.single_variable(3), Side.THETA)
+    tw = TorusWeights((1,), (0,))
+    table = cohomology_dims_torus(charge, THETA1, 1, tw, (-2, 6))
+    assert table.metadata["torus_shift"] == 2
+    assert table.dims == {(0, 0): 2, (1, -1): 1, (1, 0): 2, (1, 1): 1}
+    _assert_torus_matches_reference(charge, THETA1, 1, tw, (-2, 6))
+
+
+@pytest.mark.parametrize(
+    "entries, dim, weight, window",
+    [
+        ([(2, 1, 2, 1)], 2, 2, (0, 1)),  # b2
+        ([(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -2)], 3, 1, (0, 1)),  # sl2
+    ],
+)
+def test_torus_lie_dims_match_kernel_vector_reference(entries, dim, weight, window):
+    charge = lie_charge(StructureConstants.from_entries(dim, entries))
+    space = make_space(Side.THETA, dim)
+    _assert_torus_matches_reference(charge, space, weight, TorusWeights.x_count(dim), window)

@@ -11,7 +11,7 @@ SRC = TESTS.parent / "src" / "chiralg"
 def self_calling_functions(tree: ast.AST) -> list:
     """Names of the module-level and nested functions that call themselves by
     their bare name.  Methods are skipped: a method that calls a module
-    function of its own name (``_WeightBlocks.rank`` calls ``linalg.rank``)
+    function of its own name (a method ``rank`` calling ``linalg.rank``)
     does not recurse."""
     found = []
     stack = [(tree, False)]
