@@ -71,7 +71,11 @@ class Potential:
         return out
 
     def quasi_degree(self, wx: Sequence[int]) -> int:
-        """Weighted degree if f is quasi-homogeneous for wx, else error."""
+        """Weighted degree if f is quasi-homogeneous for wx, else error.
+
+        The zero potential has no degree, whatever the weights."""
+        if not self.terms:
+            raise FockError("the zero potential has no quasi-homogeneous degree")
         degrees = {sum(w * e for w, e in zip(wx, exps)) for _, exps in self.terms}
         if len(degrees) != 1:
             raise FockError(f"potential not quasi-homogeneous for wx={tuple(wx)}")

@@ -1,9 +1,9 @@
 """Differentials as exact matrices per bigrade; cohomology dimensions; characters.
 
 Every cell, a (weight, degree) or (weight, torus, degree) grade, comes from
-one routine, the ``cell`` method of ``_WeightBlocks``.  With S basis
-monomials spanning the cell, K = ker Q on span(S) and I the span of the
-images of the incoming chains,
+one routine, ``_WeightBlocks.cell``.  With S basis monomials spanning the
+cell, K = ker Q on span(S) and I the span of the images of the incoming
+chains,
 
     h = |S| - rank Q_S - rank I + rank(I with the rows of S removed).
 
@@ -11,18 +11,40 @@ This is dim K - dim(K intersect I): as Q^2 = 0, I lies in ker Q, so
 K intersect I = span(S) intersect I, the kernel of projecting I off span(S).
 So h >= 0.  Q^2 = 0 is proved per weight q on the terms instantiated for q:
 ``check_nilpotent`` covers every state of weight <= q at any x_0 degree, and
-a failure raises ``CohomologyError`` with its witness.  The two regimes
-differ only in which monomials of a block they keep for S and for I.
+a failure raises ``CohomologyError`` with its witness.
 
-Torus-regularized: every bigrade is finite, S is a whole block and I the
-image of the whole block mapping into it, inside span(S), so the last rank
-is 0.  Each block is ranked once, as S of its own cell and as the source of
-the cell its charge maps it to.
+Levels.  Each basis monomial of weight q has a level, and each selection,
+S or the monomials whose images span I, is a level threshold: S is level
+<= s of the cell's block and I the image of level <= i of its source block.
 
-Capped: S is the basis of total x_0 degree <= cap and I the image of the
-basis with at most cap + margin of each x_0.  The cap is not
-differential-stable, so h converges to the honest dimension as the cap
-grows and is reported with a flag comparing cap and cap + 1.
+- Torus-regularized: every bigrade is finite and every monomial has level
+  0.  One pass, (s, i) = (0, 0): S is a whole block and I the image of the
+  whole block mapping into it, inside span(S), so the last rank is 0.
+- Capped: level 0 if the total x_0 degree is <= cap, 1 if it is <= cap + 1,
+  2 if no x_0 occurs more than cap + margin times, else 3.  The chain is
+  nested because margin >= 1.  The cap pass is (s, i) = (0, 2) and the
+  cap + 1 pass (1, 3).  The cap is not differential-stable, so h converges
+  to the honest dimension as the cap grows and is reported with a flag
+  comparing cap and cap + 1.
+
+Pivot profile.  Each block's image columns are eliminated once per weight
+(``linalg.pivot_profile``), sorted by level and, within a level, by nonzero
+count, which keeps the fill down.  Each pivot is taken at a row of the
+highest level in its vector; a row outside the basis lies in no S and
+counts as above every level.  The profile records, per column, None if the
+column depends on earlier ones, else its pivot row's level.  A selection
+is a prefix of the order, so:
+
+- rank Q_S is the number of pivots among the block's columns of level <= s;
+- rank I is the number of pivots among the source block's columns of
+  level <= i;
+- rank(I off S) is the number of those pivots whose level is above s.
+
+The last holds because a pivot vector is zero on the rows of all earlier
+pivots and on every row above its own pivot row's level.  The vectors of
+pivot level <= s therefore lie in span(S) and project to zero, while those
+of higher level project to vectors that are triangular on their pivot rows,
+hence independent; and the pivot vectors of a prefix span its columns.
 
 Hypercohomology over affine space is computed as plain complex cohomology
 (higher sheaf cohomology vanishes); this identification is recorded in the
@@ -32,7 +54,7 @@ table metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .fock import (
     Family,
@@ -41,12 +63,11 @@ from .fock import (
     TorusWeights,
     enumerate_basis,
     enumerate_torus_window,
-    monomial_key,
     monomial_text,
     torus_window_counts,
 )
 from .charges import check_nilpotent
-from .linalg import rank
+from .linalg import pivot_profile
 from .oper import SymbolicCharge
 from .qseries import TruncatedSeries
 
@@ -69,8 +90,8 @@ class CohomologyTable:
 
 class _WeightBlocks:
     """The basis of one weight q bucketed by grade key, (torus, degree) or
-    degree, each block sorted once.  The charge's image columns are memoised
-    per key, and each selection's columns and rank per (key, selection).
+    degree, each monomial with its level.  Each block's image columns are
+    eliminated once, and only its pivot profile is kept.
 
     The charge is instantiated once, at window q: the Q^2 check runs on
     those terms and hands back the operator that gives the columns.
@@ -82,37 +103,38 @@ class _WeightBlocks:
             witness = monomial_text(report.witness, space.dim)
             raise CohomologyError(f"charge not nilpotent; witness {witness}")
         self.op = report.operator
+        self.levels: Dict[tuple, int] = {}
         self.bases: Dict[Hashable, List[tuple]] = {}
-        for key, mono in keyed:
+        for key, mono, level in keyed:
+            self.levels[mono] = level
             self.bases.setdefault(key, []).append(mono)
-        for basis in self.bases.values():
-            basis.sort(key=monomial_key)
-        self._cols: Dict[Hashable, list] = {}
-        self._picks: Dict[tuple, tuple] = {}
+        # a row outside the basis lies in no selection: above every level
+        self.depth = max(self.levels.values(), default=0) + 1
+        self._profiles: Dict[Hashable, List[Tuple[int, Optional[int]]]] = {}
 
-    def _pick(self, key, keep) -> tuple:
-        """(monomials, nonzero image columns, their rank) of the monomials of
-        block ``key`` that ``keep`` keeps; ``keep`` None keeps them all."""
-        if (key, keep) not in self._picks:
+    def _level(self, mono) -> int:
+        return self.levels.get(mono, self.depth)
+
+    def _profile(self, key) -> List[Tuple[int, Optional[int]]]:
+        """(level of the monomial, level of its column's pivot row or None)
+        for the monomials of block ``key``, in elimination order."""
+        if key not in self._profiles:
             basis = self.bases.get(key, [])
-            if key not in self._cols:
-                self._cols[key] = [self.op(State.of(m)).terms for m in basis]
-            pairs = [
-                (m, c) for m, c in zip(basis, self._cols[key]) if keep is None or keep(m)
-            ]
-            cols = [c for _, c in pairs if c]
-            self._picks[key, keep] = ([m for m, _ in pairs], cols, rank(cols))
-        return self._picks[key, keep]
+            cols = [(self.levels[m], self.op(State.of(m)).terms) for m in basis]
+            cols.sort(key=lambda lc: (lc[0], len(lc[1])))
+            pivots = pivot_profile([c for _, c in cols], self._level) if cols else []
+            self._profiles[key] = [(lv, p) for (lv, _), p in zip(cols, pivots)]
+        return self._profiles[key]
 
-    def cell(self, key, src, s_keep, in_keep) -> int:
+    def cell(self, key, src, s: int, i: int) -> int:
         """h = |S| - rank Q_S - rank I + rank(I with the rows of S removed),
-        for S the monomials of block ``key`` that ``s_keep`` keeps and I the
-        image columns of those of block ``src`` that ``in_keep`` keeps."""
-        kept, _, r_out = self._pick(key, s_keep)
-        _, in_cols, r_in = self._pick(src, in_keep)
-        s = set(kept)
-        off = [{m: v for m, v in col.items() if m not in s} for col in in_cols]
-        return len(s) - r_out - r_in + rank(off)
+        for S the monomials of block ``key`` of level <= s and I the image
+        columns of those of block ``src`` of level <= i, read off the two
+        blocks' pivot profiles as the module docstring shows."""
+        # |S| - rank Q_S: the columns of S that depend on earlier ones
+        free = sum(p is None for lv, p in self._profile(key) if lv <= s)
+        into = [p for lv, p in self._profile(src) if lv <= i and p is not None]
+        return free - len(into) + sum(p > s for p in into)
 
 
 def _degree_shift(charge: SymbolicCharge) -> int:
@@ -141,9 +163,9 @@ def cohomology_dims_torus(
     reach = (min(lo, lo - shift), max(hi, hi - shift))
     for q in range(max_weight + 1):
         window = enumerate_torus_window(space, q, torus_weights, reach)
-        blocks = _WeightBlocks(charge, space, q, (((t, k), m) for t, k, m in window))
+        blocks = _WeightBlocks(charge, space, q, (((t, k), m, 0) for t, k, m in window))
         for t, k in sorted(key for key in blocks.bases if lo <= key[0] <= hi):
-            h = blocks.cell((t, k), (t - shift, k - dshift), None, None)
+            h = blocks.cell((t, k), (t - shift, k - dshift), 0, 0)
             if h:
                 per_bigrade[(q, k, t)] = h
             dims[(q, k)] = dims.get((q, k), 0) + h
@@ -179,27 +201,32 @@ def cohomology_dims_capped(
 ) -> CohomologyTable:
     """Cohomology of the x_0-capped pieces with stabilization flags.
 
-    The cap and cap+1 passes share each weight's operator and image columns;
-    the reported dimensions are the cap+1 ones.
+    The cap and cap+1 passes share each weight's operator and each block's
+    one elimination; the reported dimensions are the cap+1 ones.
     """
     image_margin = charge.max_y_letters() + 1
     dshift = _degree_shift(charge)
     top = x0_cap + image_margin + 1
+
+    def level(mono) -> int:
+        total, most = _x0_counts(mono)
+        if total <= x0_cap:
+            return 0
+        if total <= x0_cap + 1:
+            return 1
+        return 2 if most <= x0_cap + image_margin else 3
+
     dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
         basis = enumerate_basis(space, q, x0_cap=top)
-        x0 = {mono: _x0_counts(mono) for mono in basis}
-        blocks = _WeightBlocks(
-            charge, space, q, ((sum(m.degree for m in mono), mono) for mono in basis)
-        )
+        keyed = ((sum(m.degree for m in mono), mono, level(mono)) for mono in basis)
+        blocks = _WeightBlocks(charge, space, q, keyed)
         rows = []
-        for cap in (x0_cap, x0_cap + 1):
-            # S: total x_0 degree <= cap; I: at most cap + margin of each x_0
-            reach = cap + image_margin
-            s_keep = lambda mono: x0[mono][0] <= cap
-            in_keep = lambda mono: x0[mono][1] <= reach
-            cells = ((k, blocks.cell(k, k - dshift, s_keep, in_keep)) for k in sorted(blocks.bases))
+        # at cap + c, S is level <= c (total x_0 degree <= cap + c) and I is
+        # level <= c + 2 (at most cap + c + margin of each x_0)
+        for s, i in ((0, 2), (1, 3)):
+            cells = ((k, blocks.cell(k, k - dshift, s, i)) for k in sorted(blocks.bases))
             rows.append({(q, k): h for k, h in cells if h})
         stab[q] = rows[0] == rows[1]
         dims.update(rows[1])

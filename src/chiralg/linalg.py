@@ -34,6 +34,15 @@ The reduction runs on integers only:
 
 ``Fraction`` arithmetic is used only to scale an input column and to build a
 relation; the reduction loop in between is ``int`` arithmetic only.
+
+Every row has a level, and a pivot's row is the first row of the highest
+level in its vector, so the vector is zero on every row above its pivot
+row's level.  ``rank`` and ``kernel_basis`` give every row level 0, so their
+pivot is the vector's first row.  The elimination returns its pivot
+profile, per column None if the column depends on earlier ones, else its
+pivot row's level.  Rank is the number of pivots, of any prefix of the
+columns too; ``pivot_profile`` serves the cohomology cells, which read
+several ranks off one profile.
 """
 
 from __future__ import annotations
@@ -41,17 +50,26 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 Column = Dict[Hashable, Fraction]
 
 
 def _eliminate(
-    columns: Sequence[Column], track: bool
-) -> Tuple[int, List[Dict[int, Fraction]]]:
-    """Rank of the columns and, when ``track`` is set, the relation
-    {column: coefficient} of each column that depends on earlier ones."""
+    columns: Sequence[Column],
+    track: bool,
+    level: Callable[[Hashable], int],
+) -> Tuple[List[Optional[int]], List[Dict[int, Fraction]]]:
+    """The pivot profile of the columns and, when ``track`` is set, the
+    relation {column: coefficient} of each column that depends on earlier
+    ones.
+
+    The profile holds, per column, None if it depends on earlier columns,
+    else ``level`` of its pivot row, the first row of the highest level in
+    its vector."""
     index: Dict[Hashable, int] = {}  # row keys are hashed once, then ints
+    row_level: List[int] = []  # level per row int
+    profile: List[Optional[int]] = []
     where: Dict[int, int] = {}  # pivot row -> pivot number
     # (pivot row, leading entry p > 0, vector with the row left out,
     # combination of columns it equals)
@@ -59,11 +77,14 @@ def _eliminate(
     relations = []
     for c, col in enumerate(columns):
         den = lcm(*(v.denominator for v in col.values() if v))
-        vec = {
-            index.setdefault(r, len(index)): v.numerator * (den // v.denominator)
-            for r, v in col.items()
-            if v
-        }
+        vec = {}
+        for r, v in col.items():
+            if v:
+                i = index.get(r)
+                if i is None:
+                    i = index[r] = len(row_level)
+                    row_level.append(level(r))
+                vec[i] = v.numerator * (den // v.denominator)
         comb = {c: den} if track else None
         heap = [where[r] for r in vec if r in where]
         heapify(heap)
@@ -105,7 +126,8 @@ def _eliminate(
                 if track:
                     comb = {j: v // g for j, v in comb.items()}
         if vec:
-            row = next(iter(vec))
+            row = max(vec, key=row_level.__getitem__)
+            profile.append(row_level[row])
             p = vec.pop(row)
             g = gcd(p, *vec.values(), *comb.values()) if track else gcd(p, *vec.values())
             if p < 0:
@@ -117,14 +139,31 @@ def _eliminate(
                     comb = {j: v // g for j, v in comb.items()}
             where[row] = len(pivots)
             pivots.append((row, p, vec, comb))
-        elif track:
-            d = comb[c]
-            relations.append({j: Fraction(v, d) for j, v in comb.items()})
-    return len(pivots), relations
+        else:
+            profile.append(None)
+            if track:
+                d = comb[c]
+                relations.append({j: Fraction(v, d) for j, v in comb.items()})
+    return profile, relations
+
+
+def _flat(row: Hashable) -> int:
+    return 0
 
 
 def rank(columns: Sequence[Column]) -> int:
-    return _eliminate(columns, track=False)[0]
+    return len(columns) - _eliminate(columns, False, _flat)[0].count(None)
+
+
+def pivot_profile(
+    columns: Sequence[Column], level: Callable[[Hashable], int]
+) -> List[Optional[int]]:
+    """Per column, None if it depends on earlier columns, else the level of
+    its pivot row, each pivot taken at a row of the highest level in its
+    vector.  The first n columns hold as many pivots as their rank, and as
+    many pivots of level above s as the rank of their projection onto the
+    rows of level above s (proved in the ``cohomology`` module docstring)."""
+    return _eliminate(columns, False, level)[0]
 
 
 def kernel_basis(columns: Sequence[Column]) -> List[Dict[int, Fraction]]:
@@ -133,4 +172,4 @@ def kernel_basis(columns: Sequence[Column]) -> List[Dict[int, Fraction]]:
     One vector per column that depends on earlier ones, in column order,
     with 1 on that column and the rest on earlier pivot columns.
     """
-    return _eliminate(columns, track=True)[1]
+    return _eliminate(columns, True, _flat)[1]

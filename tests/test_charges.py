@@ -57,8 +57,10 @@ def test_quasi_degree():
     f = Potential.from_terms(2, [(1, (2, 1))])
     assert f.quasi_degree((1, 2)) == 4
     g = Potential.from_terms(1, [(1, (2,)), (1, (3,))])
-    with pytest.raises(FockError):
+    with pytest.raises(FockError, match="not quasi-homogeneous"):
         g.quasi_degree((1,))
+    with pytest.raises(FockError, match="zero potential"):
+        Potential.from_terms(1, [(0, (3,))]).quasi_degree((1,))
 
 
 def test_default_torus_weights_z3():

@@ -397,6 +397,24 @@ def test_zero_potential_terms_are_dropped(tmp_path, capsys):
     )["payload"]["table"]
 
 
+def test_zero_potential_has_no_default_torus_weights(tmp_path, capsys):
+    """f = 0 x^3 has no degree to derive the default torus weights from:
+    `char` and `basis` refuse it as the zero potential, not as a potential
+    that is not quasi-homogeneous, and run once the weights are given."""
+    spec = {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "0", "exps": [3]}]},
+        "caps": {"q_max": 2, "weight_max": 1, "z_window": [-6, 3]},
+    }
+    for command in ("char", "basis"):
+        code, _ = run(tmp_path, command, spec)
+        assert code == 2
+        assert capsys.readouterr().err == "error: the zero potential has no quasi-homogeneous degree\n"
+        code, _ = run(tmp_path, command, dict(spec, torus_weights={"x": [1], "phi": [-2]}))
+        assert code == 0
+
+
 def test_theta_check_names_itself_without_a_z_window(tmp_path, capsys):
     spec = {
         "dim": 1,

@@ -1,12 +1,15 @@
 """Cohomology dimensions in both regimes, Euler-characteristic series."""
 
 import random
+from collections import Counter
 from itertools import product
+from unittest import mock
 
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as hst
 
+from chiralg import linalg
 from chiralg.charges import (
     Potential,
     StructureConstants,
@@ -216,6 +219,44 @@ def test_lie_charge_b2_needs_an_operator_per_weight():
     assert capped.dims == {(0, -1): 1, (0, 0): 1}
     torus = cohomology_dims_torus(charge, theta2, 2, TorusWeights.x_count(2), (0, 0))
     assert torus.metadata["per_bigrade"] == {"0,-1,0": 1, "0,0,0": 1}
+
+
+def _elimination_sizes(run):
+    """The column count of every elimination the run makes, sorted."""
+    sizes = []
+    real = linalg._eliminate
+
+    def count(columns, track, level):
+        sizes.append(len(columns))
+        return real(columns, track, level)
+
+    with mock.patch.object(linalg, "_eliminate", count):
+        run()
+    return sorted(sizes)
+
+
+def test_each_block_is_eliminated_once_per_weight():
+    """One elimination per nonempty grade block and weight serves every
+    rank of its cells: in the capped regime both caps, and in the torus
+    regime no elimination is spent on I off S (I lies in span(S))."""
+    charge = combine(chiral_de_rham(1), potential_charge(Potential.single_variable(3), Side.OMEGA))
+    cap = 4
+    top = cap + charge.max_y_letters() + 2  # cap + margin + 1 of each x_0
+    blocks = [
+        Counter(degree(m) for m in enumerate_basis(OMEGA1, q, x0_cap=top)) for q in range(3)
+    ]
+    sizes = _elimination_sizes(lambda: cohomology_dims_capped(charge, OMEGA1, 2, cap))
+    assert sizes == sorted(n for block in blocks for n in block.values())
+
+    sl2 = lie_charge(StructureConstants.from_entries(3, [(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -2)]))
+    weights = TorusWeights.x_count(3)
+    assert sl2.torus_shift(weights) == 0
+    blocks = [
+        Counter((t, k) for t, k, _ in enumerate_torus_window(THETA3, q, weights, (0, 1)))
+        for q in range(2)
+    ]
+    sizes = _elimination_sizes(lambda: cohomology_dims_torus(sl2, THETA3, 1, weights, (0, 1)))
+    assert sizes == sorted(n for block in blocks for n in block.values())
 
 
 def test_table_determinism():

@@ -68,16 +68,20 @@ def module_map_names():
 
 
 def docstring_references():
-    """(file, module, attribute) for every ``module.attr`` in a docstring of
-    the package."""
+    """(module, name) for every ``A.b`` in a docstring of the package: the
+    name b in module A if the package has a module A, else the attribute
+    path A.b in the citing module (a method cited as ``Class.method``)."""
+    paths = sorted((ROOT / "src" / "chiralg").glob("*.py"))
+    modules = {path.stem for path in paths}
     found = []
-    for path in sorted((ROOT / "src" / "chiralg").glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
                 continue
             doc = ast.get_docstring(node) or ""
-            found += [(path.name, *ref) for ref in re.findall(r"``(\w+)\.(\w+)``", doc)]
+            for head, attr in re.findall(r"``(\w+)\.(\w+)``", doc):
+                found.append((head, attr) if head in modules else (path.stem, f"{head}.{attr}"))
     return found
 
 
@@ -92,10 +96,11 @@ def test_cited_names_resolve():
         if not _resolves(name, importlib.import_module(f"chiralg.{module}"), chiralg)
     ]
     refs = docstring_references()
-    assert refs
+    # a method cited through its class resolves in the citing module
+    assert ("cohomology", "_WeightBlocks.cell") in refs
     stale += [
-        (path, f"{module}.{attr}")
-        for path, module, attr in refs
-        if not _resolves(attr, importlib.import_module(f"chiralg.{module}"))
+        (module, name)
+        for module, name in refs
+        if not _resolves(name, importlib.import_module(f"chiralg.{module}"))
     ]
     assert stale == []

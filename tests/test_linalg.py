@@ -197,13 +197,14 @@ def real_runs(draw):
 
 
 def eliminated_blocks(run):
-    """Every column list the run hands to the elimination."""
+    """Every column list the run hands to the elimination, with its level
+    function."""
     blocks = []
     real = linalg._eliminate
 
-    def record(columns, track):
-        blocks.append(columns)
-        return real(columns, track)
+    def record(columns, track, level):
+        blocks.append((columns, level))
+        return real(columns, track, level)
 
     with mock.patch.object(linalg, "_eliminate", record):
         run()
@@ -214,11 +215,41 @@ def eliminated_blocks(run):
 @given(real_runs())
 def test_elimination_matches_fraction_reference_on_real_blocks(run):
     """Ranks and kernel vectors, their order, the order of their entries and
-    their Fraction type are those of the scan over every earlier pivot."""
-    for cols in eliminated_blocks(run):
+    their Fraction type are those of the scan over every earlier pivot,
+    which takes each vector's first row as its pivot, when every row has
+    level 0 (as in ``rank`` and ``kernel_basis``); the profile marks exactly
+    the columns the relations are for.  With the block's levels the pivots
+    move, but the rank, the dependent columns and the kernel vectors (each
+    unique) stay."""
+    for cols, level in eliminated_blocks(run):
         for track in (False, True):
-            r, rels = linalg._eliminate(cols, track)
+            profile, rels = linalg._eliminate(cols, track, lambda row: 0)
             ref_r, ref_rels = reference_eliminate(cols, track)
-            assert r == ref_r
+            assert len(cols) - profile.count(None) == ref_r
+            assert set(profile) <= {None, 0}
             assert [list(rel.items()) for rel in rels] == [list(rel.items()) for rel in ref_rels]
             assert all(type(v) is Fraction for rel in rels for v in rel.values())
+        dependent = [c for c, p in enumerate(profile) if p is None]
+        assert dependent == [next(iter(rel)) for rel in ref_rels]
+        leveled, leveled_rels = linalg._eliminate(cols, True, level)
+        assert [c for c, p in enumerate(leveled) if p is None] == dependent
+        assert leveled_rels == ref_rels
+        assert all(type(v) is Fraction for rel in leveled_rels for v in rel.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices(), hst.data())
+def test_pivot_profile_reads_prefix_ranks_and_projections(cols, data):
+    """The first n columns hold as many pivots as their rank, and as many
+    pivots of level above s as the rank of their projection onto the rows
+    of level above s."""
+    rows = sorted({r for col in cols for r in col}, key=repr)
+    levels = {r: data.draw(hst.integers(0, 3)) for r in rows}
+    profile = linalg.pivot_profile(cols, levels.__getitem__)
+    assert len(profile) == len(cols)
+    n = data.draw(hst.integers(0, len(cols)))
+    s = data.draw(hst.integers(-1, 3))
+    head = profile[:n]
+    assert len(head) - head.count(None) == dense_rank(cols[:n])
+    off = [{r: v for r, v in col.items() if levels[r] > s} for col in cols[:n]]
+    assert sum(p is not None and p > s for p in head) == dense_rank(off)
