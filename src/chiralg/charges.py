@@ -21,9 +21,11 @@ from .fock import (
 )
 from .oper import (
     ChargeOperator,
+    OperatorTerm,
     SymbolicCharge,
     annihilated_weight,
     combine_terms,
+    common_denominator,
     conjugate_creators,
     contractions,
     instantiate_charge,
@@ -284,6 +286,13 @@ def _bracket_terms(space, t1s, t2s, window) -> list:
     ]
 
 
+def _integral(terms: list) -> list:
+    """The terms times the lcm of their denominators, with ``int``
+    coefficients."""
+    _, coeffs = common_denominator([t.coefficient for t in terms])
+    return [OperatorTerm(c, t.modes) for c, t in zip(coeffs, terms)]
+
+
 def _check_bracket(c1, c2, space, window) -> CheckReport:
     """Verify c1 c2 + c2 c1, or c1 c1 when ``c2`` is None, vanishes on weight
     <= window, as ``check_nilpotent`` describes."""
@@ -297,7 +306,11 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
     t1s = instantiate_charge(c1, space, window)
     t2s = None if c2 is None else instantiate_charge(c2, space, window)
     o1 = ChargeOperator(space, t1s)
-    surviving = _bracket_terms(space, t1s, t2s, window)
+    # each list scaled to integers by its own lcm scales the sum by the
+    # product of the two, so it vanishes exactly when the sum does
+    surviving = _bracket_terms(
+        space, _integral(t1s), None if t2s is None else _integral(t2s), window
+    )
     if not surviving:
         return CheckReport(True, operator=o1)
     # a probe built from a minimal surviving annihilator part always works

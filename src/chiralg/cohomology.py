@@ -46,6 +46,12 @@ pivot level <= s therefore lie in span(S) and project to zero, while those
 of higher level project to vectors that are triangular on their pivot rows,
 hence independent; and the pivot vectors of a prefix span its columns.
 
+The columns are the ``int`` images scale * Q that ``oper.ChargeOperator``
+gives.  With every column scaled by one nonzero constant, each vector the
+elimination reaches is a nonzero multiple of the one it reaches unscaled,
+on the same rows, so every pivot row and every dependent column stay: no
+rank and no profile changes.
+
 Hypercohomology over affine space is computed as plain complex cohomology
 (higher sheaf cohomology vanishes); this identification is recorded in the
 table metadata.
@@ -59,7 +65,6 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from .fock import (
     Family,
     SpaceSpec,
-    State,
     TorusWeights,
     enumerate_basis,
     enumerate_torus_window,
@@ -120,7 +125,7 @@ class _WeightBlocks:
         for the monomials of block ``key``, in elimination order."""
         if key not in self._profiles:
             basis = self.bases.get(key, [])
-            cols = [(self.levels[m], self.op(State.of(m)).terms) for m in basis]
+            cols = [(self.levels[m], self.op.image(m)) for m in basis]
             cols.sort(key=lambda lc: (lc[0], len(lc[1])))
             pivots = pivot_profile([c for _, c in cols], self._level) if cols else []
             self._profiles[key] = [(lv, p) for (lv, _), p in zip(cols, pivots)]

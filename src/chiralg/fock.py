@@ -276,8 +276,9 @@ def _koszul_sort(modes: Sequence[ModeKey]):
 
     Returns (sign, sorted modes), where each transposition of two fermionic
     letters on the way flips the sign, or None if a fermionic letter
-    repeats (the product is zero).  This is the one Koszul-sign routine:
-    ``normalize``, normal ordering and every mode action go through it.
+    repeats (the product is zero).  ``normalize`` and normal ordering go
+    through it; a mode action merges its creators into a canonical monomial
+    with ``oper._insert``, which gives the same result from positions.
     """
     keys = [m.key for m in modes if m.fermionic]
     sign = 1

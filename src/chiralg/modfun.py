@@ -172,6 +172,7 @@ class InducedTruncation:
         if key not in self._images:
             _LINE.check_direction(mode)
             slots = {m: p for p, m in enumerate(self.positive[weight + mode.index])}
+            # one term of coefficient 1: scale 1, so the image is the action
             op = ChargeOperator(_LINE, [OperatorTerm(Fraction(1), (mode,))])
             self._images[key] = [
                 [(slots[m], c) for m, c in op.image(mono).items()]

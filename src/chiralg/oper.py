@@ -10,15 +10,26 @@ vacuum:
 
 The sign on x_{-m} is forced by demanding [y_i, x_j] = delta_{i+j,0} with y_j
 acting by multiplication.
+
+A charge is applied by ``ChargeOperator``, whose plans hold integer
+coefficients over one common denominator, its ``scale``: ``image`` gives
+scale * Q(monomial) with ``int`` values, and calling the operator gives the
+exact rational action.  A plan removes its targets (``_remove``) and merges
+its creators into what is left (``_insert``), whose Koszul sign is read off
+positions, as the fermions of a canonical monomial are its suffix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .fock import (
+    _FAMILY_ORDER,
     Family,
     FockError,
     ModeKey,
@@ -59,11 +70,27 @@ def _accumulate(acc: dict, key, value) -> None:
     acc[key] = value if prev is None else prev + value
 
 
+def common_denominator(values: Sequence) -> tuple:
+    """(scale, ints): the lcm of the denominators of the rational ``values``,
+    and each value times it, as an ``int``."""
+    scale = lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 # Every mode acts in one of two steps on a canonically ordered mode tuple: an
 # annihilator removes one letter of its conjugate creator (``_remove``), a
-# creator is inserted with ``_koszul_sort``.  Each term of a
-# ``ChargeOperator``, a single mode included, is compiled into a plan of these
-# two steps.
+# creator is merged in (``_insert``).  Each term of a ``ChargeOperator``, a
+# single mode included, is compiled into a plan of these two steps.
+
+_KEY = attrgetter("key")
+# below the key of every fermion and above that of every boson
+_FERMIONS = (min(_FAMILY_ORDER[Family.PSI], _FAMILY_ORDER[Family.PHI]),)
+
+
+def _first_fermion(modes: tuple) -> int:
+    """The position of the first fermion of a canonical monomial: x and y
+    sort before psi and phi, so its fermions are a suffix."""
+    return bisect_left(modes, _FERMIONS, key=_KEY)
 
 
 def _remove(modes: tuple, target: ModeKey):
@@ -71,17 +98,39 @@ def _remove(modes: tuple, target: ModeKey):
 
     Returns (factor, rest): the factor is the letter's multiplicity if it is
     bosonic, and the Koszul sign of moving it to the front if it is
-    fermionic.
+    fermionic, past the fermions of the suffix ahead of it.
     """
     pos = modes.index(target)
     rest = modes[:pos] + modes[pos + 1 :]
     if not target.fermionic:
         return modes.count(target), rest
-    passed = 0
-    for m in modes[:pos]:
-        if m.fermionic:
-            passed += 1
+    passed = pos - _first_fermion(modes)
     return (-1 if passed & 1 else 1), rest
+
+
+def _insert(creators: tuple, modes: tuple):
+    """Merge canonically ordered ``creators`` into the canonical monomial
+    ``modes``: exactly ``_koszul_sort(creators + modes)``, (sign, merged
+    monomial) or None if a fermionic creator is already a letter.
+
+    Each creator goes in at its ``bisect_left`` position p in ``modes``.  The
+    fermions of ``modes`` are a suffix, from position ``first`` on, so a
+    fermionic creator passes the p - first fermions ahead of it; the
+    creators are in order among themselves, so the sign is the parity of the
+    sum of p - first over the fermionic creators.
+    """
+    out, parity, first = modes, 0, None
+    for shift, c in enumerate(creators):
+        p = bisect_left(modes, c.key, key=_KEY)
+        if c.fermionic:
+            if p < len(modes) and modes[p] is c:
+                return None
+            if first is None:
+                first = _first_fermion(modes)
+            parity ^= p - first
+        p += shift  # the creators merged so far sit before it
+        out = out[:p] + (c,) + out[p:]
+    return (-1 if parity & 1 else 1), out
 
 
 @dataclass(frozen=True)
@@ -298,55 +347,62 @@ class ChargeOperator:
 
     Each term is compiled once into a plan (coefficient, targets, creators):
     the conjugate creators its annihilators remove, in the order they act,
-    and its creators, inserted together.  The derivation rule signs are
-    folded into the coefficient.  A plan runs on the mode tuple with integer
-    multiplicities and Koszul signs and costs one rational multiply per
-    image monomial.
+    and its creators, merged in together.  The derivation rule signs are
+    folded into the coefficient, and the coefficients are put over one
+    common denominator, ``scale``, the lcm of theirs, so a plan holds an
+    ``int``.  A plan runs on the mode tuple with integer multiplicities and
+    Koszul signs, so ``image`` is ``int`` arithmetic only and gives scale * Q
+    of a monomial; calling the operator on a state divides by ``scale`` and
+    is the exact rational action.
 
     A term acts nonzero on a monomial only if the monomial holds all its
     targets (with multiplicity), so plans are filed under their first
     target: a monomial visits the target-free plans and those of each of its
-    distinct letters, and skips a plan whose other targets it lacks.
+    distinct letters, and skips a plan whose other targets it lacks.  It
+    also skips, before removing anything, a plan with a fermionic creator
+    that is not a target and is already one of its letters: merging it in
+    would give zero.
     """
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
-        self.plans: dict = {}  # first target or None -> [(coeff, targets, creators, rest)]
-        for t in terms:
-            coeff, targets, creators = _compile(space, t)
+        compiled = [_compile(space, t) for t in terms]
+        self.scale, coeffs = common_denominator([coeff for coeff, _, _ in compiled])
+        # first target or None -> [(coeff, targets, creators, rest, clash)]
+        self.plans: dict = {}
+        for coeff, (_, targets, creators) in zip(coeffs, compiled):
+            clash = frozenset(c for c in creators if c.fermionic and c not in targets)
             self.plans.setdefault(targets[0] if targets else None, []).append(
-                (coeff, targets, creators, frozenset(targets[1:]))
+                (coeff, targets, creators, frozenset(targets[1:]), clash)
             )
 
     def image(self, mono: tuple) -> dict:
-        """The image of one monomial, {monomial: coefficient}, zeros dropped."""
+        """scale * Q(mono), {monomial: int}, zeros dropped."""
         acc = {}
         letters = dict.fromkeys(mono)
         for first in (None, *letters):
-            for coeff, targets, creators, rest in self.plans.get(first, ()):
-                if not rest <= letters.keys():
+            for coeff, targets, creators, rest, clash in self.plans.get(first, ()):
+                if not rest <= letters.keys() or not clash.isdisjoint(letters):
                     continue
-                factor, modes = 1, mono
+                modes = mono
                 for target in targets:
                     if target not in modes:  # a repeated boson occurs too few times
                         break
                     f, modes = _remove(modes, target)
-                    factor *= f
+                    coeff *= f
                 else:
-                    placed = _koszul_sort(creators + modes)
+                    placed = _insert(creators, modes)
                     if placed is None:
                         continue
                     sign, modes = placed
-                    k = factor * sign
-                    _accumulate(acc, modes, coeff if k == 1 else coeff * k)
+                    _accumulate(acc, modes, coeff if sign > 0 else -coeff)
         return {m: c for m, c in acc.items() if c}
 
     def __call__(self, state: State) -> State:
         acc = {}
         for mono, coeff in state.terms.items():
-            one = coeff == 1
             for m, c in self.image(mono).items():
-                _accumulate(acc, m, c if one else coeff * c)
-        return State(acc)
+                _accumulate(acc, m, coeff * c)
+        return State({m: v / self.scale for m, v in acc.items()})
 
 
 def _compile(space: SpaceSpec, term: OperatorTerm) -> tuple:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from chiralg.charges import Potential
 from chiralg.fock import Family, ModeKey, State, normalize
+from chiralg.oper import SymbolicCharge
 
 
 def X(i, d=1):
@@ -47,6 +48,11 @@ def degree(mono):
 def parity(mono):
     """The parity of a monomial: its number of fermionic modes mod 2."""
     return sum(1 for m in mono if m.fermionic) % 2
+
+
+def scaled(charge, lam):
+    """The charge with every pattern coefficient multiplied by ``lam``."""
+    return SymbolicCharge(tuple((lam * c, letters) for c, letters in charge.patterns), charge.side)
 
 
 def random_potential(rng: random.Random, dim: int, max_degree: int) -> Potential:

@@ -30,8 +30,10 @@
   the source block off the charge's torus shift.
 - The sparse ``Fraction`` elimination behind ``linalg.rank`` and
   ``linalg.kernel_basis`` before it reduced integer vectors and visited the
-  pivots through a heap: ``reference_eliminate``, verbatim apart from its
-  name, which scans every earlier pivot for each column.
+  pivots through a heap: ``reference_eliminate``, which scans every earlier
+  pivot for each column.  It is verbatim apart from its name and from
+  inverting each pivot as ``Fraction(1) / entry``, which keeps it exact on
+  ``int`` columns.
 - The singular vectors of an induced module as the package found them
   before it took the kernel on the positive factor alone: one column per
   basis vector of the whole weight piece, each built by
@@ -636,7 +638,7 @@ def reference_eliminate(
                         del comb[j]
         if vec:
             row = next(iter(vec))
-            inv = 1 / vec.pop(row)
+            inv = Fraction(1) / vec.pop(row)
             scaled = {j: v * inv for j, v in comb.items()} if track else None
             pivots.append((row, {r: v * inv for r, v in vec.items()}, scaled))
         elif track:

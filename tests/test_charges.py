@@ -1,6 +1,7 @@
 """Named differentials and their checks: de Rham, potential twists, Lie charge."""
 
 import random
+from unittest import mock
 
 import pytest
 from fractions import Fraction
@@ -28,7 +29,7 @@ from chiralg.fock import (
     make_space,
 )
 from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
-from conftest import X, Y, PHI, PSI, random_potential, st, weight
+from conftest import X, Y, PHI, PSI, random_potential, scaled, st, weight
 from mode_oracle import basis_check, full_bracket_terms, reference_check_jacobi
 
 THETA1 = make_space(Side.THETA, 1)
@@ -404,3 +405,59 @@ def test_even_charge_is_refused(letters):
         check_nilpotent(even, THETA1, 1)
     with pytest.raises(FockError, match="odd"):
         check_anticommute(odd, even, THETA1, 1)
+
+
+LAMBDA = hst.builds(Fraction, hst.integers(-9, 9).filter(bool), hst.integers(1, 9))
+
+
+# d_dR and a term x x psi do not anticommute: witness x_0
+XXPSI = SymbolicCharge(
+    ((Fraction(-1, 8), ((Family.X, 1), (Family.X, 1), (Family.PSI, 1))),), side=Side.OMEGA
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(LAMBDA, LAMBDA)
+def test_check_verdicts_and_witnesses_are_scale_invariant(lam, mu):
+    """Scaling the patterns by lam (and mu) keeps every verdict and witness
+    monomial; a witness image scales by exactly lam^2 (lam mu) and stays
+    Fraction-valued."""
+    bad = lie_charge(StructureConstants.from_entries(3, BAD_JACOBI, validate=False))
+    f = potential_charge(Potential.from_terms(1, [(Fraction(-1, 2), (3,)), (3, (2,))]), Side.OMEGA)
+    cdr = combine(chiral_de_rham(1), scaled(chiral_de_rham(1), Fraction(2, 3)))
+    cases = [
+        (lambda c: check_nilpotent(c, THETA3, 1), (bad,), lam**2),
+        (lambda c: check_nilpotent(c, OMEGA1, 2), (f,), lam**2),
+        (lambda c1, c2: check_anticommute(c1, c2, OMEGA1, 2), (cdr, f), lam * mu),
+        (lambda c1, c2: check_anticommute(c1, c2, OMEGA1, 2), (cdr, XXPSI), lam * mu),
+    ]
+    for check, args, factor in cases:
+        report = check(*args)
+        other = check(*(scaled(c, x) for c, x in zip(args, (lam, mu))))
+        assert bool(other) == bool(report)
+        assert other.witness == report.witness
+        if not report:
+            assert other.image == report.image.scale(factor)
+            assert all(type(c) is Fraction for c in other.image.terms.values())
+    assert not check_nilpotent(bad, THETA3, 1) and not check_anticommute(cdr, XXPSI, OMEGA1, 2)
+
+
+def test_bracket_sum_runs_on_integers():
+    """The Q^2 and anticommutator sums see both term lists scaled to
+    ``int`` coefficients, and give ``int`` terms."""
+    f = potential_charge(Potential.from_terms(1, [(Fraction(-1, 8), (3,))]), Side.OMEGA)
+    cdr = scaled(chiral_de_rham(1), Fraction(2, 3))
+    seen = []
+    real = charges._bracket_terms
+
+    def record(space, t1s, t2s, window):
+        out = real(space, t1s, t2s, window)
+        seen.append(t1s + (t2s or []) + out)
+        return out
+
+    with mock.patch.object(charges, "_bracket_terms", record):
+        assert check_anticommute(cdr, f, OMEGA1, 2)
+        assert check_nilpotent(f, OMEGA1, 2)
+        assert not check_anticommute(cdr, XXPSI, OMEGA1, 2)
+    assert len(seen) == 3 and all(seen)
+    assert all(type(t.coefficient) is int for terms in seen for t in terms)

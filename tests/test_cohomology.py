@@ -37,7 +37,7 @@ from chiralg.fock import (
 )
 from chiralg.linalg import kernel_basis, rank
 from chiralg.oper import charge_operator
-from conftest import X, degree
+from conftest import X, degree, scaled
 from mode_oracle import reference_capped_table, reference_torus_table
 
 THETA1 = make_space(Side.THETA, 1)
@@ -388,3 +388,26 @@ def test_torus_lie_dims_match_kernel_vector_reference(entries, dim, weight, wind
     charge = lie_charge(StructureConstants.from_entries(dim, entries))
     space = make_space(Side.THETA, dim)
     _assert_torus_matches_reference(charge, space, weight, TorusWeights.x_count(dim), window)
+
+
+SL2 = lie_charge(StructureConstants.sl2())
+DERHAM_X2 = combine(chiral_de_rham(1), potential_charge(Potential.single_variable(2), Side.OMEGA))
+X3_THETA = potential_charge(Potential.single_variable(3), Side.THETA)
+SCALED_TABLES = [
+    (SL2, lambda c: cohomology_dims_torus(c, THETA3, 1, TorusWeights.x_count(3), (0, 1))),
+    (X3_THETA, lambda c: cohomology_dims_torus(c, THETA1, 1, TorusWeights((1,), (0,)), (-2, 6))),
+    (DERHAM_X2, lambda c: cohomology_dims_capped(c, OMEGA1, 2, 2)),
+    (X3_THETA, lambda c: cohomology_dims_capped(c, THETA1, 1, 3)),
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    hst.builds(Fraction, hst.integers(-9, 9).filter(bool), hst.integers(1, 9)),
+    hst.sampled_from(SCALED_TABLES),
+)
+def test_tables_are_scale_invariant(lam, case):
+    """Scaling every pattern coefficient by a nonzero rational changes no
+    dimension, no per-bigrade entry and no stabilization flag."""
+    charge, table = case
+    assert table(scaled(charge, lam)) == table(charge)

@@ -3,6 +3,7 @@
 import functools
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -19,6 +20,7 @@ from chiralg.fock import (
     ModeKey,
     Side,
     State,
+    _koszul_sort,
     enumerate_basis,
     make_space,
 )
@@ -26,6 +28,7 @@ from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
     SymbolicCharge,
+    _insert,
     charge_operator,
     combine_terms,
     instantiate_charge,
@@ -392,3 +395,75 @@ def test_wick_normal_order_matches_worklist(case, coeff):
     assert combine_terms(normal_order(space, coeff, word)) == combine_terms(
         reference_normal_order(space, coeff, word)
     )
+
+
+def _canonical(modes):
+    """A canonical monomial of ``modes``: repeated fermions dropped, sorted."""
+    bosons = [m for m in modes if not m.fermionic]
+    fermions = {m for m in modes if m.fermionic}
+    return tuple(sorted(bosons + list(fermions), key=ModeKey.sort_key))
+
+
+@hst.composite
+def insertions(draw):
+    """(creators, monomial), both canonical, over a small alphabet of all
+    four families so that bosons repeat, with some creators drawn from the
+    monomial's own letters so that fermions clash."""
+    mode = hst.builds(
+        ModeKey, hst.sampled_from(list(Family)), hst.integers(1, 2), hst.integers(0, 1)
+    )
+    mono = _canonical(draw(hst.lists(mode, max_size=8)))
+    own = draw(hst.lists(hst.sampled_from(mono), max_size=2)) if mono else []
+    return _canonical(own + draw(hst.lists(mode, max_size=4))), mono
+
+
+@settings(max_examples=500, deadline=None)
+@given(insertions())
+def test_insert_matches_koszul_sort(case):
+    """Merging canonical creators into a canonical monomial gives the sign
+    and the monomial of sorting their concatenation, and None exactly when
+    a fermionic creator is already a letter."""
+    creators, mono = case
+    assert _insert(creators, mono) == _koszul_sort(creators + mono)
+
+
+MIXED = hst.sampled_from([Fraction(c) for c in ("1/2", "-1/2", "-1/8", "2/3", "3")])
+
+
+@hst.composite
+def mixed_operators(draw):
+    """(space, terms, state): the terms of a random pattern charge whose
+    coefficients have mixed denominators, on either side in dims 1-2, and a
+    state of capped basis monomials with rational coefficients."""
+    space = make_space(draw(hst.sampled_from([Side.THETA, Side.OMEGA])), draw(hst.integers(1, 2)))
+    letter = hst.tuples(hst.sampled_from(list(Family)), hst.integers(1, space.dim))
+    pattern = hst.tuples(MIXED, hst.lists(letter, min_size=1, max_size=3).map(tuple))
+    charge = SymbolicCharge(tuple(draw(hst.lists(pattern, min_size=2, max_size=4))))
+    window = draw(hst.integers(0, 2 if space.dim == 1 else 1))
+    terms = instantiate_charge(charge, space, window)
+    basis = _capped_basis(space, draw(hst.integers(0, window)), draw(hst.integers(0, 2)))
+    monos = draw(hst.lists(hst.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    return space, terms, State({m: draw(MIXED) for m in monos})
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_operators())
+def test_image_is_scale_times_reference_action(case):
+    """``image`` is ``int``-valued and is ``scale``, the lcm of the terms'
+    denominators, times the reference action; calling the operator is the
+    reference action exactly, with ``Fraction`` values."""
+    space, terms, state = case
+    op = ChargeOperator(space, terms)
+    assert op.scale == lcm(*(t.coefficient.denominator for t in terms))
+    want = State()
+    for mono, coeff in state.terms.items():
+        one = State()
+        for t in terms:
+            one = one + apply_term(space, t, State.of(mono))
+        image = op.image(mono)
+        assert all(type(c) is int for c in image.values())
+        assert image == {m: op.scale * c for m, c in one.terms.items()}
+        got = op(State.of(mono))
+        assert got == one and all(type(c) is Fraction for c in got.terms.values())
+        want = want + one.scale(coeff)
+    assert op(state) == want
