@@ -23,13 +23,11 @@ from .oper import (
     ChargeOperator,
     OperatorTerm,
     SymbolicCharge,
-    annihilated_weight,
-    combine_terms,
+    _contract_into,
+    _sorted_terms,
     common_denominator,
     conjugate_creators,
-    contractions,
     instantiate_charge,
-    normal_product,
 )
 
 
@@ -247,43 +245,20 @@ class CheckReport:
         return self.passed
 
 
-def _contracting_products(space, left, right):
-    """Normally ordered terms of every product t1 t2 (t1 in ``left``, t2 in
-    ``right``) that hold a contraction: by Wick's theorem, the normal
-    product of the rest of each set of ``contractions`` of the word.  In two
-    normally ordered terms only an annihilator of t1 and its conjugate
-    creator in t2 can contract, so only such pairs are expanded."""
-    by_creator = {}
-    for pos, t2 in enumerate(right):
-        for m in t2.modes:
-            if space.is_creator(m):
-                by_creator.setdefault(m, set()).add(pos)
-    out = []
-    for t1 in left:
-        partners = set()
-        for m in conjugate_creators(space, t1.modes):
-            partners.update(by_creator.get(m, ()))
-        for pos in sorted(partners):
-            t2 = right[pos]
-            word, c = t1.modes + t2.modes, t1.coefficient * t2.coefficient
-            products = (normal_product(space, c * f, rest) for f, rest in contractions(space, word))
-            out.extend(t for t in products if t is not None)
-    return out
-
-
 def _bracket_terms(space, t1s, t2s, window) -> list:
     """The normally ordered terms of t1s t2s + t2s t1s, or of t1s t1s when
     ``t2s`` is None, that can act on weight <= window.
 
     Every term is odd, so :t1 t2: = -:t2 t1: and :t t: = 0: the uncontracted
-    parts of all products cancel, and only contractions can survive.
+    parts of all products cancel, and only contractions can survive.  Those
+    are summed by ``_contract_into``, which runs the sub-plans of each left
+    term on the creators of each right term.
     """
-    raw = _contracting_products(space, t1s, t1s if t2s is None else t2s)
+    acc = {}
+    _contract_into(acc, space, t1s, t1s if t2s is None else t2s, window)
     if t2s is not None:
-        raw.extend(_contracting_products(space, t2s, t1s))
-    return [
-        t for t in combine_terms(raw) if annihilated_weight(space, t.modes) <= window
-    ]
+        _contract_into(acc, space, t2s, t1s, window)
+    return _sorted_terms(acc)
 
 
 def _integral(terms: list) -> list:
@@ -337,12 +312,17 @@ def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> Ch
     t1 t2 of two terms is :t1 t2: plus the normal products its contractions
     leave, and as every term is odd, :t1 t2: = -:t2 t1: and :t t: = 0, so
     the uncontracted parts cancel over all pairs.  Only the contractions are
-    therefore enumerated and summed, and the result is exactly that of the
-    full square.  A charge with an even pattern is refused.  The probes are
-    the monomials of conjugate creators of the surviving terms, fewest
-    annihilators first; a witness is the first probe v with Q(Q(v))
-    nonzero, and its image is Q(Q(v)).  The report's ``operator`` is the
-    charge compiled from the same terms, valid on weight <= window.
+    therefore summed, and the result is exactly that of the full square.
+    They are read off the charge's own plans: for t1 = c C A and t2 = c2 C2
+    A2, the full contractions of a part B of A against C2 are B acting on
+    the state C2|0>, which a sub-plan of t1 computes as ``ChargeOperator``
+    does, and the rest L of A moves past what is left of C2 with its Koszul
+    sign, so summing over B is Wick's sum.  A charge with an even pattern
+    is refused.  The probes are the monomials of conjugate creators of the
+    surviving terms, fewest annihilators first; a witness is the first probe
+    v with Q(Q(v)) nonzero, and its image is Q(Q(v)).  The report's
+    ``operator`` is the charge compiled from the same terms, valid on
+    weight <= window.
     """
     return _check_bracket(charge, None, space, window)
 

@@ -16,7 +16,11 @@ coefficients over one common denominator, its ``scale``: ``image`` gives
 scale * Q(monomial) with ``int`` values, and calling the operator gives the
 exact rational action.  A plan removes its targets (``_remove``) and merges
 its creators into what is left (``_insert``), whose Koszul sign is read off
-positions, as the fermions of a canonical monomial are its suffix.
+positions, as the fermions of a canonical monomial are its suffix.  The
+sub-plans of a term (``_sub_plans``), with only part of its annihilators
+acting, run on the creators of another term (``_contract_into``), give the
+contractions of the Q^2 check in ``charges``; Wick normal ordering of words
+(``contractions``) serves instantiation.
 """
 
 from __future__ import annotations
@@ -235,6 +239,11 @@ def combine_terms(terms: Iterable[OperatorTerm]) -> list:
     acc = {}
     for t in terms:
         _accumulate(acc, t.modes, t.coefficient)
+    return _sorted_terms(acc)
+
+
+def _sorted_terms(acc: dict) -> list:
+    """The nonzero terms of {modes: coefficient}, in order of their modes."""
     out = [OperatorTerm(c, m) for m, c in acc.items() if c]
     out.sort(key=lambda t: tuple(m.key for m in t.modes))
     return out
@@ -405,17 +414,128 @@ class ChargeOperator:
         return State({m: v / self.scale for m, v in acc.items()})
 
 
+def _split(space: SpaceSpec, modes: tuple) -> tuple:
+    """(creators, annihilators) of a normally ordered mode tuple."""
+    for i, m in enumerate(modes):
+        if not space.is_creator(m):
+            return modes[:i], modes[i:]
+    return modes, ()
+
+
 def _compile(space: SpaceSpec, term: OperatorTerm) -> tuple:
     """The plan (coefficient, targets, creators) of a normally ordered term."""
-    split = next(
-        (i for i, m in enumerate(term.modes) if not space.is_creator(m)), len(term.modes)
-    )
-    annihilators = term.modes[split:]
+    creators, annihilators = _split(space, term.modes)
     coeff = term.coefficient
     for m in annihilators:
         coeff *= _DERIVATION_SIGN[m.family]
     targets = tuple(_conjugate(m) for m in reversed(annihilators))
-    return coeff, targets, term.modes[:split]
+    return coeff, targets, creators
+
+
+def _sub_plans(space: SpaceSpec, term: OperatorTerm, present) -> list:
+    """The plans (coefficient, targets, creators, leftover) of a term c C A
+    with part of its annihilators A acting, one per nonempty sub-multiset B
+    of A taken by position whose conjugates all lie in ``present``.
+
+    The annihilators supercommute, so A = eps L B, eps the sign of the
+    fermion pairs with the B letter first and L the leftover letters in
+    order.  A plan is built as ``_compile`` builds the plan of eps c C B
+    and carries L, so B = A is the term's own plan with no leftover.
+    """
+    creators, annihilators = _split(space, term.modes)
+    conjugates = [_conjugate(m) for m in annihilators]
+    usable = [i for i, c in enumerate(conjugates) if c in present]
+    plans = []
+    for mask in range(1, 1 << len(usable)):
+        taken = 0
+        for k, i in enumerate(usable):
+            if mask >> k & 1:
+                taken |= 1 << i
+        coeff, targets, leftover, odd = term.coefficient, [], [], False
+        for i, m in enumerate(annihilators):
+            if taken >> i & 1:
+                coeff *= _DERIVATION_SIGN[m.family]
+                targets.append(conjugates[i])
+                odd ^= m.fermionic
+            else:
+                leftover.append(m)
+                if odd and m.fermionic:  # an odd number of B fermions pass it
+                    coeff = -coeff
+        plans.append((coeff, tuple(reversed(targets)), creators, tuple(leftover)))
+    return plans
+
+
+def _contract_into(
+    acc: dict,
+    space: SpaceSpec,
+    left: Sequence[OperatorTerm],
+    right: Sequence[OperatorTerm],
+    window: int,
+) -> None:
+    """Add to ``acc`` ({modes: coefficient}) the contracted part of every
+    product t1 t2 (t1 in ``left``, t2 in ``right``) that can act on weight
+    <= window.
+
+    Write t1 = c C A and t2 = c2 C2 A2 (creators, annihilators).  By Wick's
+    theorem C A C2 A2 is a sum over the letters B of A that contract, with
+    A = eps L B (``_sub_plans``): the full contractions of B against C2
+    are B acting on the state C2|0>, a sum of monomials C2', and L moves
+    past C2' with its Koszul sign to join A2.  A sub-plan therefore runs
+    like a plan of ``ChargeOperator.image`` on C2, filed by its first target
+    and skipped by the same tests, then merges L into A2.  The annihilated
+    weight of a product is that of L and A2, so a sub-plan that would exceed
+    the window is skipped before any work.
+    """
+    right = [(t.coefficient, *_split(space, t.modes)) for t in right]
+    present = {m for _, own, _ in right for m in own}
+    plans = {}
+    for t1 in left:
+        for coeff, targets, creators, leftover in _sub_plans(space, t1, present):
+            clash = frozenset(c for c in creators if c.fermionic and c not in targets)
+            plans.setdefault(targets[0], []).append(
+                (
+                    coeff,
+                    targets,
+                    creators,
+                    leftover,
+                    frozenset(targets[1:]),
+                    clash,
+                    -sum(m.index for m in leftover),  # annihilated weight
+                    sum(m.fermionic for m in leftover) & 1,
+                )
+            )
+    for c2, own, tail in right:
+        room = window + sum(m.index for m in tail)  # minus the weight tail removes
+        letters = dict.fromkeys(own)
+        for first in letters:
+            for coeff, targets, creators, leftover, rest, clash, weight, odd in plans.get(
+                first, ()
+            ):
+                if weight > room or not rest <= letters.keys() or not clash.isdisjoint(letters):
+                    continue
+                coeff *= c2
+                modes = own
+                for target in targets:
+                    if target not in modes:  # a repeated boson occurs too few times
+                        break
+                    f, modes = _remove(modes, target)
+                    coeff *= f
+                else:
+                    placed = _insert(creators, modes)
+                    if placed is None:
+                        continue
+                    sign, key = placed
+                    if leftover:
+                        if odd and (len(modes) - _first_fermion(modes)) & 1:
+                            sign = -sign
+                        merged = _insert(leftover, tail)
+                        if merged is None:
+                            continue
+                        sign *= merged[0]
+                        key += merged[1]
+                    else:
+                        key += tail
+                    _accumulate(acc, key, coeff if sign > 0 else -coeff)
 
 
 def charge_operator(charge: "SymbolicCharge", space: SpaceSpec, window: int) -> ChargeOperator:

@@ -390,6 +390,98 @@ def test_contraction_only_bracket_matches_full_square(case):
         assert check() == report
 
 
+def assert_bracket_matches_reference(space, c1, c2, window):
+    """The bracket's surviving terms and the check's report equal those of
+    the square expanded over every pair of terms."""
+    t1s = instantiate_charge(c1, space, window)
+    t2s = None if c2 is None else instantiate_charge(c2, space, window)
+    assert charges._bracket_terms(space, t1s, t2s, window) == full_bracket_terms(
+        space, t1s, t2s, window
+    )
+
+    def check():
+        if c2 is None:
+            return check_nilpotent(c1, space, window)
+        return check_anticommute(c1, c2, space, window)
+
+    report = check()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charges, "_bracket_terms", full_bracket_terms)
+        assert check() == report
+    return report
+
+
+def _odd_charge(draw, dim, side):
+    """A random odd charge whose patterns mix x, y, psi and phi in shared
+    directions: one fermion letter, or three distinct ones in two
+    directions, and bosons up to four letters in all, so its terms carry
+    two or more fermionic annihilators and repeated bosonic ones."""
+    directions = hst.integers(1, dim)
+    patterns = []
+    for _ in range(draw(hst.integers(1, 3))):
+        # a fermion letter twice in one pattern gives zero: :psi psi: = 0
+        fermions = draw(
+            hst.lists(
+                hst.tuples(hst.sampled_from([Family.PSI, Family.PHI]), directions),
+                min_size=(n := draw(hst.sampled_from([1, 3] if dim > 1 else [1]))),
+                max_size=n,
+                unique=True,
+            )
+        )
+        bosons = draw(
+            hst.lists(
+                hst.tuples(hst.sampled_from([Family.X, Family.Y]), directions),
+                max_size=4 - len(fermions),
+            )
+        )
+        letters = tuple(draw(hst.permutations(fermions + bosons)))
+        coeff = draw(hst.sampled_from([1, -1, 2, Fraction(-1, 2), Fraction(2, 3)]))
+        patterns.append((Fraction(coeff), letters))
+    return SymbolicCharge(tuple(patterns), side=side)
+
+
+@hst.composite
+def odd_brackets(draw):
+    """(space, c1, c2, window): the square (c2 None) or the anticommutator
+    of random odd charges of mixed families."""
+    dim = draw(hst.sampled_from([1, 2, 2]))
+    side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+    c1 = _odd_charge(draw, dim, side)
+    c2 = _odd_charge(draw, dim, side) if draw(hst.booleans()) else None
+    window = draw(hst.integers(0, 2))
+    return make_space(side, dim), c1, c2, window
+
+
+@settings(max_examples=60, deadline=None)
+@given(odd_brackets())
+def test_bracket_of_mixed_family_charges_matches_full_square(case):
+    assert_bracket_matches_reference(*case)
+
+
+SL2_CHARGE = lie_charge(StructureConstants.sl2())
+X1X2X3 = potential_charge(Potential.from_terms(3, [(1, (1, 1, 1))]), Side.THETA)
+
+
+def _lie(dim, entries):
+    return lie_charge(StructureConstants.from_entries(dim, entries, validate=False))
+
+
+@pytest.mark.parametrize(
+    "dim, c1, c2, passes",
+    [
+        (3, SL2_CHARGE, None, True),
+        (2, _lie(2, [(2, 1, 2, 1)]), None, True),  # b2
+        (3, _lie(3, BAD_JACOBI), None, False),
+        # sl2 and the twist by x1 x2 x3 do not anticommute: witness x1_0
+        (3, SL2_CHARGE, X1X2X3, False),
+    ],
+    ids=["sl2", "b2", "bad_jacobi", "sl2_with_twist"],
+)
+def test_bracket_at_window_2_matches_full_square(dim, c1, c2, passes):
+    report = assert_bracket_matches_reference(make_space(Side.THETA, dim), c1, c2, 2)
+    assert bool(report) == passes
+
+
 @pytest.mark.parametrize(
     "letters",
     [

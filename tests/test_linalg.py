@@ -91,6 +91,15 @@ def test_rank_and_kernel_match_dense_reference(cols):
     assert_matches_dense_reference(cols)
 
 
+@settings(max_examples=100, deadline=None)
+@given(matrices().flatmap(hst.permutations))
+def test_rank_of_shuffled_columns_matches_references(cols):
+    """Rank does not depend on the order of the columns: a shuffled list
+    has the rank of the dense reference and of the scan over every earlier
+    pivot."""
+    assert rank(cols) == dense_rank(cols) == reference_eliminate(cols, False)[0]
+
+
 def test_degenerate_matrices_match_dense_reference():
     zero = Fraction(0)
     cases = [

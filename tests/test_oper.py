@@ -28,7 +28,9 @@ from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
     SymbolicCharge,
+    _compile,
     _insert,
+    _sub_plans,
     charge_operator,
     combine_terms,
     instantiate_charge,
@@ -467,3 +469,20 @@ def test_image_is_scale_times_reference_action(case):
         assert got == one and all(type(c) is Fraction for c in got.terms.values())
         want = want + one.scale(coeff)
     assert op(state) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_operators())
+def test_sub_plan_of_every_annihilator_is_the_compiled_plan(case):
+    """With every conjugate present, a term with k annihilators has 2^k - 1
+    sub-plans, the last of which, all annihilators acting, is the term's
+    own compiled plan with no leftover; with none present it has none."""
+    space, terms, _ = case
+    for t in terms:
+        k = sum(1 for m in t.modes if not space.is_creator(m))
+        present = {_conjugate(m) for m in t.modes}
+        plans = _sub_plans(space, t, present)
+        assert len(plans) == 2**k - 1
+        if k:
+            assert plans[-1] == _compile(space, t) + ((),)
+        assert _sub_plans(space, t, set()) == []
