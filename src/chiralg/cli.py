@@ -336,17 +336,16 @@ def _series_csv(series, zwindow) -> str:
 def cmd_basis(spec: ProblemSpec):
     space = spec.space()
     dims = {}
-    for q in range(spec.weight_max + 1):
-        if spec.x0_cap is not None:
-            basis = enumerate_basis(space, q, x0_cap=spec.x0_cap)
-            for mono in basis:
+    if spec.x0_cap is not None:
+        for q in range(spec.weight_max + 1):
+            for mono in enumerate_basis(space, q, x0_cap=spec.x0_cap):
                 key = (q, sum(m.degree for m in mono))
                 dims[key] = dims.get(key, 0) + 1
-        else:
-            tw = spec.default_weights()
-            lo, hi = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)
-            for (_, degree), n in torus_window_counts(space, q, tw, (lo, hi)).items():
-                dims[(q, degree)] = dims.get((q, degree), 0) + n
+    else:
+        tw = spec.default_weights()
+        window = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)
+        for (q, _, degree), n in torus_window_counts(space, spec.weight_max, tw, window).items():
+            dims[(q, degree)] = dims.get((q, degree), 0) + n
     payload = {
         "dims": {f"{q},{k}": v for (q, k), v in sorted(dims.items())},
         "regularization": "x0_cap" if spec.x0_cap is not None else "torus",

@@ -256,16 +256,16 @@ def euler_series(
     """Bigraded Euler characteristic of the plain graded space.
 
     No differential is involved: per bigrade the Euler characteristic of a
-    complex equals that of its chains.  Every x_0-free base is still visited,
-    but its x_0 placements are counted (``torus_window_counts``) and no
+    complex equals that of its chains.  One call of ``torus_window_counts``
+    walks the x_0-free bases of every weight through ``max_weight`` once;
+    every base is still visited, but its x_0 placements are counted and no
     monomial is built.
     """
-    rows: Dict[int, Dict[int, int]] = {}
-    for q in range(max_weight + 1):
-        chi: Dict[int, int] = {}
-        for (t, degree), n in torus_window_counts(space, q, weights, torus_window).items():
-            chi[t] = chi.get(t, 0) + (-n if degree % 2 else n)
-        rows[q] = {t: chi[t] for t in sorted(chi) if chi[t]}
+    chis: Dict[int, Dict[int, int]] = {q: {} for q in range(max_weight + 1)}
+    for (q, t, degree), n in torus_window_counts(space, max_weight, weights, torus_window).items():
+        chi = chis[q]
+        chi[t] = chi.get(t, 0) + (-n if degree % 2 else n)
+    rows = {q: {t: chi[t] for t in sorted(chi) if chi[t]} for q, chi in chis.items()}
     return TruncatedSeries(max_weight, rows, torus_window)
 
 

@@ -17,14 +17,17 @@ The x_0 modes have weight 0, so a fixed-weight piece is finite only under an
 x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
 one sign).  Both kinds of piece come from one enumerator of creator
 multisets, an explicit stack over the creators in mode order that emits
-each multiset as a canonically ordered tuple.  ``enumerate_basis`` runs it
-with each x{j}_0 allowed up to the cap and sorts the piece once.  A torus
-window has one run generator: it runs the enumerator without x_0 to get the
-bases, and an odometer over the x_0 exponents of all directions but the
-last yields, per base and position, the range of last-direction exponents
-whose torus values land in a closed window.  ``enumerate_torus_window``
-expands each run into its monomials; ``torus_window_counts`` sums the runs
-per (torus value, degree) and builds no monomial.
+each multiset of a range of weights as a canonically ordered tuple, with
+its weight, degree and torus value carried down the stack.
+``enumerate_basis`` runs it for one weight with each x{j}_0 allowed up to
+the cap and sorts the piece once.  A torus window has one run generator: it
+runs the enumerator without x_0 to get the bases, and an odometer over the
+x_0 exponents of all directions but the last yields, per base and position,
+the range of last-direction exponents whose torus values land in a closed
+window.  ``enumerate_torus_window`` expands the runs of one weight into its
+monomials; ``torus_window_counts`` sums the runs of every weight up to a
+top one, from one walk, per (weight, torus value, degree) and builds no
+monomial.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 
 class FockError(ValueError):
@@ -310,45 +313,61 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
 
 
 def _creator_multisets(
-    space: SpaceSpec, weight: int, x0_cap: int, zero_fermions: bool
-) -> Iterator[tuple]:
-    """Every multiset of creator modes of total weight ``weight`` with at most
+    space: SpaceSpec,
+    lo: int,
+    hi: int,
+    x0_cap: int,
+    zero_fermions: bool,
+    value: Optional[Callable[[ModeKey], int]] = None,
+) -> Iterator[Tuple[int, int, int, tuple]]:
+    """Every multiset of creator modes of total weight ``lo..hi`` with at most
     ``x0_cap`` letters x{j}_0 per direction, and the weight-0 fermions only if
-    ``zero_fermions``, as a canonically ordered mode tuple; unsorted.
+    ``zero_fermions``, as ``(weight, degree, value, modes)``: ``modes`` the
+    canonically ordered mode tuple, ``degree`` and ``value`` the sums over
+    it of the cohomological degrees and of ``value`` (0 if None); unsorted.
 
-    An explicit stack walks the creators of index <= weight in mode order
-    and chooses how often each one occurs, so each tuple comes out ordered.
+    An explicit stack walks the creators of index <= hi in mode order and
+    chooses how often each one occurs, so each tuple comes out ordered.  A
+    node carries the weight still free and the running degree and value,
+    added per mode as the node is pushed, so no leaf is summed again.
     """
-    if weight < 0 or x0_cap < 0:
+    lo = max(lo, 0)
+    if hi < lo or x0_cap < 0:
         return
-    gens, caps = [], []
+    gens, indices = [], []
     for family in sorted(Family, key=_FAMILY_ORDER.get):
         for direction in range(1, space.dim + 1):
-            for index in range(space.creator_threshold(family), weight + 1):
+            for index in range(space.creator_threshold(family), hi + 1):
                 if family.fermionic:
                     cap = 1 if index or zero_fermions else 0
                 else:
-                    cap = weight // index if index else x0_cap
+                    cap = hi // index if index else x0_cap
                 if cap > 0:
-                    gens.append(ModeKey(family, direction, index))
-                    caps.append(cap)
+                    mode = ModeKey(family, direction, index)
+                    gens.append((mode, cap, mode.degree, value(mode) if value else 0))
+                    indices.append(index)
     n = len(gens)
-    stack = [(0, weight, ())]
+    slack = hi - lo  # a leaf leaves at most this much weight free
+    stack = [(0, hi, 0, 0, ())]
     while stack:
-        pos, remaining, acc = stack.pop()
+        pos, remaining, degree, val, acc = stack.pop()
         # step past the modes too heavy for what remains without a frame each
-        while pos < n and gens[pos].index > remaining:
+        while pos < n and indices[pos] > remaining:
             pos += 1
         if pos == n:
-            if not remaining:
-                yield acc
+            if remaining <= slack:
+                yield hi - remaining, degree, val, acc
             continue
-        mode = gens[pos]
-        index = mode.index
-        top = min(caps[pos], remaining // index) if index else caps[pos]
-        stack.append((pos + 1, remaining, acc))
-        for k in range(1, top + 1):
-            stack.append((pos + 1, remaining - k * index, acc + (mode,) * k))
+        mode, cap, d, v = gens[pos]
+        index = indices[pos]
+        pos += 1
+        stack.append((pos, remaining, degree, val, acc))
+        for _ in range(min(cap, remaining // index) if index else cap):
+            remaining -= index
+            degree += d
+            val += v
+            acc += (mode,)
+            stack.append((pos, remaining, degree, val, acc))
 
 
 def _check_regularizing(wx: Sequence[int]) -> None:
@@ -367,21 +386,25 @@ def _check_regularizing(wx: Sequence[int]) -> None:
 
 def _torus_runs(
     space: SpaceSpec,
-    weight: int,
+    lo: int,
+    hi: int,
     torus_weights: TorusWeights,
     window: Tuple[int, int],
 ) -> Iterator[tuple]:
-    """Yield ``(base, degree, exps, k, t, n)``, one run per x_0-free base and
-    placement of the x_0 letters of every direction but the last, for the
-    basis monomials of the weight whose torus value lies in ``lo..hi``.
+    """Yield ``(weight, base, degree, exps, k, t, n)``, one run per x_0-free
+    base of weight ``lo..hi`` and placement of the x_0 letters of every
+    direction but the last, for the basis monomials whose torus value lies
+    in the closed ``window``.
 
-    ``base`` (positive modes and weight-0 fermions) is built once, with its
-    degree, which x_0 letters do not change.  ``exps`` holds the x_0
-    exponents of directions 1..d-1; it is the odometer's own list, so read
-    it before asking for the next run.  The run is the n >= 1 monomials with
-    k, k + 1, ..., k + n - 1 letters x{d}_0, at torus values t, t + wx_d, ...
-    The x_0 weights must be nonzero and of one sign, so that the window is
-    finite; otherwise ``UnboundedBasisError`` is raised.
+    Every ``base`` (positive modes and weight-0 fermions) comes from one
+    walk of ``_creator_multisets`` with its weight, degree and torus value
+    carried down the walk; x_0 letters move only the torus value, and no
+    base is summed again.  ``exps`` holds the x_0 exponents of directions
+    1..d-1; it is the odometer's own list, so read it before asking for the
+    next run.  The run is the n >= 1 monomials with k, k + 1, ..., k + n - 1
+    letters x{d}_0, at torus values t, t + wx_d, ...  The x_0 weights must
+    be nonzero and of one sign, so that the window is finite; otherwise
+    ``UnboundedBasisError`` is raised.
     """
     wx = torus_weights.wx
     _check_regularizing(wx)
@@ -389,29 +412,22 @@ def _torus_runs(
     flip = -1 if wx[0] < 0 else 1
     steps = [flip * w for w in wx]
     step = steps[-1]
-    lo, hi = window if flip > 0 else (-window[1], -window[0])
-    # the torus value and degree of every mode a base of this weight can hold
-    modes = [
-        ModeKey(family, j, index)
-        for family in Family
-        for j in range(1, space.dim + 1)
-        for index in range(weight + 1)
-    ]
-    value = {m: flip * torus_weights.of_mode(m) for m in modes}
-    degree_of = {m: m.degree for m in modes}
-    for base in _creator_multisets(space, weight, 0, True):
-        u = sum(map(value.__getitem__, base))
-        degree = sum(map(degree_of.__getitem__, base))
+    bottom, top = window if flip > 0 else (-window[1], -window[0])
+
+    def value(mode: ModeKey) -> int:
+        return flip * torus_weights.of_mode(mode)
+
+    for weight, degree, u, base in _creator_multisets(space, lo, hi, 0, True, value):
         # an odometer over the x_0 exponents of every direction but the last;
-        # the last direction's exponents that land in lo..hi form a range
+        # the last direction's exponents that land in bottom..top form a range
         exps = [0] * (space.dim - 1)
         while True:
-            k = max(0, (lo - u + step - 1) // step)
+            k = max(0, (bottom - u + step - 1) // step)
             first = u + k * step
-            if first <= hi:
-                yield base, degree, exps, k, flip * first, (hi - first) // step + 1
+            if first <= top:
+                yield weight, base, degree, exps, k, flip * first, (top - first) // step + 1
             j = space.dim - 2
-            while j >= 0 and u + steps[j] > hi:
+            while j >= 0 and u + steps[j] > top:
                 u -= exps[j] * steps[j]
                 exps[j] = 0
                 j -= 1
@@ -436,8 +452,8 @@ def enumerate_torus_window(
     x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
     last, stride = x0[-1], torus_weights.wx[-1]
     base = None
-    for run_base, degree, exps, k, first, n in _torus_runs(
-        space, weight, torus_weights, window
+    for _, run_base, degree, exps, k, first, n in _torus_runs(
+        space, weight, weight, torus_weights, window
     ):
         # consecutive runs share their base, so cut each base once: the
         # segments before, between and after its x_0 insertion points
@@ -459,29 +475,33 @@ def enumerate_torus_window(
 
 def torus_window_counts(
     space: SpaceSpec,
-    weight: int,
+    max_weight: int,
     torus_weights: TorusWeights,
     window: Tuple[int, int],
-) -> Dict[Tuple[int, int], int]:
+) -> Dict[Tuple[int, int, int], int]:
     """The number of basis monomials of ``enumerate_torus_window`` per
-    ``(t, degree)``, summed over the runs of ``_torus_runs``; no monomial is
-    built."""
+    ``(weight, t, degree)``, for every weight 0..max_weight, from one walk
+    over the x_0-free bases of all those weights: each base's runs of x_0
+    placements (``_torus_runs``) are counted, and no monomial is built."""
     stride = torus_weights.wx[-1]
     # a run adds 1 from its first torus value on and -1 one stride past its
     # last; summing along each stride then gives the counts
-    edges: Dict[Tuple[int, int], int] = {}
-    for _, degree, _, _, first, n in _torus_runs(space, weight, torus_weights, window):
-        edges[first, degree] = edges.get((first, degree), 0) + 1
-        end = first + n * stride
-        edges[end, degree] = edges.get((end, degree), 0) - 1
+    edges: Dict[Tuple[int, int, int], int] = {}
+    for weight, _, degree, _, _, first, n in _torus_runs(
+        space, 0, max_weight, torus_weights, window
+    ):
+        key = (weight, first, degree)
+        edges[key] = edges.get(key, 0) + 1
+        key = (weight, first + n * stride, degree)
+        edges[key] = edges.get(key, 0) - 1
     lo, hi = window
     ts = range(lo, hi + 1) if stride > 0 else range(hi, lo - 1, -1)
-    counts: Dict[Tuple[int, int], int] = {}
-    for degree in {k for _, k in edges}:
+    counts: Dict[Tuple[int, int, int], int] = {}
+    for weight, degree in {(w, k) for w, _, k in edges}:
         for t in ts:
-            n = counts.get((t - stride, degree), 0) + edges.get((t, degree), 0)
+            n = counts.get((weight, t - stride, degree), 0) + edges.get((weight, t, degree), 0)
             if n:
-                counts[t, degree] = n
+                counts[weight, t, degree] = n
     return counts
 
 
@@ -496,6 +516,11 @@ def enumerate_basis(
     ``enumerate_torus_window``.  Without the weight-0 fermions and with cap
     0 the basis is the free positive-mode part.
     """
-    out = list(_creator_multisets(space, weight, x0_cap, zero_fermion_allowed))
+    out = [
+        modes
+        for _, _, _, modes in _creator_multisets(
+            space, weight, weight, x0_cap, zero_fermion_allowed
+        )
+    ]
     out.sort(key=monomial_key)
     return out

@@ -12,6 +12,7 @@ from chiralg.fock import (
     State,
     TorusWeights,
     UnboundedBasisError,
+    _creator_multisets,
     enumerate_basis,
     enumerate_torus_window,
     make_space,
@@ -290,16 +291,24 @@ def _tally(triples) -> dict:
     return counts
 
 
+def _counts_of_weight(counts: dict, weight: int) -> dict:
+    """The ``(t, degree)`` counts of one weight in ``torus_window_counts``."""
+    return {(t, k): n for (q, t, k), n in counts.items() if q == weight}
+
+
 @settings(max_examples=150, deadline=None)
 @given(hst.data())
 def test_window_counts_and_euler_series_match_the_monomials(data):
-    """The counts equal the (t, degree) tally of the enumerated window and of
-    the recursive reference, and the Euler series built from them equals the
-    per-monomial sum, through the drawn weight."""
+    """The counts of every weight through the drawn one equal the (t, degree)
+    tally of the enumerated window and of the recursive reference, and the
+    Euler series built from them equals the per-monomial sum."""
     space, weight, tw, window = _torus_case(data)
     counts = torus_window_counts(space, weight, tw, window)
-    assert counts == _tally(enumerate_torus_window(space, weight, tw, window))
-    assert counts == _tally(reference_torus_window(space, weight, tw, window))
+    assert {q for q, _, _ in counts} <= set(range(weight + 1))
+    for q in range(weight + 1):
+        got = _counts_of_weight(counts, q)
+        assert got == _tally(enumerate_torus_window(space, q, tw, window))
+        assert got == _tally(reference_torus_window(space, q, tw, window))
     got = euler_series(space, weight, window, tw)
     want = reference_euler_series(space, weight, window, tw)
     assert got == want
@@ -314,9 +323,89 @@ def test_window_counts_of_empty_and_unreachable_windows():
     # every x_0 placement of every base lies above hi
     assert torus_window_counts(theta2, 0, tw, (-9, -1)) == {}
     # the vacuum and psi1_0
-    assert torus_window_counts(theta2, 0, tw, (0, 0)) == {(0, 0): 1, (0, -1): 1}
+    assert torus_window_counts(theta2, 0, tw, (0, 0)) == {(0, 0, 0): 1, (0, 0, -1): 1}
     with pytest.raises(UnboundedBasisError):
         torus_window_counts(theta2, 1, TorusWeights((1, -1), (0, 0)), (0, 3))
+
+
+def _capped_window_tally(space, weight, tw, window) -> dict:
+    """The (t, degree) tally of the window read off the x_0-capped basis,
+    with a cap no monomial of the window exceeds: in units in which every
+    x_0 weight is positive, an x{j}_0 letter raises the torus value by
+    |wx_j| >= 1 above the least value of an x_0-free base."""
+    lo, hi = window
+    flip = -1 if tw.wx[0] < 0 else 1
+    top = hi if flip > 0 else -lo
+    least = min(flip * torus(m, tw) for m in enumerate_basis(space, weight, x0_cap=0))
+    cap = max(0, top - least)
+    return _tally(
+        (torus(m, tw), sum(x.degree for x in m), m)
+        for m in enumerate_basis(space, weight, x0_cap=cap)
+        if lo <= torus(m, tw) <= hi
+    )
+
+
+@hst.composite
+def _counted_windows(draw):
+    """A space of dim 1-3, either side, torus weights regularizing x_0 of
+    either sign (|wx| <= 2, wphi in -2..2), a top weight (0-4 at dim 1, 0-2
+    at dim 2, 0-1 at dim 3) and a window, which may be empty (hi = lo - 1)
+    or out of reach.  In units in which the x_0 weights are positive, the
+    window's top lies at most 8, 5 or 3 above the least torus value of an
+    x_0-free base, which keeps the capped basis small."""
+    dim = draw(hst.integers(1, 3))
+    space = make_space(draw(hst.sampled_from(Side)), dim)
+    max_weight = draw(hst.integers(0, (4, 2, 1)[dim - 1]))
+    sign = draw(hst.sampled_from((1, -1)))
+    tw = TorusWeights(
+        tuple(sign * draw(hst.integers(1, 2)) for _ in range(dim)),
+        tuple(draw(hst.integers(-2, 2)) for _ in range(dim)),
+    )
+    least = min(
+        sign * torus(m, tw)
+        for q in range(max_weight + 1)
+        for m in enumerate_basis(space, q, x0_cap=0)
+    )
+    top = draw(hst.integers(least - 3, least + (8, 5, 3)[dim - 1]))
+    bottom = draw(hst.integers(top - 5, top + 1))
+    window = (bottom, top) if sign > 0 else (-top, -bottom)
+    return space, max_weight, tw, window
+
+
+@settings(max_examples=100, deadline=None)
+@given(_counted_windows())
+def test_window_counts_match_the_capped_enumeration(case):
+    """One walk counts every weight 0..max_weight: each weight's counts equal
+    the tally of its enumerated window and of the x_0-capped basis filtered
+    by torus value."""
+    space, max_weight, tw, window = case
+    counts = torus_window_counts(space, max_weight, tw, window)
+    for q in range(max_weight + 1):
+        got = _counts_of_weight(counts, q)
+        assert got == _tally(enumerate_torus_window(space, q, tw, window))
+        assert got == _capped_window_tally(space, q, tw, window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pieces(), hst.integers(0, 3), hst.integers(0, 2), hst.booleans(), hst.booleans())
+def test_walker_carries_grades_and_covers_its_weight_range(piece, lo, cap, zero_fermions, valued):
+    """Every leaf's weight, degree and torus value equal the sums over its
+    modes, and the walk over lo..hi yields exactly the leaves of the
+    exact-weight walks of lo, ..., hi."""
+    space, hi = piece
+    tw = TorusWeights(tuple(range(1, space.dim + 1)), (-2,) * space.dim)
+    value = tw.of_mode if valued else None
+    leaves = list(_creator_multisets(space, lo, hi, cap, zero_fermions, value))
+    for q, k, t, modes in leaves:
+        assert q == weight(modes) and k == degree(modes)
+        assert t == (torus(modes, tw) if valued else 0)
+    exact = [
+        leaf
+        for q in range(lo, hi + 1)
+        for leaf in _creator_multisets(space, q, q, cap, zero_fermions, value)
+    ]
+    assert sorted(leaves) == sorted(exact)
+    assert len(set(leaves)) == len(leaves)
 
 
 @given(hst.lists(hst.lists(hst.sampled_from(_CREATORS), max_size=5), max_size=12))
