@@ -44,6 +44,7 @@ from .fock import (
     Side,
     State,
     TorusWeights,
+    _creator_multisets,
     enumerate_basis,
     make_space,
     monomial_key,
@@ -337,10 +338,11 @@ def cmd_basis(spec: ProblemSpec):
     space = spec.space()
     dims = {}
     if spec.x0_cap is not None:
-        for q in range(spec.weight_max + 1):
-            for mono in enumerate_basis(space, q, x0_cap=spec.x0_cap):
-                key = (q, sum(m.degree for m in mono))
-                dims[key] = dims.get(key, 0) + 1
+        # each x_0-free base stands for (cap + 1)^dim monomials, one per
+        # placement of its x_0 letters, all of its weight and degree
+        placements = (spec.x0_cap + 1) ** space.dim
+        for q, degree, _, _ in _creator_multisets(space, 0, spec.weight_max, 0, True):
+            dims[(q, degree)] = dims.get((q, degree), 0) + placements
     else:
         tw = spec.default_weights()
         window = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)

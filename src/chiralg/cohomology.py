@@ -13,27 +13,42 @@ So h >= 0.  Q^2 = 0 is proved per weight q on the terms instantiated for q:
 ``check_nilpotent`` covers every state of weight <= q at any x_0 degree, and
 a failure raises ``CohomologyError`` with its witness.
 
-Levels.  Each basis monomial of weight q has a level, and each selection,
-S or the monomials whose images span I, is a level threshold: S is level
-<= s of the cell's block and I the image of level <= i of its source block.
+Pairs.  A basis monomial x_0^a b is kept as the pair (b, a): its x_0-free
+base b and the exponents a of x{1}_0 .. x{d}_0, in the blocks' rows and
+columns alike.  The bases of a weight come from one walk that carries each
+base's degree (``fock._creator_multisets`` under a cap, ``fock._torus_runs``
+in a torus window, which also carries the torus value), so no monomial is
+built or summed.  The charge runs once per weight on each base (the
+``base_image`` of ``oper.ChargeOperator``), and ``oper._spread`` carries
+those entries to every pair of the base by falling factorials in a.
 
-- Torus-regularized: every bigrade is finite and every monomial has level
-  0.  One pass, (s, i) = (0, 0): S is a whole block and I the image of the
+Levels.  Each pair of weight q has a level, read off its exponents, and
+each selection, S or the pairs whose images span I, is a level threshold:
+S is level <= s of the cell's block and I the image of level <= i of its
+source block.
+
+- Torus-regularized: every bigrade is finite and every pair has level 0.
+  One pass, (s, i) = (0, 0): S is a whole block and I the image of the
   whole block mapping into it, inside span(S), so the last rank is 0.
-- Capped: level 0 if the total x_0 degree is <= cap, 1 if it is <= cap + 1,
-  2 if no x_0 occurs more than cap + margin times, else 3.  The chain is
-  nested because margin >= 1.  The cap pass is (s, i) = (0, 2) and the
-  cap + 1 pass (1, 3).  The cap is not differential-stable, so h converges
-  to the honest dimension as the cap grows and is reported with a flag
-  comparing cap and cap + 1.
+  Every image row has level 0 too: the rows of one block's columns share a
+  torus value, so each vector's pivot is its first row whatever its
+  level, and only a cell's own block, whose profile is read for
+  dependence alone, can map out of the window.
+- Capped: level 0 if the total exponent is <= cap, 1 if it is <= cap + 1,
+  2 if no exponent exceeds cap + margin, else 3; the basis is every base
+  with every exponent at most cap + margin + 1, and a row with a larger
+  exponent lies outside it.  The chain is nested because margin >= 1.
+  The cap pass is (s, i) = (0, 2) and the cap + 1 pass (1, 3).  The cap
+  is not differential-stable, so h converges to the honest dimension as
+  the cap grows and is reported with a flag comparing cap and cap + 1.
 
 Pivot profile.  Each block's image columns are eliminated once per weight
 (``linalg.pivot_profile``), sorted by level and, within a level, by nonzero
 count, which keeps the fill down.  Each pivot is taken at a row of the
 highest level in its vector; a row outside the basis lies in no S and
-counts as above every level.  The profile records, per column, None if the
-column depends on earlier ones, else its pivot row's level.  A selection
-is a prefix of the order, so:
+counts as above every level (level 4 under a cap).  The profile records,
+per column, None if the column depends on earlier ones, else its pivot
+row's level.  A selection is a prefix of the order, so:
 
 - rank Q_S is the number of pivots among the block's columns of level <= s;
 - rank I is the number of pivots among the source block's columns of
@@ -60,20 +75,20 @@ table metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .fock import (
-    Family,
     SpaceSpec,
     TorusWeights,
-    enumerate_basis,
-    enumerate_torus_window,
+    _creator_multisets,
+    _torus_runs,
     monomial_text,
     torus_window_counts,
 )
 from .charges import check_nilpotent
 from .linalg import pivot_profile
-from .oper import SymbolicCharge
+from .oper import SymbolicCharge, _spread
 from .qseries import TruncatedSeries
 
 
@@ -95,45 +110,59 @@ class CohomologyTable:
 
 class _WeightBlocks:
     """The basis of one weight q bucketed by grade key, (torus, degree) or
-    degree, each monomial with its level.  Each block's image columns are
-    eliminated once, and only its pivot profile is kept.
+    degree, as (base, exps) pairs: an x_0-free base and the x_0 exponents of
+    each direction, standing for the monomial x_0^exps base.  The level of
+    a pair, and of every image row, is that of its exponents in ``levels``,
+    or ``outside`` for exponents it does not list.  Each block's image
+    columns are eliminated once, and only its pivot profile is kept.
 
     The charge is instantiated once, at window q: the Q^2 check runs on
-    those terms and hands back the operator that gives the columns.
+    those terms and hands back the operator that gives the columns.  Each
+    base's entries (the operator's ``base_image``) are computed once and
+    carried to each of its pairs by ``oper._spread``; they are dropped with
+    the weight.
     """
 
-    def __init__(self, charge: SymbolicCharge, space: SpaceSpec, q: int, keyed):
+    def __init__(
+        self, charge: SymbolicCharge, space: SpaceSpec, q: int, pairs, levels: dict, outside: int
+    ):
         report = check_nilpotent(charge, space, q)
         if not report:
             witness = monomial_text(report.witness, space.dim)
             raise CohomologyError(f"charge not nilpotent; witness {witness}")
         self.op = report.operator
-        self.levels: Dict[tuple, int] = {}
-        self.bases: Dict[Hashable, List[tuple]] = {}
-        for key, mono, level in keyed:
-            self.levels[mono] = level
-            self.bases.setdefault(key, []).append(mono)
-        # a row outside the basis lies in no selection: above every level
-        self.depth = max(self.levels.values(), default=0) + 1
+        self.levels = levels
+        self.outside = outside
+        self.bases: Dict[Hashable, List[Tuple[tuple, tuple]]] = {}
+        for key, base, exps in pairs:
+            self.bases.setdefault(key, []).append((base, exps))
+        self._entries: Dict[tuple, dict] = {}
         self._profiles: Dict[Hashable, List[Tuple[int, Optional[int]]]] = {}
 
-    def _level(self, mono) -> int:
-        return self.levels.get(mono, self.depth)
+    def _row_level(self, row: Tuple[tuple, tuple]) -> int:
+        return self.levels.get(row[1], self.outside)
+
+    def _image(self, base: tuple, exps: tuple) -> dict:
+        """scale * Q(x_0^exps base), {(base, exps): int}, zeros dropped."""
+        entries = self._entries.get(base)
+        if entries is None:
+            entries = self._entries[base] = self.op.base_image(base)
+        return _spread(entries, exps)
 
     def _profile(self, key) -> List[Tuple[int, Optional[int]]]:
-        """(level of the monomial, level of its column's pivot row or None)
-        for the monomials of block ``key``, in elimination order."""
+        """(level of the pair, level of its column's pivot row or None) for
+        the pairs of block ``key``, in elimination order."""
         if key not in self._profiles:
-            basis = self.bases.get(key, [])
-            cols = [(self.levels[m], self.op.image(m)) for m in basis]
+            level, outside = self.levels.get, self.outside
+            cols = [(level(e, outside), self._image(b, e)) for b, e in self.bases.get(key, [])]
             cols.sort(key=lambda lc: (lc[0], len(lc[1])))
-            pivots = pivot_profile([c for _, c in cols], self._level) if cols else []
+            pivots = pivot_profile([c for _, c in cols], self._row_level) if cols else []
             self._profiles[key] = [(lv, p) for (lv, _), p in zip(cols, pivots)]
         return self._profiles[key]
 
     def cell(self, key, src, s: int, i: int) -> int:
         """h = |S| - rank Q_S - rank I + rank(I with the rows of S removed),
-        for S the monomials of block ``key`` of level <= s and I the image
+        for S the pairs of block ``key`` of level <= s and I the image
         columns of those of block ``src`` of level <= i, read off the two
         blocks' pivot profiles as the module docstring shows."""
         # |S| - rank Q_S: the columns of S that depend on earlier ones
@@ -166,9 +195,17 @@ def cohomology_dims_torus(
     per_bigrade: Dict[Tuple[int, int, int], int] = {}
     # the window's cells and the sources t - shift of their incoming maps
     reach = (min(lo, lo - shift), max(hi, hi - shift))
+    stride = torus_weights.wx[-1]
+
+    def pairs(q: int):
+        for _, base, degree, exps, k, t, n in _torus_runs(space, q, q, torus_weights, reach):
+            head = tuple(exps)
+            for a in range(n):
+                yield (t + a * stride, degree), base, head + (k + a,)
+
     for q in range(max_weight + 1):
-        window = enumerate_torus_window(space, q, torus_weights, reach)
-        blocks = _WeightBlocks(charge, space, q, (((t, k), m, 0) for t, k, m in window))
+        # every pair and every image row at level 0 (module docstring)
+        blocks = _WeightBlocks(charge, space, q, pairs(q), {}, 0)
         for t, k in sorted(key for key in blocks.bases if lo <= key[0] <= hi):
             h = blocks.cell((t, k), (t - shift, k - dshift), 0, 0)
             if h:
@@ -188,16 +225,6 @@ def cohomology_dims_torus(
     )
 
 
-def _x0_counts(mono: tuple) -> Tuple[int, int]:
-    """The number of x_0 letters, and the largest number of one direction:
-    what the cap bounds, and what ``enumerate_basis`` caps."""
-    counts: Dict[int, int] = {}
-    for m in mono:
-        if m.index == 0 and m.family is Family.X:
-            counts[m.direction] = counts.get(m.direction, 0) + 1
-    return sum(counts.values()), max(counts.values(), default=0)
-
-
 def cohomology_dims_capped(
     charge: SymbolicCharge,
     space: SpaceSpec,
@@ -213,20 +240,24 @@ def cohomology_dims_capped(
     dshift = _degree_shift(charge)
     top = x0_cap + image_margin + 1
 
-    def level(mono) -> int:
-        total, most = _x0_counts(mono)
+    def level(exps: tuple) -> int:
+        total, most = sum(exps), max(exps)
         if total <= x0_cap:
             return 0
         if total <= x0_cap + 1:
             return 1
         return 2 if most <= x0_cap + image_margin else 3
 
+    box = list(product(range(top + 1), repeat=space.dim))
+    levels = {exps: level(exps) for exps in box}
+
     dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
-        basis = enumerate_basis(space, q, x0_cap=top)
-        keyed = ((sum(m.degree for m in mono), mono, level(mono)) for mono in basis)
-        blocks = _WeightBlocks(charge, space, q, keyed)
+        walk = _creator_multisets(space, q, q, 0, True)
+        pairs = ((degree, base, exps) for _, degree, _, base in walk for exps in box)
+        # a row with an exponent above top is outside the basis: level 4
+        blocks = _WeightBlocks(charge, space, q, pairs, levels, 4)
         rows = []
         # at cap + c, S is level <= c (total x_0 degree <= cap + c) and I is
         # level <= c + 2 (at most cap + c + margin of each x_0)

@@ -17,6 +17,8 @@ scale * Q(monomial) with ``int`` values, and calling the operator gives the
 exact rational action.  A plan removes its targets (``_remove``) and merges
 its creators into what is left (``_insert``), whose Koszul sign is read off
 positions, as the fermions of a canonical monomial are its suffix.  The
+x_0 letters are split off every plan: it runs once on an x_0-free base and
+is spread over the x_0 exponents by falling factorials (``_spread``).  The
 sub-plans of a term (``_sub_plans``), with only part of its annihilators
 acting, run on the creators of another term (``_contract_into``), give the
 contractions of the Q^2 check in ``charges``; Wick normal ordering of words
@@ -28,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -364,35 +367,69 @@ class ChargeOperator:
     of a monomial; calling the operator on a state divides by ``scale`` and
     is the exact rational action.
 
-    A term acts nonzero on a monomial only if the monomial holds all its
+    The weight-0 letters x{d}_0 are split off every plan: per direction d it
+    records j_d, the x{d}_0 letters it takes (only y{d}_0 = d/dx{d}_0 takes
+    one), and the shift i_d - j_d, i_d the x{d}_0 letters it adds, as its
+    ``moves`` (d - 1, j_d, shift_d) over the directions where either is
+    nonzero.  The rest of the plan runs once on an x_0-free base b
+    (``base_image``, whose entries are grouped by their moves), and
+    ``_spread`` carries each entry to x_0^a b: x{d}_0 occurs a_d times, so
+    taking j_d of them multiplies by the falling factorial
+    a_d (a_d - 1) ... (a_d - j_d + 1), zero if a_d < j_d, and the exponent
+    becomes a_d + shift_d.  No Koszul sign depends on a: x_0 is
+    bosonic and sorts before every fermion, so removing or adding an x_0
+    moves no fermion position relative to the fermion suffix that
+    ``_remove`` and ``_insert`` read their signs from.  ``image`` splits a
+    monomial into base and exponents, spreads the base's entries and joins
+    each result back.
+
+    A term acts nonzero on a base only if the base holds all its other
     targets (with multiplicity), so plans are filed under their first
-    target: a monomial visits the target-free plans and those of each of its
-    distinct letters, and skips a plan whose other targets it lacks.  It
-    also skips, before removing anything, a plan with a fermionic creator
-    that is not a target and is already one of its letters: merging it in
-    would give zero.
+    target that is not an x_0, or under None: a base visits the None plans
+    and those of each of its distinct letters, and skips a plan whose other
+    targets it lacks.  It also skips, before removing anything, a plan with
+    a fermionic creator that is not a target and is already one of its
+    letters: merging it in would give zero.  When no plan is target-free, a
+    base holding none of the filed first targets has no image at all.
     """
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
         compiled = [_compile(space, t) for t in terms]
         self.scale, coeffs = common_denominator([coeff for coeff, _, _ in compiled])
-        # first target or None -> [(coeff, targets, creators, rest, clash)]
+        self._x0 = tuple(ModeKey(Family.X, d, 0) for d in range(1, space.dim + 1))
+        self._x0_set = frozenset(self._x0)
+        self._no_x0 = (0,) * space.dim
+        # first non-x_0 target or None -> [(coeff, targets, creators, rest, clash, moves)]
         self.plans: dict = {}
         for coeff, (_, targets, creators) in zip(coeffs, compiled):
+            moves = ()
+            if not self._x0_set.isdisjoint(targets + creators):
+                moves = tuple(
+                    (d, targets.count(x), creators.count(x) - targets.count(x))
+                    for d, x in enumerate(self._x0)
+                    if x in targets or x in creators
+                )
+                targets = tuple(t for t in targets if t not in self._x0_set)
+                creators = tuple(c for c in creators if c not in self._x0_set)
             clash = frozenset(c for c in creators if c.fermionic and c not in targets)
             self.plans.setdefault(targets[0] if targets else None, []).append(
-                (coeff, targets, creators, frozenset(targets[1:]), clash)
+                (coeff, targets, creators, frozenset(targets[1:]), clash, moves)
             )
+        self._firsts = None if None in self.plans else frozenset(self.plans)
 
-    def image(self, mono: tuple) -> dict:
-        """scale * Q(mono), {monomial: int}, zeros dropped."""
+    def base_image(self, base: tuple) -> dict:
+        """The entries of scale * Q on the x_0-free ``base``, grouped by
+        their moves, {moves: {result base: coefficient}}; a coefficient may
+        cancel to 0.  ``_spread`` carries them to x_0^a base."""
         acc = {}
-        letters = dict.fromkeys(mono)
+        if self._firsts is not None and self._firsts.isdisjoint(base):
+            return acc
+        letters = dict.fromkeys(base)
         for first in (None, *letters):
-            for coeff, targets, creators, rest, clash in self.plans.get(first, ()):
+            for coeff, targets, creators, rest, clash, moves in self.plans.get(first, ()):
                 if not rest <= letters.keys() or not clash.isdisjoint(letters):
                     continue
-                modes = mono
+                modes = base
                 for target in targets:
                     if target not in modes:  # a repeated boson occurs too few times
                         break
@@ -403,8 +440,45 @@ class ChargeOperator:
                     if placed is None:
                         continue
                     sign, modes = placed
-                    _accumulate(acc, modes, coeff if sign > 0 else -coeff)
-        return {m: c for m, c in acc.items() if c}
+                    group = acc.get(moves)
+                    if group is None:
+                        group = acc[moves] = {}
+                    _accumulate(group, modes, coeff if sign > 0 else -coeff)
+        return acc
+
+    def image(self, mono: tuple) -> dict:
+        """scale * Q(mono), {monomial: int}, zeros dropped."""
+        if self._x0_set.isdisjoint(mono):
+            base, exps = mono, self._no_x0
+        else:
+            base, exps = self._split_x0(mono)
+        entries = self.base_image(base)
+        if not entries:
+            return {}
+        if exps is self._no_x0 and len(entries) == 1 and () in entries:
+            # no x_0 in mono and none moved: the base's image is mono's
+            return {b: c for b, c in entries[()].items() if c}
+        return {self._join(b, e): c for (b, e), c in _spread(entries, exps).items()}
+
+    def _split_x0(self, mono: tuple) -> tuple:
+        """(base, exps): ``mono`` without its x_0 letters, and the number of
+        x{d}_0 letters per direction d, which form one run."""
+        exps = []
+        for x in self._x0:
+            n = mono.count(x)
+            if n:
+                p = mono.index(x)
+                mono = mono[:p] + mono[p + n :]
+            exps.append(n)
+        return mono, tuple(exps)
+
+    def _join(self, base: tuple, exps: tuple) -> tuple:
+        """The canonical monomial x_0^exps base."""
+        for x, a in zip(self._x0, exps):
+            if a:
+                p = bisect_left(base, x.key, key=_KEY)
+                base = base[:p] + (x,) * a + base[p:]
+        return base
 
     def __call__(self, state: State) -> State:
         acc = {}
@@ -412,6 +486,44 @@ class ChargeOperator:
             for m, c in self.image(mono).items():
                 _accumulate(acc, m, coeff * c)
         return State({m: v / self.scale for m, v in acc.items()})
+
+
+def _spread(entries: dict, exps: tuple) -> dict:
+    """scale * Q(x_0^exps b) as {(result base, exponents): int}, zeros
+    dropped, from the ``ChargeOperator.base_image`` entries of the base b.
+
+    A group of entries whose moves take j_d letters x{d}_0 while exps_d <
+    j_d is skipped.  Otherwise each of its coefficients is multiplied by the
+    product over d of the falling factorials exps_d (exps_d - 1) ...
+    (exps_d - j_d + 1), and lands at exps shifted by the moves.  Distinct
+    groups may land on the same exponents.
+    """
+    acc = {}
+    for moves, group in entries.items():
+        placed = _place(moves, exps) if moves else (exps, 1)
+        if placed is None:
+            continue
+        out, factor = placed
+        for b, c in group.items():
+            key = (b, out)
+            prev = acc.get(key)
+            acc[key] = factor * c if prev is None else prev + factor * c
+    return {key: c for key, c in acc.items() if c}
+
+
+@lru_cache(maxsize=4096)  # a weight's pairs meet few (moves, exps)
+def _place(moves: tuple, exps: tuple) -> Optional[tuple]:
+    """(exponents, falling-factorial factor) of a group of entries with
+    these moves on x_0^exps, or None if they take more x_0 than it holds."""
+    shifted, factor = list(exps), 1
+    for d, j, shift in moves:
+        a = shifted[d]
+        if a < j:
+            return None
+        for f in range(a - j + 1, a + 1):
+            factor *= f
+        shifted[d] = a + shift
+    return tuple(shifted), factor
 
 
 def _split(space: SpaceSpec, modes: tuple) -> tuple:

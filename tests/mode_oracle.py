@@ -22,12 +22,16 @@
   monomials, which are now bare mode tuples.
 - The capped cohomology the package computed from kernel vectors, as
   rank(I + K) - rank(I), before one rank formula served both regimes:
-  ``_capped_dims_once`` verbatim, on a verbatim copy of the block cache it
-  used, driven by ``reference_capped_table``.
+  ``_capped_dims_once`` verbatim, on a copy of the block cache it used,
+  driven by ``reference_capped_table``.  The cache is verbatim but for its
+  columns, which it takes from ``reference_image``, the reference action
+  of the instantiated terms, rather than from ``ChargeOperator``: a fault
+  in the package's mode-action kernel then moves the table and not its
+  reference.
 - The torus cohomology by the same kernel vectors, rank(I + K) - rank(I)
   per bigrade: ``reference_torus_table``, new rather than kept, which files
   each image column under the bigrade of its monomials instead of reading
-  the source block off the charge's torus shift.
+  the source block off the charge's torus shift, on the same block cache.
 - The sparse ``Fraction`` elimination behind ``linalg.rank`` and
   ``linalg.kernel_basis`` before it reduced integer vectors and visited the
   pivots through a heap: ``reference_eliminate``, which scans every earlier
@@ -77,7 +81,6 @@ from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
     annihilated_weight,
-    charge_operator,
     combine_terms,
     instantiate_charge,
     normal_product,
@@ -481,12 +484,22 @@ def _cartesian_exponents(dim: int, cap: int) -> Iterator[tuple]:
     yield from rec(0, [])
 
 
+def reference_image(space: SpaceSpec, terms: Sequence[OperatorTerm], mono: tuple) -> State:
+    """The instantiated ``terms`` acting on one monomial, term by term
+    through ``apply_term``."""
+    out = State()
+    for term in terms:
+        out = out + apply_term(space, term, State.of(mono))
+    return out
+
+
 class _WeightBlocks:
     """The basis of one weight bucketed by grade key, (torus, degree) or
     degree, with the charge's image columns and their rank memoised per key."""
 
-    def __init__(self, op: ChargeOperator):
-        self.op = op
+    def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
+        self.space = space
+        self.terms = terms
         self.bases: Dict[Hashable, List[tuple]] = {}
         self._cols: Dict[Hashable, list] = {}
         self._ranks: Dict[Hashable, int] = {}
@@ -500,7 +513,9 @@ class _WeightBlocks:
     def cols(self, key) -> list:
         """Image of each basis monomial of the key, as a sparse column."""
         if key not in self._cols:
-            self._cols[key] = [self.op(State.of(m)).terms for m in self.basis(key)]
+            self._cols[key] = [
+                reference_image(self.space, self.terms, m).terms for m in self.basis(key)
+            ]
         return self._cols[key]
 
     def rank(self, key) -> int:
@@ -558,7 +573,7 @@ def reference_capped_table(charge, space: SpaceSpec, max_weight: int, x0_cap: in
     dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
-        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        blocks = _WeightBlocks(space, instantiate_charge(charge, space, q))
         for mono in enumerate_basis(space, q, x0_cap=top):
             blocks.add(sum(m.degree for m in mono), mono)
         row = _capped_dims_once(blocks, q, dshift, x0_cap, image_margin)
@@ -583,7 +598,7 @@ def reference_torus_table(
     dims: Dict[Tuple[int, int], int] = {}
     per_bigrade: Dict[str, int] = {}
     for q in range(max_weight + 1):
-        blocks = _WeightBlocks(charge_operator(charge, space, q))
+        blocks = _WeightBlocks(space, instantiate_charge(charge, space, q))
         for t, k, mono in reference_torus_window(
             space, q, torus_weights, (lo - shift, hi + shift)
         ):

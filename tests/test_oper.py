@@ -1,6 +1,7 @@
 """Mode actions, normally ordered terms, charge instantiation, translation."""
 
 import functools
+import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as hst
 from chiralg.charges import (
     Potential,
     StructureConstants,
+    chiral_de_rham,
+    combine,
     lie_charge,
     potential_charge,
 )
@@ -30,6 +33,7 @@ from chiralg.oper import (
     SymbolicCharge,
     _compile,
     _insert,
+    _spread,
     _sub_plans,
     charge_operator,
     combine_terms,
@@ -37,10 +41,11 @@ from chiralg.oper import (
     mode_words,
     normal_order,
 )
-from conftest import X, Y, PHI, PSI, degree, st, weight
+from conftest import X, Y, PHI, PSI, degree, random_potential, scaled, st, weight
 import mode_oracle
 from mode_oracle import (
     apply_term,
+    reference_image,
     reference_index_assignments,
     reference_normal_order,
     translate,
@@ -469,6 +474,82 @@ def test_image_is_scale_times_reference_action(case):
         assert got == one and all(type(c) is Fraction for c in got.terms.values())
         want = want + one.scale(coeff)
     assert op(state) == want
+
+
+SL2 = [(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -2)]
+
+
+@hst.composite
+def x0_spread_cases(draw):
+    """(space, terms, base, exps): the terms, with rational coefficients, of
+    a Lie charge (b2, sl2 or random constants), of d_dR + df on the omega
+    side, of a theta-side potential twist or of a random pattern charge, in
+    dims 1-3; an x_0-free basis monomial, and random x_0 exponents in every
+    direction.  Only a pattern charge, which always has a y y pattern, takes
+    two x_0 of one direction in one term, where the falling factorial and a
+    power differ."""
+    kind = draw(hst.sampled_from(["lie", "derham", "theta", "pattern"]))
+    dim = draw(hst.integers(1, 3))
+    if kind == "pattern":
+        side = draw(hst.sampled_from([Side.THETA, Side.OMEGA]))
+        letter = hst.tuples(hst.sampled_from(list(Family)), hst.integers(1, dim))
+        pattern = hst.tuples(MIXED, hst.lists(letter, min_size=1, max_size=3).map(tuple))
+        patterns = draw(hst.lists(pattern, min_size=1, max_size=3))
+        twice = ((Family.Y, draw(hst.integers(1, dim))),) * 2
+        patterns.append((draw(MIXED), twice + tuple(draw(hst.lists(letter, max_size=1)))))
+        charge = SymbolicCharge(tuple(patterns))
+    elif kind == "lie":
+        side = Side.THETA
+        if dim == 2 and draw(hst.booleans()):
+            entries = [(2, 1, 2, 1)]  # b2
+        elif dim == 3 and draw(hst.booleans()):
+            entries = SL2
+        else:
+            slots = [
+                (k, i, j) for k in range(1, dim + 1) for j in range(2, dim + 1) for i in range(1, j)
+            ]
+            chosen = draw(hst.lists(hst.sampled_from(slots), unique=True, max_size=3)) if slots else []
+            entries = [(k, i, j, draw(hst.sampled_from([-2, -1, 1, 2]))) for k, i, j in chosen]
+        charge = lie_charge(StructureConstants.from_entries(dim, entries, validate=False))
+    else:
+        f = random_potential(random.Random(draw(hst.integers(0, 10**6))), dim, 3)
+        if kind == "derham":
+            side = Side.OMEGA
+            charge = combine(chiral_de_rham(dim), potential_charge(f, side))
+        else:
+            side = Side.THETA
+            charge = potential_charge(f, side)
+    space = make_space(side, dim)
+    window = draw(hst.integers(0, 2 if dim == 1 else 1))
+    terms = instantiate_charge(scaled(charge, draw(MIXED)), space, window)
+    base = draw(hst.sampled_from(_capped_basis(space, draw(hst.integers(0, window)), 0)))
+    exps = tuple(draw(hst.integers(0, 4)) for _ in range(dim))
+    return space, terms, base, exps
+
+
+@settings(max_examples=150, deadline=None)
+@given(x0_spread_cases())
+def test_spread_of_base_image_is_scale_times_reference_action(case):
+    """The entries of an x_0-free base, spread to x_0^a base by falling
+    factorials, are ``scale`` times the reference action on that monomial,
+    with every result base x_0-free; ``image`` of the monomial gives the
+    same ``int`` columns."""
+    space, terms, base, exps = case
+    x0 = [X(0, d) for d in range(1, space.dim + 1)]
+
+    def joined(b, e):
+        letters = b + tuple(m for m, a in zip(x0, e) for _ in range(a))
+        return tuple(sorted(letters, key=ModeKey.sort_key))
+
+    op = ChargeOperator(space, terms)
+    mono = joined(base, exps)
+    want = {m: op.scale * c for m, c in reference_image(space, terms, mono).terms.items()}
+    spread = _spread(op.base_image(base), exps)
+    assert all(x not in b for b, _ in spread for x in x0)
+    assert {joined(b, e): c for (b, e), c in spread.items()} == want
+    image = op.image(mono)
+    assert all(type(c) is int for c in image.values())
+    assert image == want
 
 
 @settings(max_examples=100, deadline=None)
