@@ -16,7 +16,6 @@ from .fock import (
     TorusWeights,
     UnboundedBasisError,
     enumerate_basis,
-    enumerate_torus_window,
     make_space,
     monomial_key,
     monomial_text,

@@ -21,11 +21,9 @@ from .fock import (
 )
 from .oper import (
     ChargeOperator,
-    OperatorTerm,
     SymbolicCharge,
     _contract_into,
     _sorted_terms,
-    common_denominator,
     conjugate_creators,
     instantiate_charge,
 )
@@ -261,13 +259,6 @@ def _bracket_terms(space, t1s, t2s, window) -> list:
     return _sorted_terms(acc)
 
 
-def _integral(terms: list) -> list:
-    """The terms times the lcm of their denominators, with ``int``
-    coefficients."""
-    _, coeffs = common_denominator([t.coefficient for t in terms])
-    return [OperatorTerm(c, t.modes) for c, t in zip(coeffs, terms)]
-
-
 def _check_bracket(c1, c2, space, window) -> CheckReport:
     """Verify c1 c2 + c2 c1, or c1 c1 when ``c2`` is None, vanishes on weight
     <= window, as ``check_nilpotent`` describes."""
@@ -278,19 +269,17 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
                     "a differential is odd: each pattern needs an odd number "
                     "of fermion letters"
                 )
-    t1s = instantiate_charge(c1, space, window)
-    t2s = None if c2 is None else instantiate_charge(c2, space, window)
-    o1 = ChargeOperator(space, t1s)
-    # each list scaled to integers by its own lcm scales the sum by the
-    # product of the two, so it vanishes exactly when the sum does
+    o1 = ChargeOperator(space, instantiate_charge(c1, space, window))
+    o2 = o1 if c2 is None else ChargeOperator(space, instantiate_charge(c2, space, window))
+    # each operator's terms, scaled to integers by its own scale, scale the
+    # sum by the product of the two, so it vanishes exactly when the sum does
     surviving = _bracket_terms(
-        space, _integral(t1s), None if t2s is None else _integral(t2s), window
+        space, o1.scaled_terms, None if c2 is None else o2.scaled_terms, window
     )
     if not surviving:
         return CheckReport(True, operator=o1)
     # a probe built from a minimal surviving annihilator part always works
     probes = sorted((conjugate_creators(space, t.modes) for t in surviving), key=len)
-    o2 = o1 if t2s is None else ChargeOperator(space, t2s)
     for mono in probes:
         v = State.of(mono)
         image = o1(o2(v))

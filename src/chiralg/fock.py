@@ -24,16 +24,14 @@ the cap and sorts the piece once.  A torus window has one run generator: it
 runs the enumerator without x_0 to get the bases, and an odometer over the
 x_0 exponents of all directions but the last yields, per base and position,
 the range of last-direction exponents whose torus values land in a closed
-window.  ``enumerate_torus_window`` expands the runs of one weight into its
-monomials; ``torus_window_counts`` sums the runs of every weight up to a
-top one, from one walk, per (weight, torus value, degree) and builds no
+window.  ``torus_window_counts`` sums the runs of every weight up to a top
+one, from one walk, per (weight, torus value, degree) and builds no
 monomial.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
@@ -437,52 +435,17 @@ def _torus_runs(
             u += steps[j]
 
 
-def enumerate_torus_window(
-    space: SpaceSpec,
-    weight: int,
-    torus_weights: TorusWeights,
-    window: Tuple[int, int],
-) -> Iterator[Tuple[int, int, tuple]]:
-    """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
-    whose torus value t lies in the closed window ``lo..hi``; unsorted.
-
-    Each run of ``_torus_runs`` is expanded into its monomials, the x_0
-    letters going in at their insertion points in the base.
-    """
-    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
-    last, stride = x0[-1], torus_weights.wx[-1]
-    base = None
-    for _, run_base, degree, exps, k, first, n in _torus_runs(
-        space, weight, weight, torus_weights, window
-    ):
-        # consecutive runs share their base, so cut each base once: the
-        # segments before, between and after its x_0 insertion points
-        if run_base is not base:
-            base = run_base
-            cuts = [bisect_left(base, m.key, key=ModeKey.sort_key) for m in x0]
-            front, *between = [
-                base[i:j] for i, j in zip([0] + cuts, cuts + [len(base)])
-            ]
-            rest = between[-1]
-        letters = front
-        for letter, e, segment in zip(x0, exps, between):
-            letters += (letter,) * e + segment
-        letters += (last,) * k
-        for t in range(first, first + n * stride, stride):
-            yield t, degree, letters + rest
-            letters += (last,)
-
-
 def torus_window_counts(
     space: SpaceSpec,
     max_weight: int,
     torus_weights: TorusWeights,
     window: Tuple[int, int],
 ) -> Dict[Tuple[int, int, int], int]:
-    """The number of basis monomials of ``enumerate_torus_window`` per
-    ``(weight, t, degree)``, for every weight 0..max_weight, from one walk
-    over the x_0-free bases of all those weights: each base's runs of x_0
-    placements (``_torus_runs``) are counted, and no monomial is built."""
+    """The number of basis monomials whose torus value t lies in the closed
+    ``window``, per ``(weight, t, degree)``, for every weight
+    0..max_weight, from one walk over the x_0-free bases of all those
+    weights: each base's runs of x_0 placements (``_torus_runs``) are
+    counted, and no monomial is built."""
     stride = torus_weights.wx[-1]
     # a run adds 1 from its first torus value on and -1 one stride past its
     # last; summing along each stride then gives the counts
@@ -512,9 +475,9 @@ def enumerate_basis(
     most ``x0_cap`` x_0 letters per direction.
 
     The weight-0 generators x_0 make fixed-weight pieces infinite
-    dimensional, hence the required cap; for a torus-regularized piece use
-    ``enumerate_torus_window``.  Without the weight-0 fermions and with cap
-    0 the basis is the free positive-mode part.
+    dimensional, hence the required cap; a torus grading that regularizes
+    x_0 is the other way (``torus_window_counts``).  Without the weight-0
+    fermions and with cap 0 the basis is the free positive-mode part.
     """
     out = [
         modes

@@ -11,18 +11,18 @@ vacuum:
 The sign on x_{-m} is forced by demanding [y_i, x_j] = delta_{i+j,0} with y_j
 acting by multiplication.
 
-A charge is applied by ``ChargeOperator``, whose plans hold integer
-coefficients over one common denominator, its ``scale``: ``image`` gives
-scale * Q(monomial) with ``int`` values, and calling the operator gives the
-exact rational action.  A plan removes its targets (``_remove``) and merges
-its creators into what is left (``_insert``), whose Koszul sign is read off
-positions, as the fermions of a canonical monomial are its suffix.  The
-x_0 letters are split off every plan: it runs once on an x_0-free base and
-is spread over the x_0 exponents by falling factorials (``_spread``).  The
-sub-plans of a term (``_sub_plans``), with only part of its annihilators
-acting, run on the creators of another term (``_contract_into``), give the
-contractions of the Q^2 check in ``charges``; Wick normal ordering of words
-(``contractions``) serves instantiation.
+Every computation here is Wick's theorem run on two steps of a canonical
+mode tuple: an annihilator removes one letter of its conjugate creator
+(``_remove``), and creators are merged in (``_insert``), whose Koszul sign is
+read off positions, as the fermions of a canonical monomial are its suffix.
+``normal_order`` folds a word's letters in from the right with them.  A
+charge is applied by ``ChargeOperator``, whose plans, one per term, hold
+integer coefficients over one common denominator, its ``scale``; ``_run``
+is the one loop that runs filed plans on a monomial.  It serves
+``ChargeOperator.base_image``, on an x_0-free base whose image ``_spread``
+carries to every x_0 exponent by falling factorials, and ``_contract_into``,
+which runs the sub-plans of a term (``_sub_plans``) on the creators of
+another to give the contractions of the Q^2 check in ``charges``.
 """
 
 from __future__ import annotations
@@ -67,28 +67,12 @@ def conjugate_creators(space: SpaceSpec, modes: Iterable[ModeKey]) -> tuple:
     )
 
 
-def annihilated_weight(space: SpaceSpec, modes: Iterable[ModeKey]) -> int:
-    """The weight that the annihilators among ``modes`` remove."""
-    return sum(-m.index for m in modes if not space.is_creator(m))
-
-
 def _accumulate(acc: dict, key, value) -> None:
     prev = acc.get(key)
     acc[key] = value if prev is None else prev + value
 
 
-def common_denominator(values: Sequence) -> tuple:
-    """(scale, ints): the lcm of the denominators of the rational ``values``,
-    and each value times it, as an ``int``."""
-    scale = lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
-
-
-# Every mode acts in one of two steps on a canonically ordered mode tuple: an
-# annihilator removes one letter of its conjugate creator (``_remove``), a
-# creator is merged in (``_insert``).  Each term of a ``ChargeOperator``, a
-# single mode included, is compiled into a plan of these two steps.
-
+# The two steps of the module docstring, on canonically ordered mode tuples.
 _KEY = attrgetter("key")
 # below the key of every fermion and above that of every boson
 _FERMIONS = (min(_FAMILY_ORDER[Family.PSI], _FAMILY_ORDER[Family.PHI]),)
@@ -150,65 +134,41 @@ class OperatorTerm:
         return f"{self.coefficient}*:{body}:"
 
 
-def _contraction(a: ModeKey, b: ModeKey) -> int:
-    """Scalar a b -+ b a for the free-field (super-)commutation relations:
-    0, 1 or -1."""
-    if a.direction != b.direction or a.index + b.index != 0:
-        return 0
-    pair = (a.family, b.family)
-    if pair == (Family.Y, Family.X):
-        return 1
-    if pair == (Family.X, Family.Y):
-        return -1
-    if pair in ((Family.PSI, Family.PHI), (Family.PHI, Family.PSI)):
-        return 1
-    return 0
-
-
-def contractions(space: SpaceSpec, word: Sequence[ModeKey]) -> list:
-    """Every nonempty set of Wick contractions of a mode word, as (factor,
-    rest), ``rest`` being the word without the contracted letters.
-
-    A pair is an annihilator and its conjugate creator to its right, worth
-    ``_contraction``; a fermion pair also takes the parity of the fermions
-    still standing between them, pairs leaving in the order of their
-    creators.  Each creator extends the sets found before it.
-    """
-    creator = space.is_creator
-    waiting = {}  # annihilator -> its positions so far
-    fermions = 0  # bit mask of the fermion positions
-    sets = [(1, 0)]  # (factor, bit mask of the contracted positions)
-    for j, m in enumerate(word):
-        if m.fermionic:
-            fermions |= 1 << j
-        if not creator(m):
-            waiting.setdefault(m, []).append(j)
-        elif waiting:
-            grown = []
-            for i in waiting.get(_conjugate(m), ()):
-                delta = _contraction(word[i], m)
-                between = fermions & ((1 << j) - (2 << i)) if m.fermionic else 0
-                for factor, taken in sets:
-                    if not taken >> i & 1:
-                        sign = -delta if (between & ~taken).bit_count() & 1 else delta
-                        grown.append((sign * factor, taken | 1 << i | 1 << j))
-            sets += grown
-    return [
-        (factor, tuple(m for p, m in enumerate(word) if not taken >> p & 1))
-        for factor, taken in sets[1:]
-    ]
-
-
 def normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) -> list:
     """Expand a raw mode product into normally ordered terms by Wick's
-    theorem: the normal product of the word and of the rest of each set of
-    its ``contractions``."""
+    theorem, folding its letters in from the right onto {(creators C,
+    annihilators A): factor}, each block canonical.
+
+    A creator is merged into C (``_insert``).  An annihilator a gives
+    a C A = [a, C} A + (-1)^{|a||C|} C (a A): the bracket is a acting on
+    C|0>, which removes one conjugate letter (``_remove``) with the
+    derivation sign, and a is merged into A, giving zero if it repeats.
+    """
     coeff = Fraction(coeff)
     if not coeff:
         return []
-    expansion = [(1, tuple(modes))] + contractions(space, modes)
-    terms = (normal_product(space, coeff * factor, rest) for factor, rest in expansion)
-    return [t for t in terms if t is not None]
+    acc = {((), ()): 1}
+    for m in reversed(modes):
+        out = {}
+        if space.is_creator(m):
+            for (creators, annihilators), c in acc.items():
+                placed = _insert((m,), creators)
+                if placed is not None:
+                    _accumulate(out, (placed[1], annihilators), placed[0] * c)
+        else:
+            target, rule = _conjugate(m), _DERIVATION_SIGN[m.family]
+            for (creators, annihilators), c in acc.items():
+                if target in creators:
+                    f, rest = _remove(creators, target)
+                    _accumulate(out, (rest, annihilators), rule * f * c)
+                placed = _insert((m,), annihilators)
+                if placed is not None:
+                    sign = placed[0]
+                    if m.fermionic and (len(creators) - _first_fermion(creators)) & 1:
+                        sign = -sign
+                    _accumulate(out, (creators, placed[1]), sign * c)
+        acc = out
+    return [OperatorTerm(coeff * c, C + A) for (C, A), c in acc.items() if c]
 
 
 def normal_product(
@@ -354,54 +314,84 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
     return combine_terms(raw)
 
 
+def _plan(coeff, targets: tuple, creators: tuple, tail) -> tuple:
+    """A plan as ``_run`` files it: (coeff, targets, creators, rest, clash,
+    tail), ``rest`` the targets after the first, ``clash`` the fermionic
+    creators that are not targets, and ``tail`` what the caller carries."""
+    clash = frozenset(c for c in creators if c.fermionic and c not in targets)
+    return coeff, targets, creators, frozenset(targets[1:]), clash, tail
+
+
+def _run(plans: dict, modes: tuple):
+    """Run the ``plans``, filed under their first target or None, on the
+    canonical monomial ``modes``: yield (coefficient, left, result, tail) for
+    each plan that acts, ``left`` being ``modes`` without its targets and
+    ``result`` that with its creators merged in.
+
+    A plan acts only if ``modes`` holds all its targets (with multiplicity),
+    so ``modes`` visits the None plans and those of each of its distinct
+    letters, and skips a plan whose other targets it lacks.  It also skips,
+    before removing anything, a plan with a fermionic creator that is not a
+    target and is already one of its letters: merging it in gives zero.
+    """
+    letters = dict.fromkeys(modes)
+    for first in (None, *letters):
+        for coeff, targets, creators, rest, clash, tail in plans.get(first, ()):
+            if not rest <= letters.keys() or not clash.isdisjoint(letters):
+                continue
+            left = modes
+            for target in targets:
+                if target not in left:  # a repeated boson occurs too few times
+                    break
+                f, left = _remove(left, target)
+                coeff *= f
+            else:
+                placed = _insert(creators, left)
+                if placed is not None:
+                    yield (coeff if placed[0] > 0 else -coeff), left, placed[1], tail
+
+
 class ChargeOperator:
     """Instantiated charge compiled for fast application.
 
-    Each term is compiled once into a plan (coefficient, targets, creators):
-    the conjugate creators its annihilators remove, in the order they act,
-    and its creators, merged in together.  The derivation rule signs are
-    folded into the coefficient, and the coefficients are put over one
-    common denominator, ``scale``, the lcm of theirs, so a plan holds an
-    ``int``.  A plan runs on the mode tuple with integer multiplicities and
-    Koszul signs, so ``image`` is ``int`` arithmetic only and gives scale * Q
-    of a monomial; calling the operator on a state divides by ``scale`` and
-    is the exact rational action.
+    The terms are put over one common denominator, ``scale``, the lcm of
+    theirs (``scaled_terms`` holds them times it, with ``int``
+    coefficients), and each is compiled once into a plan (coefficient,
+    targets, creators): the conjugate creators its annihilators remove, in
+    the order they act, and its creators, merged in together, with the
+    derivation rule signs folded into the coefficient.  A plan runs on the
+    mode tuple with integer multiplicities and Koszul signs, so ``image`` is
+    ``int`` arithmetic only and gives scale * Q of a monomial; calling the
+    operator on a state divides by ``scale`` and is the exact rational
+    action.
 
     The weight-0 letters x{d}_0 are split off every plan: per direction d it
     records j_d, the x{d}_0 letters it takes (only y{d}_0 = d/dx{d}_0 takes
     one), and the shift i_d - j_d, i_d the x{d}_0 letters it adds, as its
     ``moves`` (d - 1, j_d, shift_d) over the directions where either is
-    nonzero.  The rest of the plan runs once on an x_0-free base b
-    (``base_image``, whose entries are grouped by their moves), and
-    ``_spread`` carries each entry to x_0^a b: x{d}_0 occurs a_d times, so
-    taking j_d of them multiplies by the falling factorial
+    nonzero.  The rest of the plan is filed for ``_run`` and runs once on an
+    x_0-free base b (``base_image``, whose entries are grouped by their
+    moves), and ``_spread`` carries each entry to x_0^a b: x{d}_0 occurs a_d
+    times, so taking j_d of them multiplies by the falling factorial
     a_d (a_d - 1) ... (a_d - j_d + 1), zero if a_d < j_d, and the exponent
-    becomes a_d + shift_d.  No Koszul sign depends on a: x_0 is
-    bosonic and sorts before every fermion, so removing or adding an x_0
-    moves no fermion position relative to the fermion suffix that
-    ``_remove`` and ``_insert`` read their signs from.  ``image`` splits a
-    monomial into base and exponents, spreads the base's entries and joins
-    each result back.
-
-    A term acts nonzero on a base only if the base holds all its other
-    targets (with multiplicity), so plans are filed under their first
-    target that is not an x_0, or under None: a base visits the None plans
-    and those of each of its distinct letters, and skips a plan whose other
-    targets it lacks.  It also skips, before removing anything, a plan with
-    a fermionic creator that is not a target and is already one of its
-    letters: merging it in would give zero.  When no plan is target-free, a
-    base holding none of the filed first targets has no image at all.
+    becomes a_d + shift_d.  No Koszul sign depends on a: x_0 is bosonic and
+    sorts before every fermion, so removing or adding an x_0 moves no
+    fermion position relative to the fermion suffix that ``_remove`` and
+    ``_insert`` read their signs from.  ``image`` splits a monomial into
+    base and exponents, spreads the base's entries and joins each result
+    back.  When no plan is target-free, a base holding none of the filed
+    first targets has no image at all.
     """
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
-        compiled = [_compile(space, t) for t in terms]
-        self.scale, coeffs = common_denominator([coeff for coeff, _, _ in compiled])
+        self.scale = lcm(*(t.coefficient.denominator for t in terms))
+        self.scaled_terms = [OperatorTerm(int(t.coefficient * self.scale), t.modes) for t in terms]
         self._x0 = tuple(ModeKey(Family.X, d, 0) for d in range(1, space.dim + 1))
         self._x0_set = frozenset(self._x0)
         self._no_x0 = (0,) * space.dim
-        # first non-x_0 target or None -> [(coeff, targets, creators, rest, clash, moves)]
-        self.plans: dict = {}
-        for coeff, (_, targets, creators) in zip(coeffs, compiled):
+        self.plans: dict = {}  # first non-x_0 target or None -> plans with their moves
+        for term in self.scaled_terms:
+            coeff, targets, creators = _compile(space, term)
             moves = ()
             if not self._x0_set.isdisjoint(targets + creators):
                 moves = tuple(
@@ -411,9 +401,8 @@ class ChargeOperator:
                 )
                 targets = tuple(t for t in targets if t not in self._x0_set)
                 creators = tuple(c for c in creators if c not in self._x0_set)
-            clash = frozenset(c for c in creators if c.fermionic and c not in targets)
             self.plans.setdefault(targets[0] if targets else None, []).append(
-                (coeff, targets, creators, frozenset(targets[1:]), clash, moves)
+                _plan(coeff, targets, creators, moves)
             )
         self._firsts = None if None in self.plans else frozenset(self.plans)
 
@@ -424,26 +413,11 @@ class ChargeOperator:
         acc = {}
         if self._firsts is not None and self._firsts.isdisjoint(base):
             return acc
-        letters = dict.fromkeys(base)
-        for first in (None, *letters):
-            for coeff, targets, creators, rest, clash, moves in self.plans.get(first, ()):
-                if not rest <= letters.keys() or not clash.isdisjoint(letters):
-                    continue
-                modes = base
-                for target in targets:
-                    if target not in modes:  # a repeated boson occurs too few times
-                        break
-                    f, modes = _remove(modes, target)
-                    coeff *= f
-                else:
-                    placed = _insert(creators, modes)
-                    if placed is None:
-                        continue
-                    sign, modes = placed
-                    group = acc.get(moves)
-                    if group is None:
-                        group = acc[moves] = {}
-                    _accumulate(group, modes, coeff if sign > 0 else -coeff)
+        for coeff, _, modes, moves in _run(self.plans, base):
+            group = acc.get(moves)
+            if group is None:
+                group = acc[moves] = {}
+            _accumulate(group, modes, coeff)
         return acc
 
     def image(self, mono: tuple) -> dict:
@@ -592,62 +566,45 @@ def _contract_into(
     theorem C A C2 A2 is a sum over the letters B of A that contract, with
     A = eps L B (``_sub_plans``): the full contractions of B against C2
     are B acting on the state C2|0>, a sum of monomials C2', and L moves
-    past C2' with its Koszul sign to join A2.  A sub-plan therefore runs
-    like a plan of ``ChargeOperator.image`` on C2, filed by its first target
-    and skipped by the same tests, then merges L into A2.  The annihilated
-    weight of a product is that of L and A2, so a sub-plan that would exceed
-    the window is skipped before any work.
+    past C2' with its Koszul sign to join A2.  A sub-plan therefore runs on
+    C2 through ``_run``, as a plan of ``ChargeOperator`` does, and then
+    merges L into A2.  The annihilated weight of a product is that of L and
+    A2, so the sub-plans are filed once per distinct room the A2 leave,
+    without those whose L would exceed it, and are skipped before any work.
     """
     right = [(t.coefficient, *_split(space, t.modes)) for t in right]
     present = {m for _, own, _ in right for m in own}
-    plans = {}
-    for t1 in left:
-        for coeff, targets, creators, leftover in _sub_plans(space, t1, present):
-            clash = frozenset(c for c in creators if c.fermionic and c not in targets)
-            plans.setdefault(targets[0], []).append(
-                (
-                    coeff,
-                    targets,
-                    creators,
-                    leftover,
-                    frozenset(targets[1:]),
-                    clash,
-                    -sum(m.index for m in leftover),  # annihilated weight
-                    sum(m.fermionic for m in leftover) & 1,
-                )
-            )
+    subs = [  # (annihilated weight of L, first target, plan carrying L and its parity)
+        (
+            -sum(m.index for m in leftover),
+            targets[0],
+            _plan(coeff, targets, creators, (leftover, sum(m.fermionic for m in leftover) & 1)),
+        )
+        for t1 in left
+        for coeff, targets, creators, leftover in _sub_plans(space, t1, present)
+    ]
+    filed = {}  # room -> plans whose leftover fits in it
     for c2, own, tail in right:
         room = window + sum(m.index for m in tail)  # minus the weight tail removes
-        letters = dict.fromkeys(own)
-        for first in letters:
-            for coeff, targets, creators, leftover, rest, clash, weight, odd in plans.get(
-                first, ()
-            ):
-                if weight > room or not rest <= letters.keys() or not clash.isdisjoint(letters):
+        plans = filed.get(room)
+        if plans is None:
+            plans = filed[room] = {}
+            for weight, first, plan in subs:
+                if weight <= room:
+                    plans.setdefault(first, []).append(plan)
+        for coeff, modes, key, (leftover, odd) in _run(plans, own):
+            coeff *= c2
+            if leftover:
+                if odd and (len(modes) - _first_fermion(modes)) & 1:
+                    coeff = -coeff
+                merged = _insert(leftover, tail)
+                if merged is None:
                     continue
-                coeff *= c2
-                modes = own
-                for target in targets:
-                    if target not in modes:  # a repeated boson occurs too few times
-                        break
-                    f, modes = _remove(modes, target)
-                    coeff *= f
-                else:
-                    placed = _insert(creators, modes)
-                    if placed is None:
-                        continue
-                    sign, key = placed
-                    if leftover:
-                        if odd and (len(modes) - _first_fermion(modes)) & 1:
-                            sign = -sign
-                        merged = _insert(leftover, tail)
-                        if merged is None:
-                            continue
-                        sign *= merged[0]
-                        key += merged[1]
-                    else:
-                        key += tail
-                    _accumulate(acc, key, coeff if sign > 0 else -coeff)
+                key += merged[1]
+                coeff *= merged[0]
+            else:
+                key += tail
+            _accumulate(acc, key, coeff)
 
 
 def charge_operator(charge: "SymbolicCharge", space: SpaceSpec, window: int) -> ChargeOperator:

@@ -6,10 +6,13 @@
   path to give exactly the same states.
 - The worklist normal ordering the package used before it expanded products
   by Wick's theorem: ``reference_normal_order`` moves one annihilator right
-  past one creator at a time and is verbatim apart from its name.
+  past one creator at a time and is verbatim apart from its name.  The
+  scalar contraction of a pair that it uses, ``_contraction``, is the
+  package's own from before it folded words onto the two plan steps.
 - The square of a charge expanded over every pair of terms, as the
   nilpotency check did before it ordered only the pairs that can contract,
-  each product ordered by ``reference_normal_order``.
+  each product ordered by ``reference_normal_order`` and kept if the weight
+  its annihilators remove (``_annihilated_weight``) fits in the window.
 - The nilpotency check that applies the charge twice to every capped basis
   monomial, which ``check_nilpotent`` offered as its "basis" method.
 - The recursive field reconstruction the package used before it expanded
@@ -49,6 +52,9 @@
 - The Euler series as the package summed it before it counted each base's
   x_0 placements: one sign per monomial of ``enumerate_torus_window``.
   ``reference_euler_series`` is verbatim apart from its name.
+- The torus-window basis of one weight as the package enumerated it before
+  it counted the runs of x_0 placements: ``enumerate_torus_window``
+  expands each run of ``fock._torus_runs`` into its monomials, verbatim.
 - The odometer over index tuples that charge instantiation and field
   reconstruction walked before one stack of mode words served both:
   ``reference_index_assignments``, verbatim apart from its name; its
@@ -58,6 +64,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import comb
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -72,19 +79,17 @@ from chiralg.fock import (
     State,
     TorusWeights,
     _check_regularizing,
+    _torus_runs,
     enumerate_basis,
-    enumerate_torus_window,
 )
 from chiralg.linalg import kernel_basis, rank
 from chiralg.modfun import InducedTruncation, ModuleError, Vector
 from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
-    annihilated_weight,
     combine_terms,
     instantiate_charge,
     normal_product,
-    _contraction,
 )
 from chiralg.qseries import TruncatedSeries
 
@@ -166,6 +171,21 @@ def apply_term(space: SpaceSpec, term: OperatorTerm, state: State) -> State:
     return out.scale(term.coefficient)
 
 
+def _contraction(a: ModeKey, b: ModeKey) -> int:
+    """Scalar a b -+ b a for the free-field (super-)commutation relations:
+    0, 1 or -1."""
+    if a.direction != b.direction or a.index + b.index != 0:
+        return 0
+    pair = (a.family, b.family)
+    if pair == (Family.Y, Family.X):
+        return 1
+    if pair == (Family.X, Family.Y):
+        return -1
+    if pair in ((Family.PSI, Family.PHI), (Family.PHI, Family.PSI)):
+        return 1
+    return 0
+
+
 def reference_normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) -> list:
     """Expand a raw mode product into normally ordered terms.
 
@@ -209,6 +229,11 @@ def _product_terms(space, t1, t2):
     return reference_normal_order(space, t1.coefficient * t2.coefficient, t1.modes + t2.modes)
 
 
+def _annihilated_weight(space: SpaceSpec, modes: Iterable[ModeKey]) -> int:
+    """The weight that the annihilators among ``modes`` remove."""
+    return sum(-m.index for m in modes if not space.is_creator(m))
+
+
 def full_bracket_terms(space: SpaceSpec, t1s, t2s, window: int) -> list:
     """Reference for ``charges._bracket_terms``: normally order all
     |t1s| |t2s| products of terms (both orders for a bracket, ``t2s`` not
@@ -222,7 +247,7 @@ def full_bracket_terms(space: SpaceSpec, t1s, t2s, window: int) -> list:
     return [
         t
         for t in combine_terms(raw)
-        if annihilated_weight(space, t.modes) <= window
+        if _annihilated_weight(space, t.modes) <= window
     ]
 
 
@@ -448,6 +473,42 @@ def reference_torus_window(
         partial = flip * sum(torus_weights.of_mode(m) for m in base)
         for s, modes in _with_x0_letters(base, x0, steps, lo - partial, hi - partial):
             yield flip * (partial + s), degree, modes
+
+
+def enumerate_torus_window(
+    space: SpaceSpec,
+    weight: int,
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+) -> Iterator[Tuple[int, int, tuple]]:
+    """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
+    whose torus value t lies in the closed window ``lo..hi``; unsorted.
+
+    Each run of ``_torus_runs`` is expanded into its monomials, the x_0
+    letters going in at their insertion points in the base.
+    """
+    x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
+    last, stride = x0[-1], torus_weights.wx[-1]
+    base = None
+    for _, run_base, degree, exps, k, first, n in _torus_runs(
+        space, weight, weight, torus_weights, window
+    ):
+        # consecutive runs share their base, so cut each base once: the
+        # segments before, between and after its x_0 insertion points
+        if run_base is not base:
+            base = run_base
+            cuts = [bisect_left(base, m.key, key=ModeKey.sort_key) for m in x0]
+            front, *between = [
+                base[i:j] for i, j in zip([0] + cuts, cuts + [len(base)])
+            ]
+            rest = between[-1]
+        letters = front
+        for letter, e, segment in zip(x0, exps, between):
+            letters += (letter,) * e + segment
+        letters += (last,) * k
+        for t in range(first, first + n * stride, stride):
+            yield t, degree, letters + rest
+            letters += (last,)
 
 
 def reference_basis(

@@ -31,7 +31,6 @@ from chiralg.fock import (
     State,
     TorusWeights,
     enumerate_basis,
-    enumerate_torus_window,
     make_space,
     normalize,
 )
@@ -45,6 +44,7 @@ from chiralg.modfun import (
 from chiralg.oper import charge_operator
 from chiralg.qseries import chi_closed_form, compare
 from conftest import ce_cohomology_dims, random_potential
+from mode_oracle import enumerate_torus_window
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)

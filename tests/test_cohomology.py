@@ -31,14 +31,13 @@ from chiralg.fock import (
     State,
     TorusWeights,
     enumerate_basis,
-    enumerate_torus_window,
     make_space,
     monomial_text,
 )
 from chiralg.linalg import kernel_basis, rank
 from chiralg.oper import charge_operator
 from conftest import X, degree, scaled
-from mode_oracle import reference_capped_table, reference_torus_table
+from mode_oracle import enumerate_torus_window, reference_capped_table, reference_torus_table
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)

@@ -14,7 +14,6 @@ from chiralg.fock import (
     UnboundedBasisError,
     _creator_multisets,
     enumerate_basis,
-    enumerate_torus_window,
     make_space,
     monomial_key,
     monomial_text,
@@ -23,7 +22,12 @@ from chiralg.fock import (
 )
 from chiralg.cohomology import euler_series
 from conftest import X, Y, PHI, PSI, degree, partition_gf_coeffs, st, weight
-from mode_oracle import reference_basis, reference_euler_series, reference_torus_window
+from mode_oracle import (
+    enumerate_torus_window,
+    reference_basis,
+    reference_euler_series,
+    reference_torus_window,
+)
 
 THETA1 = make_space(Side.THETA, 1)
 OMEGA1 = make_space(Side.OMEGA, 1)

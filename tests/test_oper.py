@@ -4,7 +4,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -122,6 +122,28 @@ def test_normal_order_long_word_of_one_repeated_boson():
     terms = combine_terms(normal_order(THETA1, Fraction(1), (Y(-1),) + (X(1),) * k))
     by_modes = {t.modes: t.coefficient for t in terms}
     assert by_modes == {(X(1),) * k + (Y(-1),): Fraction(1), (X(1),) * (k - 1): Fraction(k)}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_normal_order_matches_weyl_closed_form(k):
+    """y_{-1}^k x_1^k = sum_j C(k, j)^2 j! :x_1^{k-j} y_{-1}^{k-j}:, the
+    normal ordering of the Weyl algebra: j of the k annihilators contract,
+    with any j of the k creators, in j! pairings."""
+    terms = combine_terms(normal_order(THETA1, Fraction(1), (Y(-1),) * k + (X(1),) * k))
+    want = [
+        OperatorTerm(
+            Fraction(comb(k, j) ** 2 * factorial(j)), (X(1),) * (k - j) + (Y(-1),) * (k - j)
+        )
+        for j in range(k + 1)
+    ]
+    assert terms == combine_terms(want)
+
+
+def test_normal_order_of_a_fermion_pair():
+    """phi_{-1} psi_1 = {phi_{-1}, psi_1} - psi_1 phi_{-1} = 1 - :psi_1 phi_{-1}:."""
+    terms = combine_terms(normal_order(THETA1, Fraction(1), (PHI(-1), PSI(1))))
+    want = [OperatorTerm(Fraction(1), ()), OperatorTerm(Fraction(-1), (PSI(1), PHI(-1)))]
+    assert terms == combine_terms(want)
 
 
 LETTERS = hst.lists(hst.tuples(hst.sampled_from(list(Family)), hst.integers(1, 2)), max_size=8)
