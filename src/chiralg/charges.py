@@ -243,19 +243,20 @@ class CheckReport:
         return self.passed
 
 
-def _bracket_terms(space, t1s, t2s, window) -> list:
-    """The normally ordered terms of t1s t2s + t2s t1s, or of t1s t1s when
-    ``t2s`` is None, that can act on weight <= window.
+def _bracket_terms(t1s, t2s, window) -> list:
+    """The normally ordered terms of t1s t2s + t2s t1s (records of a
+    ``ChargeOperator``'s ``terms``), or of t1s t1s when ``t2s`` is None,
+    that can act on weight <= window.
 
     Every term is odd, so :t1 t2: = -:t2 t1: and :t t: = 0: the uncontracted
     parts of all products cancel, and only contractions can survive.  Those
     are summed by ``_contract_into``, which runs the sub-plans of each left
-    term on the creators of each right term.
+    record on the creators of each right record.
     """
     acc = {}
-    _contract_into(acc, space, t1s, t1s if t2s is None else t2s, window)
+    _contract_into(acc, t1s, t1s if t2s is None else t2s, window)
     if t2s is not None:
-        _contract_into(acc, space, t2s, t1s, window)
+        _contract_into(acc, t2s, t1s, window)
     return _sorted_terms(acc)
 
 
@@ -271,11 +272,9 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
                 )
     o1 = ChargeOperator(space, instantiate_charge(c1, space, window))
     o2 = o1 if c2 is None else ChargeOperator(space, instantiate_charge(c2, space, window))
-    # each operator's terms, scaled to integers by its own scale, scale the
+    # each operator's records, scaled to integers by its own scale, scale the
     # sum by the product of the two, so it vanishes exactly when the sum does
-    surviving = _bracket_terms(
-        space, o1.scaled_terms, None if c2 is None else o2.scaled_terms, window
-    )
+    surviving = _bracket_terms(o1.terms, None if c2 is None else o2.terms, window)
     if not surviving:
         return CheckReport(True, operator=o1)
     # a probe built from a minimal surviving annihilator part always works
@@ -302,16 +301,16 @@ def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> Ch
     leave, and as every term is odd, :t1 t2: = -:t2 t1: and :t t: = 0, so
     the uncontracted parts cancel over all pairs.  Only the contractions are
     therefore summed, and the result is exactly that of the full square.
-    They are read off the charge's own plans: for t1 = c C A and t2 = c2 C2
-    A2, the full contractions of a part B of A against C2 are B acting on
-    the state C2|0>, which a sub-plan of t1 computes as ``ChargeOperator``
-    does, and the rest L of A moves past what is left of C2 with its Koszul
-    sign, so summing over B is Wick's sum.  A charge with an even pattern
-    is refused.  The probes are the monomials of conjugate creators of the
-    surviving terms, fewest annihilators first; a witness is the first probe
-    v with Q(Q(v)) nonzero, and its image is Q(Q(v)).  The report's
-    ``operator`` is the charge compiled from the same terms, valid on
-    weight <= window.
+    They are read off the records of the operator's ``terms``: for
+    t1 = c C A and t2 = c2 C2 A2, the full contractions of a part B of A
+    against C2 are B acting on the state C2|0>, which a sub-plan of t1
+    computes as the operator's own plan does, and the rest L of A moves past
+    what is left of C2 with its Koszul sign, so summing over B is Wick's
+    sum.  A charge with an even pattern is refused.  The probes are the
+    monomials of conjugate creators of the surviving terms, fewest
+    annihilators first; a witness is the first probe v with Q(Q(v))
+    nonzero, and its image is Q(Q(v)).  The report's ``operator`` is the
+    charge compiled from the same terms, valid on weight <= window.
     """
     return _check_bracket(charge, None, space, window)
 

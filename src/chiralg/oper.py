@@ -16,13 +16,14 @@ mode tuple: an annihilator removes one letter of its conjugate creator
 (``_remove``), and creators are merged in (``_insert``), whose Koszul sign is
 read off positions, as the fermions of a canonical monomial are its suffix.
 ``normal_order`` folds a word's letters in from the right with them.  A
-charge is applied by ``ChargeOperator``, whose plans, one per term, hold
-integer coefficients over one common denominator, its ``scale``; ``_run``
-is the one loop that runs filed plans on a monomial.  It serves
-``ChargeOperator.base_image``, on an x_0-free base whose image ``_spread``
-carries to every x_0 exponent by falling factorials, and ``_contract_into``,
-which runs the sub-plans of a term (``_sub_plans``) on the creators of
-another to give the contractions of the Q^2 check in ``charges``.
+charge is applied by ``ChargeOperator``, which splits its terms once into
+records (integer coefficient over one common denominator, its ``scale``;
+creators; annihilators), and ``_take`` compiles a record with any set of
+its annihilators acting.  ``_run`` is the one loop that runs filed plans on
+a monomial: the operator's own, all annihilators acting, on an x_0-free base
+(``ChargeOperator.base_image``, spread to every x_0 exponent by ``_spread``),
+and in ``_contract_into`` the sub-plans of one record, on the creators of
+another, which give the contractions of the Q^2 check in ``charges``.
 """
 
 from __future__ import annotations
@@ -315,11 +316,9 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
 
 
 def _plan(coeff, targets: tuple, creators: tuple, tail) -> tuple:
-    """A plan as ``_run`` files it: (coeff, targets, creators, rest, clash,
-    tail), ``rest`` the targets after the first, ``clash`` the fermionic
-    creators that are not targets, and ``tail`` what the caller carries."""
-    clash = frozenset(c for c in creators if c.fermionic and c not in targets)
-    return coeff, targets, creators, frozenset(targets[1:]), clash, tail
+    """A plan as ``_run`` files it: (coeff, targets, creators, rest, tail),
+    ``rest`` the targets after the first, ``tail`` what the caller carries."""
+    return coeff, targets, creators, frozenset(targets[1:]), tail
 
 
 def _run(plans: dict, modes: tuple):
@@ -330,14 +329,14 @@ def _run(plans: dict, modes: tuple):
 
     A plan acts only if ``modes`` holds all its targets (with multiplicity),
     so ``modes`` visits the None plans and those of each of its distinct
-    letters, and skips a plan whose other targets it lacks.  It also skips,
-    before removing anything, a plan with a fermionic creator that is not a
-    target and is already one of its letters: merging it in gives zero.
+    letters, and skips a plan whose other targets it lacks.  Merging gives
+    zero, and the plan nothing, if a fermionic creator that is not a target
+    is already a letter.
     """
     letters = dict.fromkeys(modes)
     for first in (None, *letters):
-        for coeff, targets, creators, rest, clash, tail in plans.get(first, ()):
-            if not rest <= letters.keys() or not clash.isdisjoint(letters):
+        for coeff, targets, creators, rest, tail in plans.get(first, ()):
+            if not rest <= letters.keys():
                 continue
             left = modes
             for target in targets:
@@ -355,15 +354,16 @@ class ChargeOperator:
     """Instantiated charge compiled for fast application.
 
     The terms are put over one common denominator, ``scale``, the lcm of
-    theirs (``scaled_terms`` holds them times it, with ``int``
-    coefficients), and each is compiled once into a plan (coefficient,
-    targets, creators): the conjugate creators its annihilators remove, in
-    the order they act, and its creators, merged in together, with the
-    derivation rule signs folded into the coefficient.  A plan runs on the
-    mode tuple with integer multiplicities and Koszul signs, so ``image`` is
-    ``int`` arithmetic only and gives scale * Q of a monomial; calling the
-    operator on a state divides by ``scale`` and is the exact rational
-    action.
+    theirs, and split once into records (int coefficient, creators,
+    annihilators), the terms times ``scale``, kept as ``terms``.  Each
+    record gives its plan (coefficient, targets, creators) through
+    ``_take`` with every annihilator acting: the conjugate creators its
+    annihilators remove, in the order they act, and its creators, merged in
+    together, with the derivation rule signs folded into the coefficient.  A
+    plan runs on the mode tuple with integer multiplicities and Koszul signs,
+    so ``image`` is ``int`` arithmetic only and gives scale * Q of a
+    monomial; calling the operator on a state divides by ``scale`` and is
+    the exact rational action.
 
     The weight-0 letters x{d}_0 are split off every plan: per direction d it
     records j_d, the x{d}_0 letters it takes (only y{d}_0 = d/dx{d}_0 takes
@@ -385,13 +385,13 @@ class ChargeOperator:
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
         self.scale = lcm(*(t.coefficient.denominator for t in terms))
-        self.scaled_terms = [OperatorTerm(int(t.coefficient * self.scale), t.modes) for t in terms]
+        self.terms = [(int(t.coefficient * self.scale), *_split(space, t.modes)) for t in terms]
         self._x0 = tuple(ModeKey(Family.X, d, 0) for d in range(1, space.dim + 1))
         self._x0_set = frozenset(self._x0)
         self._no_x0 = (0,) * space.dim
         self.plans: dict = {}  # first non-x_0 target or None -> plans with their moves
-        for term in self.scaled_terms:
-            coeff, targets, creators = _compile(space, term)
+        for coeff, creators, annihilators in self.terms:
+            coeff, targets, _ = _take(coeff, annihilators, (1 << len(annihilators)) - 1)
             moves = ()
             if not self._x0_set.isdisjoint(targets + creators):
                 moves = tuple(
@@ -508,81 +508,57 @@ def _split(space: SpaceSpec, modes: tuple) -> tuple:
     return modes, ()
 
 
-def _compile(space: SpaceSpec, term: OperatorTerm) -> tuple:
-    """The plan (coefficient, targets, creators) of a normally ordered term."""
-    creators, annihilators = _split(space, term.modes)
-    coeff = term.coefficient
-    for m in annihilators:
-        coeff *= _DERIVATION_SIGN[m.family]
-    targets = tuple(_conjugate(m) for m in reversed(annihilators))
-    return coeff, targets, creators
-
-
-def _sub_plans(space: SpaceSpec, term: OperatorTerm, present) -> list:
-    """The plans (coefficient, targets, creators, leftover) of a term c C A
-    with part of its annihilators A acting, one per nonempty sub-multiset B
-    of A taken by position whose conjugates all lie in ``present``.
+def _take(coeff: int, annihilators: tuple, taken: int) -> tuple:
+    """(coefficient, targets, leftover) of a term c C A whose annihilators
+    at the set bits of ``taken``, a sub-multiset B of A by position, act.
 
     The annihilators supercommute, so A = eps L B, eps the sign of the
     fermion pairs with the B letter first and L the leftover letters in
-    order.  A plan is built as ``_compile`` builds the plan of eps c C B
-    and carries L, so B = A is the term's own plan with no leftover.
+    order.  The coefficient is eps c times the derivation signs of B, and
+    the targets are the conjugates of B in the order they act, rightmost
+    first; all of A taken gives the term's own plan, with no leftover.
     """
-    creators, annihilators = _split(space, term.modes)
-    conjugates = [_conjugate(m) for m in annihilators]
-    usable = [i for i, c in enumerate(conjugates) if c in present]
-    plans = []
-    for mask in range(1, 1 << len(usable)):
-        taken = 0
-        for k, i in enumerate(usable):
-            if mask >> k & 1:
-                taken |= 1 << i
-        coeff, targets, leftover, odd = term.coefficient, [], [], False
-        for i, m in enumerate(annihilators):
-            if taken >> i & 1:
-                coeff *= _DERIVATION_SIGN[m.family]
-                targets.append(conjugates[i])
-                odd ^= m.fermionic
-            else:
-                leftover.append(m)
-                if odd and m.fermionic:  # an odd number of B fermions pass it
-                    coeff = -coeff
-        plans.append((coeff, tuple(reversed(targets)), creators, tuple(leftover)))
-    return plans
+    targets, leftover, odd = [], [], False
+    for i, m in enumerate(annihilators):
+        if taken >> i & 1:
+            coeff *= _DERIVATION_SIGN[m.family]
+            targets.append(_conjugate(m))
+            odd ^= m.fermionic
+        else:
+            leftover.append(m)
+            if odd and m.fermionic:  # an odd number of B fermions pass it
+                coeff = -coeff
+    return coeff, tuple(reversed(targets)), tuple(leftover)
 
 
-def _contract_into(
-    acc: dict,
-    space: SpaceSpec,
-    left: Sequence[OperatorTerm],
-    right: Sequence[OperatorTerm],
-    window: int,
-) -> None:
+def _contract_into(acc: dict, left: Sequence[tuple], right: Sequence[tuple], window: int) -> None:
     """Add to ``acc`` ({modes: coefficient}) the contracted part of every
-    product t1 t2 (t1 in ``left``, t2 in ``right``) that can act on weight
-    <= window.
+    product t1 t2 (t1 in ``left``, t2 in ``right``, both records of
+    a ``ChargeOperator``'s ``terms``) that can act on weight <= window.
 
     Write t1 = c C A and t2 = c2 C2 A2 (creators, annihilators).  By Wick's
     theorem C A C2 A2 is a sum over the letters B of A that contract, with
-    A = eps L B (``_sub_plans``): the full contractions of B against C2
-    are B acting on the state C2|0>, a sum of monomials C2', and L moves
-    past C2' with its Koszul sign to join A2.  A sub-plan therefore runs on
-    C2 through ``_run``, as a plan of ``ChargeOperator`` does, and then
-    merges L into A2.  The annihilated weight of a product is that of L and
-    A2, so the sub-plans are filed once per distinct room the A2 leave,
-    without those whose L would exceed it, and are skipped before any work.
+    A = eps L B (``_take``): the full contractions of B against C2 are B
+    acting on the state C2|0>, a sum of monomials C2', and L moves past C2'
+    with its Koszul sign to join A2.  A sub-plan, a record of ``left`` with
+    one B acting, therefore runs on C2 through ``_run``, as a plan of
+    ``ChargeOperator`` does, and then merges L into A2.  The annihilated
+    weight of a product is that of L and A2, so the sub-plans are filed once
+    per distinct room the A2 leave, without those whose L would exceed it,
+    and are skipped before any work.
     """
-    right = [(t.coefficient, *_split(space, t.modes)) for t in right]
     present = {m for _, own, _ in right for m in own}
-    subs = [  # (annihilated weight of L, first target, plan carrying L and its parity)
-        (
-            -sum(m.index for m in leftover),
-            targets[0],
-            _plan(coeff, targets, creators, (leftover, sum(m.fermionic for m in leftover) & 1)),
-        )
-        for t1 in left
-        for coeff, targets, creators, leftover in _sub_plans(space, t1, present)
-    ]
+    subs = []  # (annihilated weight of L, first target, plan carrying L and its parity)
+    for c1, creators, annihilators in left:
+        usable = sum(1 << i for i, m in enumerate(annihilators) if _conjugate(m) in present)
+        taken = usable
+        while taken:  # every nonempty B whose conjugates are present, by position
+            coeff, targets, leftover = _take(c1, annihilators, taken)
+            tail = (leftover, sum(m.fermionic for m in leftover) & 1)
+            subs.append(
+                (-sum(m.index for m in leftover), targets[0], _plan(coeff, targets, creators, tail))
+            )
+            taken = (taken - 1) & usable
     filed = {}  # room -> plans whose leftover fits in it
     for c2, own, tail in right:
         room = window + sum(m.index for m in tail)  # minus the weight tail removes

@@ -235,9 +235,10 @@ def _annihilated_weight(space: SpaceSpec, modes: Iterable[ModeKey]) -> int:
 
 
 def full_bracket_terms(space: SpaceSpec, t1s, t2s, window: int) -> list:
-    """Reference for ``charges._bracket_terms``: normally order all
-    |t1s| |t2s| products of terms (both orders for a bracket, ``t2s`` not
-    None) and keep the terms that can act on weight <= window."""
+    """Reference for ``charges._bracket_terms``, on the terms its records
+    stand for: normally order all |t1s| |t2s| products of terms (both orders
+    for a bracket, ``t2s`` not None) and keep the terms that can act on
+    weight <= window."""
     raw = []
     for t1 in t1s:
         for t2 in t1s if t2s is None else t2s:

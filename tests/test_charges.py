@@ -28,7 +28,13 @@ from chiralg.fock import (
     enumerate_basis,
     make_space,
 )
-from chiralg.oper import SymbolicCharge, charge_operator, instantiate_charge
+from chiralg.oper import (
+    ChargeOperator,
+    OperatorTerm,
+    SymbolicCharge,
+    charge_operator,
+    instantiate_charge,
+)
 from conftest import X, Y, PHI, PSI, random_potential, scaled, st, weight
 from mode_oracle import basis_check, full_bracket_terms, reference_check_jacobi
 
@@ -372,32 +378,29 @@ def brackets(draw):
 @settings(max_examples=100, deadline=None)
 @given(brackets())
 def test_contraction_only_bracket_matches_full_square(case):
-    space, c1, c2, window = case
-    t1s = instantiate_charge(c1, space, window)
-    t2s = None if c2 is None else instantiate_charge(c2, space, window)
-    assert charges._bracket_terms(space, t1s, t2s, window) == full_bracket_terms(
-        space, t1s, t2s, window
-    )
+    assert_bracket_matches_reference(*case)
 
-    def check():
-        if c2 is None:
-            return check_nilpotent(c1, space, window)
-        return check_anticommute(c1, c2, space, window)
 
-    report = check()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charges, "_bracket_terms", full_bracket_terms)
-        assert check() == report
+def reference_bracket(space):
+    """``full_bracket_terms`` on the records (coefficient, creators,
+    annihilators) of a ``ChargeOperator``'s ``terms``, as
+    ``charges._bracket_terms`` takes them."""
+
+    def terms(records):
+        if records is None:
+            return None
+        return [OperatorTerm(Fraction(c), cs + ans) for c, cs, ans in records]
+
+    return lambda t1s, t2s, window: full_bracket_terms(space, terms(t1s), terms(t2s), window)
 
 
 def assert_bracket_matches_reference(space, c1, c2, window):
     """The bracket's surviving terms and the check's report equal those of
     the square expanded over every pair of terms."""
-    t1s = instantiate_charge(c1, space, window)
-    t2s = None if c2 is None else instantiate_charge(c2, space, window)
-    assert charges._bracket_terms(space, t1s, t2s, window) == full_bracket_terms(
-        space, t1s, t2s, window
-    )
+    t1s = ChargeOperator(space, instantiate_charge(c1, space, window)).terms
+    t2s = None if c2 is None else ChargeOperator(space, instantiate_charge(c2, space, window)).terms
+    reference = reference_bracket(space)
+    assert charges._bracket_terms(t1s, t2s, window) == reference(t1s, t2s, window)
 
     def check():
         if c2 is None:
@@ -406,7 +409,7 @@ def assert_bracket_matches_reference(space, c1, c2, window):
 
     report = check()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(charges, "_bracket_terms", full_bracket_terms)
+        mp.setattr(charges, "_bracket_terms", reference)
         assert check() == report
     return report
 
@@ -535,16 +538,16 @@ def test_check_verdicts_and_witnesses_are_scale_invariant(lam, mu):
 
 
 def test_bracket_sum_runs_on_integers():
-    """The Q^2 and anticommutator sums see both term lists scaled to
-    ``int`` coefficients, and give ``int`` terms."""
+    """The Q^2 and anticommutator sums see both operators' records scaled
+    to ``int`` coefficients, and give ``int`` terms."""
     f = potential_charge(Potential.from_terms(1, [(Fraction(-1, 8), (3,))]), Side.OMEGA)
     cdr = scaled(chiral_de_rham(1), Fraction(2, 3))
     seen = []
     real = charges._bracket_terms
 
-    def record(space, t1s, t2s, window):
-        out = real(space, t1s, t2s, window)
-        seen.append(t1s + (t2s or []) + out)
+    def record(t1s, t2s, window):
+        out = real(t1s, t2s, window)
+        seen.append([c for c, _, _ in t1s + (t2s or [])] + [t.coefficient for t in out])
         return out
 
     with mock.patch.object(charges, "_bracket_terms", record):
@@ -552,4 +555,4 @@ def test_bracket_sum_runs_on_integers():
         assert check_nilpotent(f, OMEGA1, 2)
         assert not check_anticommute(cdr, XXPSI, OMEGA1, 2)
     assert len(seen) == 3 and all(seen)
-    assert all(type(t.coefficient) is int for terms in seen for t in terms)
+    assert all(type(c) is int for coefficients in seen for c in coefficients)

@@ -1,9 +1,12 @@
 """Batch front-end: spec validation, exit codes, payload determinism."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from chiralg.cli import LEDGER_HASH, ProblemSpec, SpecError, main
 from chiralg.modfun import polynomial_zero_modes
@@ -653,3 +656,75 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     code, text = run(tmp_path, "basis", {"dim": 1})
     assert code == 3 and text == ""
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+COEFFS = hst.sampled_from(["1", "-1", "2", "1/2", "-3/2", "0"])
+# every command but the two that take a zero-mode module
+SPACE_COMMANDS = (
+    "basis", "char", "theta-check", "cohomology", "chi-van",
+    "nilpotency", "anticommute", "reconstruct-check",
+)
+# the commands whose exit 1 is a failed check that names a witness
+WITNESSED = ("nilpotency", "anticommute", "reconstruct-check", "theta-check")
+
+
+@hst.composite
+def small_specs(draw):
+    """(command, spec): one of the commands that take no zero-mode module on
+    a spec of dim 1-2 on either side with a potential, a Lie tensor or
+    neither, caps up to 2, maybe torus weights and a z window at most 6
+    wide.  Many are invalid for their command, or for any."""
+    dim = draw(hst.integers(1, 2))
+    spec = {"dim": dim, "side": draw(hst.sampled_from(["theta", "omega"]))}
+    kind = draw(hst.sampled_from(["potential", "lie", "neither"]))
+    if kind == "potential":
+        exps = hst.lists(hst.integers(0, 3), min_size=dim, max_size=dim)
+        terms = draw(hst.lists(exps, min_size=1, max_size=2, unique_by=tuple))
+        spec["potential"] = {"terms": [{"coeff": draw(COEFFS), "exps": e} for e in terms]}
+    elif kind == "lie":
+        index = hst.integers(1, dim)
+        entries = draw(hst.lists(hst.tuples(index, index, index, COEFFS), max_size=3))
+        spec["lie"] = {"dim": dim, "c": [list(e) for e in entries]}
+    caps = {"weight_max": draw(hst.integers(0, 2))}
+    if draw(hst.booleans()):
+        caps["x0_cap"] = draw(hst.integers(0, 2))
+    if draw(hst.booleans()):
+        caps["q_max"] = draw(hst.integers(0, 2))
+    if draw(hst.booleans()):
+        lo = draw(hst.integers(-6, 2))
+        caps["z_window"] = [lo, lo + draw(hst.integers(0, 6))]
+    spec["caps"] = caps
+    if draw(hst.booleans()):
+        weights = hst.lists(hst.integers(-3, 2), min_size=dim, max_size=dim)
+        spec["torus_weights"] = {"x": draw(weights), "phi": draw(weights)}
+    return draw(hst.sampled_from(SPACE_COMMANDS)), spec
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_specs())
+def test_cli_contract_on_small_specs(tmp_path_factory, case):
+    """Exit 0, 1 or 2; an exit 2 prints one stderr line, ``error: ...``; an
+    exit 0 or 1 reruns to the same document but for ``timing_ms``; and a
+    failed check's exit 1 carries a witness."""
+    command, spec = case
+    spec_path = tmp_path_factory.mktemp("spec") / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--spec", str(spec_path)])
+        runs.append((code, out.getvalue(), err.getvalue()))
+        if code == 2:
+            break
+    code, text, err = runs[0]
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert text == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+        return
+    docs = [json.loads(t) for _, t, _ in runs]
+    for doc in docs:
+        del doc["timing_ms"]
+    assert runs[1][0] == code and docs[0] == docs[1]
+    if code == 1 and command in WITNESSED:
+        assert "witness" in docs[0]["payload"]

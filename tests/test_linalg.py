@@ -262,3 +262,16 @@ def test_pivot_profile_reads_prefix_ranks_and_projections(cols, data):
     assert len(head) - head.count(None) == dense_rank(cols[:n])
     off = [{r: v for r, v in col.items() if levels[r] > s} for col in cols[:n]]
     assert sum(p is not None and p > s for p in head) == dense_rank(off)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), hst.data())
+def test_entry_order_changes_no_profile_or_kernel(cols, data):
+    """``pivot_profile``, with random row levels, and ``kernel_basis`` do not
+    depend on the order in which a column lists its entries."""
+    rows = sorted({r for col in cols for r in col}, key=repr)
+    levels = {r: data.draw(hst.integers(0, 3)) for r in rows}
+    shuffled = [dict(data.draw(hst.permutations(list(col.items())))) for col in cols]
+    profile = linalg.pivot_profile(cols, levels.__getitem__)
+    assert linalg.pivot_profile(shuffled, levels.__getitem__) == profile
+    assert kernel_basis(shuffled) == kernel_basis(cols)

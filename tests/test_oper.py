@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, lcm
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -17,6 +18,7 @@ from chiralg.charges import (
     lie_charge,
     potential_charge,
 )
+from chiralg import oper
 from chiralg.field import field_terms
 from chiralg.fock import (
     Family,
@@ -31,12 +33,12 @@ from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
     SymbolicCharge,
-    _compile,
+    _contract_into,
     _insert,
     _spread,
-    _sub_plans,
     charge_operator,
     combine_terms,
+    conjugate_creators,
     instantiate_charge,
     mode_words,
     normal_order,
@@ -577,15 +579,37 @@ def test_spread_of_base_image_is_scale_times_reference_action(case):
 @settings(max_examples=100, deadline=None)
 @given(mixed_operators())
 def test_sub_plan_of_every_annihilator_is_the_compiled_plan(case):
-    """With every conjugate present, a term with k annihilators has 2^k - 1
-    sub-plans, the last of which, all annihilators acting, is the term's
-    own compiled plan with no leftover; with none present it has none."""
+    """With every conjugate present, ``_contract_into`` builds 2^k - 1
+    sub-plans of a term with k annihilators, one per nonempty set of them,
+    and the one of all of them is the operator's own plan for that term:
+    its coefficient times the derivation signs, the conjugates in the order
+    they act, no leftover.  With no conjugate present it builds none."""
     space, terms, _ = case
-    for t in terms:
-        k = sum(1 for m in t.modes if not space.is_creator(m))
-        present = {_conjugate(m) for m in t.modes}
-        plans = _sub_plans(space, t, present)
-        assert len(plans) == 2**k - 1
-        if k:
-            assert plans[-1] == _compile(space, t) + ((),)
-        assert _sub_plans(space, t, set()) == []
+    rule = {Family.X: -1, Family.Y: 1, Family.PHI: 1, Family.PSI: 1}
+    calls = []
+    real = oper._take
+
+    def record(coeff, annihilators, taken):
+        out = real(coeff, annihilators, taken)
+        calls.append((taken, out))
+        return out
+
+    with mock.patch.object(oper, "_take", record):
+        for t in terms:
+            calls.clear()
+            op = ChargeOperator(space, [t])
+            [(coeff, _, annihilators)] = op.terms
+            k = len(annihilators)
+            [(taken, own)] = calls
+            assert taken == 2**k - 1
+            for m in annihilators:
+                coeff *= rule[m.family]
+            assert own == (coeff, tuple(map(_conjugate, reversed(annihilators))), ())
+            calls.clear()
+            _contract_into({}, op.terms, [(1, conjugate_creators(space, t.modes), ())], 0)
+            assert sorted(taken for taken, _ in calls) == list(range(1, 2**k))
+            if k:
+                assert dict(calls)[2**k - 1] == own
+            calls.clear()
+            _contract_into({}, op.terms, [(1, (), ())], 0)
+            assert calls == []
