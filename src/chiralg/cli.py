@@ -44,7 +44,7 @@ from .fock import (
     Side,
     State,
     TorusWeights,
-    _creator_multisets,
+    _creator_classes,
     enumerate_basis,
     make_space,
     monomial_key,
@@ -341,8 +341,8 @@ def cmd_basis(spec: ProblemSpec):
         # each x_0-free base stands for (cap + 1)^dim monomials, one per
         # placement of its x_0 letters, all of its weight and degree
         placements = (spec.x0_cap + 1) ** space.dim
-        for q, degree, _, _ in _creator_multisets(space, 0, spec.weight_max, 0, True):
-            dims[(q, degree)] = dims.get((q, degree), 0) + placements
+        for (q, degree, _), n in _creator_classes(space, 0, spec.weight_max).items():
+            dims[(q, degree)] = n * placements
     else:
         tw = spec.default_weights()
         window = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)

@@ -288,9 +288,9 @@ def euler_series(
 
     No differential is involved: per bigrade the Euler characteristic of a
     complex equals that of its chains.  One call of ``torus_window_counts``
-    walks the x_0-free bases of every weight through ``max_weight`` once;
-    every base is still visited, but its x_0 placements are counted and no
-    monomial is built.
+    counts every weight through ``max_weight``: the x_0-free bases per
+    (weight, degree, torus value) class, and each class's x_0 placements
+    once, so no base or monomial is visited.
     """
     chis: Dict[int, Dict[int, int]] = {q: {} for q in range(max_weight + 1)}
     for (q, t, degree), n in torus_window_counts(space, max_weight, weights, torus_window).items():

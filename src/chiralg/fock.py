@@ -15,18 +15,18 @@ tuple is the vacuum; its weight and degree are the sums over its modes.
 
 The x_0 modes have weight 0, so a fixed-weight piece is finite only under an
 x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
-one sign).  Both kinds of piece come from one enumerator of creator
-multisets, an explicit stack over the creators in mode order that emits
-each multiset of a range of weights as a canonically ordered tuple, with
-its weight, degree and torus value carried down the stack.
-``enumerate_basis`` runs it for one weight with each x{j}_0 allowed up to
-the cap and sorts the piece once.  A torus window has one run generator: it
-runs the enumerator without x_0 to get the bases, and an odometer over the
-x_0 exponents of all directions but the last yields, per base and position,
-the range of last-direction exponents whose torus values land in a closed
-window.  ``torus_window_counts`` sums the runs of every weight up to a top
-one, from one walk, per (weight, torus value, degree) and builds no
-monomial.
+one sign).  Both kinds of piece rest on one list of creators.  An explicit
+stack over them in mode order emits each multiset of a range of weights as a
+canonically ordered tuple, with its weight, degree and torus value carried
+down the stack; ``enumerate_basis`` runs it for one weight with each x{j}_0
+allowed up to the cap and sorts the piece once.  A knapsack over the same
+creators counts the x_0-free bases per (weight, degree, torus value) class
+without visiting one.  In a torus window an odometer over the x_0 exponents
+of all directions but the last yields, per x_0-free torus value and
+position, the range of last-direction exponents whose torus values land in
+a closed window: ``_torus_runs`` runs it per base for the cohomology, and
+``torus_window_counts`` once per class for the counts of every weight up to
+a top one, building no monomial.
 """
 
 from __future__ import annotations
@@ -310,6 +310,23 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
     return State.of(ordered, Fraction(coeff) * sign)
 
 
+def _creators(space: SpaceSpec, hi: int, x0_cap: int, zero_fermions: bool) -> Iterator[tuple]:
+    """The creator modes of index <= hi in mode order, each with the most
+    times it can occur in a multiset of weight <= hi: once for a fermion
+    (never for a weight-0 one unless ``zero_fermions``), ``x0_cap`` times
+    for an x_0 and hi // index times for any other boson; modes that can
+    never occur are left out."""
+    for family in sorted(Family, key=_FAMILY_ORDER.get):
+        for direction in range(1, space.dim + 1):
+            for index in range(space.creator_threshold(family), hi + 1):
+                if family.fermionic:
+                    cap = 1 if index or zero_fermions else 0
+                else:
+                    cap = hi // index if index else x0_cap
+                if cap > 0:
+                    yield ModeKey(family, direction, index), cap
+
+
 def _creator_multisets(
     space: SpaceSpec,
     lo: int,
@@ -332,18 +349,11 @@ def _creator_multisets(
     lo = max(lo, 0)
     if hi < lo or x0_cap < 0:
         return
-    gens, indices = [], []
-    for family in sorted(Family, key=_FAMILY_ORDER.get):
-        for direction in range(1, space.dim + 1):
-            for index in range(space.creator_threshold(family), hi + 1):
-                if family.fermionic:
-                    cap = 1 if index or zero_fermions else 0
-                else:
-                    cap = hi // index if index else x0_cap
-                if cap > 0:
-                    mode = ModeKey(family, direction, index)
-                    gens.append((mode, cap, mode.degree, value(mode) if value else 0))
-                    indices.append(index)
+    gens = [
+        (mode, cap, mode.degree, value(mode) if value else 0)
+        for mode, cap in _creators(space, hi, x0_cap, zero_fermions)
+    ]
+    indices = [mode.index for mode, _, _, _ in gens]
     n = len(gens)
     slack = hi - lo  # a leaf leaves at most this much weight free
     stack = [(0, hi, 0, 0, ())]
@@ -368,6 +378,33 @@ def _creator_multisets(
             stack.append((pos, remaining, degree, val, acc))
 
 
+def _creator_classes(
+    space: SpaceSpec, lo: int, hi: int, value: Optional[Callable[[ModeKey], int]] = None
+) -> Dict[Tuple[int, int, int], int]:
+    """The number of x_0-free bases per ``(weight, degree, value)`` for every
+    weight ``lo..hi``, the tally of the leaves of ``_creator_multisets(space,
+    lo, hi, 0, True, value)``, from a knapsack over the same creators that
+    visits no base.  Per weight layer it counts each (degree, value) reached
+    so far.  A boson adds any multiple of its index, so its layers are swept
+    upwards, each reading a layer it has already fed; a fermion adds at most
+    once, so its layers are swept downwards (a weight-0 fermion reads a copy
+    of the layer itself)."""
+    lo = max(lo, 0)
+    if hi < lo:
+        return {}
+    layers = [{} for _ in range(hi + 1)]
+    layers[0][0, 0] = 1
+    for mode, _ in _creators(space, hi, 0, True):
+        n, d, v = mode.index, mode.degree, value(mode) if value else 0
+        sweep = range(hi, n - 1, -1) if mode.fermionic else range(n, hi + 1)
+        for w in sweep:
+            layer = layers[w]
+            for (k, u), c in list(layers[w - n].items()):
+                key = (k + d, u + v)
+                layer[key] = layer.get(key, 0) + c
+    return {(w, k, u): c for w in range(lo, hi + 1) for (k, u), c in layers[w].items()}
+
+
 def _check_regularizing(wx: Sequence[int]) -> None:
     """Raise unless the x_0 torus weights are nonzero and of one sign, which
     leaves each torus value finitely many x_0 exponent vectors."""
@@ -382,31 +419,21 @@ def _check_regularizing(wx: Sequence[int]) -> None:
         )
 
 
-def _torus_runs(
-    space: SpaceSpec,
-    lo: int,
-    hi: int,
-    torus_weights: TorusWeights,
-    window: Tuple[int, int],
-) -> Iterator[tuple]:
-    """Yield ``(weight, base, degree, exps, k, t, n)``, one run per x_0-free
-    base of weight ``lo..hi`` and placement of the x_0 letters of every
-    direction but the last, for the basis monomials whose torus value lies
-    in the closed ``window``.
+def _x0_odometer(torus_weights: TorusWeights, window: Tuple[int, int]):
+    """``(value, runs)`` for placing x_0 letters in a torus window.
 
-    Every ``base`` (positive modes and weight-0 fermions) comes from one
-    walk of ``_creator_multisets`` with its weight, degree and torus value
-    carried down the walk; x_0 letters move only the torus value, and no
-    base is summed again.  ``exps`` holds the x_0 exponents of directions
-    1..d-1; it is the odometer's own list, so read it before asking for the
-    next run.  The run is the n >= 1 monomials with k, k + 1, ..., k + n - 1
-    letters x{d}_0, at torus values t, t + wx_d, ...  The x_0 weights must
-    be nonzero and of one sign, so that the window is finite; otherwise
-    ``UnboundedBasisError`` is raised.
+    ``value(mode)`` is a mode's torus value in units u = flip * t in which
+    every x_0 weight is positive.  ``runs(u)`` yields ``(exps, k, t, n)`` for
+    an x_0-free base of value u: an odometer over the x_0 exponents ``exps``
+    of directions 1..d-1 (its own list, so read it before asking for the
+    next run), and per placement the run of the n >= 1 monomials with k,
+    k + 1, ..., k + n - 1 letters x{d}_0, at torus values t, t + wx_d, ...
+    in the closed ``window``.  The x_0 weights must be nonzero and of one
+    sign, so that the window is finite; otherwise ``UnboundedBasisError`` is
+    raised.
     """
     wx = torus_weights.wx
     _check_regularizing(wx)
-    # solve in units u = flip * t, in which every x_0 weight is positive
     flip = -1 if wx[0] < 0 else 1
     steps = [flip * w for w in wx]
     step = steps[-1]
@@ -415,24 +442,42 @@ def _torus_runs(
     def value(mode: ModeKey) -> int:
         return flip * torus_weights.of_mode(mode)
 
-    for weight, degree, u, base in _creator_multisets(space, lo, hi, 0, True, value):
-        # an odometer over the x_0 exponents of every direction but the last;
+    def runs(u: int) -> Iterator[tuple]:
         # the last direction's exponents that land in bottom..top form a range
-        exps = [0] * (space.dim - 1)
+        exps = [0] * (len(steps) - 1)
         while True:
             k = max(0, (bottom - u + step - 1) // step)
             first = u + k * step
             if first <= top:
-                yield weight, base, degree, exps, k, flip * first, (top - first) // step + 1
-            j = space.dim - 2
+                yield exps, k, flip * first, (top - first) // step + 1
+            j = len(exps) - 1
             while j >= 0 and u + steps[j] > top:
                 u -= exps[j] * steps[j]
                 exps[j] = 0
                 j -= 1
             if j < 0:
-                break
+                return
             exps[j] += 1
             u += steps[j]
+
+    return value, runs
+
+
+def _torus_runs(
+    space: SpaceSpec,
+    lo: int,
+    hi: int,
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+) -> Iterator[tuple]:
+    """Yield ``(weight, base, degree, exps, k, t, n)``: the runs of
+    ``_x0_odometer`` in the closed ``window`` for every x_0-free base of
+    weight ``lo..hi``, from one walk of ``_creator_multisets`` that carries
+    each base's weight, degree and torus value."""
+    value, runs = _x0_odometer(torus_weights, window)
+    for weight, degree, u, base in _creator_multisets(space, lo, hi, 0, True, value):
+        for exps, k, t, n in runs(u):
+            yield weight, base, degree, exps, k, t, n
 
 
 def torus_window_counts(
@@ -443,20 +488,21 @@ def torus_window_counts(
 ) -> Dict[Tuple[int, int, int], int]:
     """The number of basis monomials whose torus value t lies in the closed
     ``window``, per ``(weight, t, degree)``, for every weight
-    0..max_weight, from one walk over the x_0-free bases of all those
-    weights: each base's runs of x_0 placements (``_torus_runs``) are
-    counted, and no monomial is built."""
+    0..max_weight.  The x_0-free bases are counted per (weight, degree,
+    torus value) class (``_creator_classes``), and the x_0 odometer runs
+    once per class, its runs counted with the class's multiplicity; no
+    base or monomial is visited."""
     stride = torus_weights.wx[-1]
-    # a run adds 1 from its first torus value on and -1 one stride past its
+    value, runs = _x0_odometer(torus_weights, window)
+    # a run adds c from its first torus value on and -c one stride past its
     # last; summing along each stride then gives the counts
     edges: Dict[Tuple[int, int, int], int] = {}
-    for weight, _, degree, _, _, first, n in _torus_runs(
-        space, 0, max_weight, torus_weights, window
-    ):
-        key = (weight, first, degree)
-        edges[key] = edges.get(key, 0) + 1
-        key = (weight, first + n * stride, degree)
-        edges[key] = edges.get(key, 0) - 1
+    for (weight, degree, u), c in _creator_classes(space, 0, max_weight, value).items():
+        for _, _, first, n in runs(u):
+            key = (weight, first, degree)
+            edges[key] = edges.get(key, 0) + c
+            key = (weight, first + n * stride, degree)
+            edges[key] = edges.get(key, 0) - c
     lo, hi = window
     ts = range(lo, hi + 1) if stride > 0 else range(hi, lo - 1, -1)
     counts: Dict[Tuple[int, int, int], int] = {}

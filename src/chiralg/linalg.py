@@ -12,8 +12,9 @@ vector that Gauss-Jordan elimination gives for that free column.
 
 The reduction runs on integers only:
 
-- Each column is multiplied by the lcm of its denominators, so it enters as
-  an ``int`` vector, and its combination starts as that lcm on itself.
+- A column that holds a ``Fraction`` is multiplied by the lcm of its
+  denominators, so it enters as an ``int`` vector, and its combination
+  starts as that lcm on itself; an all-``int`` column enters as it is.
 - A pivot is its row, a positive ``int`` leading entry p at that row, and the
   rest of its vector (with its combination of columns when tracking), all
   divided by their joint content, so the entries stay small.
@@ -76,16 +77,20 @@ def _eliminate(
     pivots: List[Tuple[int, int, Dict[int, int], Optional[Dict[int, int]]]] = []
     relations = []
     for c, col in enumerate(columns):
-        den = lcm(*(v.denominator for v in col.values() if v))
         vec = {}
+        den = 0  # the lcm of the Fraction entries' denominators; 0 if none
         for r, v in col.items():
             if v:
                 i = index.get(r)
                 if i is None:
                     i = index[r] = len(row_level)
                     row_level.append(level(r))
-                vec[i] = v.numerator * (den // v.denominator)
-        comb = {c: den} if track else None
+                vec[i] = v
+                if type(v) is not int:
+                    den = lcm(den or 1, v.denominator)
+        if den:
+            vec = {i: v.numerator * (den // v.denominator) for i, v in vec.items()}
+        comb = {c: den or 1} if track else None
         heap = [where[r] for r in vec if r in where]
         heapify(heap)
         while heap:

@@ -523,6 +523,39 @@ def test_basis_command_torus_regularized(tmp_path):
     assert json.loads(text)["payload"]["regularization"] == "torus"
 
 
+@pytest.mark.parametrize("side", ["theta", "omega"])
+@pytest.mark.parametrize("dim, weight_max, cap", [(1, 4, 2), (2, 2, 1), (3, 1, 0)])
+def test_basis_dims_count_classes_without_walking_bases(
+    tmp_path, monkeypatch, side, dim, weight_max, cap
+):
+    """The capped `basis` dims equal the tally of the capped basis per
+    (weight, degree), and neither regime walks the bases to count them."""
+    from chiralg import fock
+    from chiralg.fock import enumerate_basis, make_space, Side
+
+    space = make_space(Side(side), dim)
+    want = {}
+    for q in range(weight_max + 1):
+        for mono in enumerate_basis(space, q, x0_cap=cap):
+            key = f"{q},{sum(m.degree for m in mono)}"
+            want[key] = want.get(key, 0) + 1
+
+    def walk(*args, **kwargs):
+        raise AssertionError("walked the bases")
+
+    monkeypatch.setattr(fock, "_creator_multisets", walk)
+    spec = {"dim": dim, "side": side, "caps": {"weight_max": weight_max, "x0_cap": cap}}
+    code, text = run(tmp_path, "basis", spec)
+    assert code == 0
+    assert json.loads(text)["payload"]["dims"] == want
+    del spec["caps"]["x0_cap"]
+    spec["caps"]["z_window"] = [-3, 3]
+    spec["torus_weights"] = {"x": [1] * dim, "phi": [-1] * dim}
+    code, text = run(tmp_path, "basis", spec)
+    assert code == 0
+    assert json.loads(text)["payload"]["regularization"] == "torus"
+
+
 def test_malformed_zero_mode_actions_exit_2(tmp_path, capsys):
     names = ("x0", "y0", "phi0", "psi0")
     zero_modes = {"labels": [], "degrees": [], "parities": [], "cap": 0}

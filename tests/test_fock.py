@@ -12,6 +12,7 @@ from chiralg.fock import (
     State,
     TorusWeights,
     UnboundedBasisError,
+    _creator_classes,
     _creator_multisets,
     enumerate_basis,
     make_space,
@@ -410,6 +411,26 @@ def test_walker_carries_grades_and_covers_its_weight_range(piece, lo, cap, zero_
     ]
     assert sorted(leaves) == sorted(exact)
     assert len(set(leaves)) == len(leaves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hst.data(), hst.integers(0, 3), hst.booleans())
+def test_creator_classes_tally_the_walked_bases(data, lo, valued):
+    """The knapsack's count per (weight, degree, value) equals the tally of
+    the x_0-free bases that the walk yields over lo..hi, torus values taken
+    from weights of any sign, zero included."""
+    dim = data.draw(hst.integers(1, 3))
+    space = make_space(data.draw(hst.sampled_from(Side)), dim)
+    hi = data.draw(hst.integers(0, (6, 4, 3)[dim - 1]))
+    tw = TorusWeights(
+        tuple(data.draw(hst.integers(-3, 3)) for _ in range(dim)),
+        tuple(data.draw(hst.integers(-3, 3)) for _ in range(dim)),
+    )
+    value = tw.of_mode if valued else None
+    tally = {}
+    for q, k, t, _ in _creator_multisets(space, lo, hi, 0, True, value):
+        tally[q, k, t] = tally.get((q, k, t), 0) + 1
+    assert _creator_classes(space, lo, hi, value) == tally
 
 
 @given(hst.lists(hst.lists(hst.sampled_from(_CREATORS), max_size=5), max_size=12))

@@ -121,6 +121,24 @@ def test_degenerate_matrices_match_dense_reference():
     ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(hst.data())
+def test_int_columns_among_fraction_columns_match_dense_reference(data):
+    """All-int columns enter the elimination unscaled, beside columns that
+    hold a Fraction (of denominator 1 too, as Fraction(3) is): the kernel
+    and a random-level pivot profile equal those of the same columns with
+    every entry a Fraction, and the rank and kernel the dense reference's."""
+    ints = hst.dictionaries(ROWS, hst.integers(-3, 3) | hst.integers(-(10**30), 10**30), max_size=5)
+    fracs = hst.dictionaries(ROWS, SMALL | hst.integers(-3, 3).map(Fraction), max_size=5)
+    cols = data.draw(hst.lists(ints | fracs | COLUMNS, max_size=8))
+    assert_matches_dense_reference(cols)
+    as_fractions = [{r: Fraction(v) for r, v in col.items()} for col in cols]
+    rows = sorted({r for col in cols for r in col}, key=repr)
+    levels = {r: data.draw(hst.integers(0, 3)) for r in rows}.__getitem__
+    assert linalg.pivot_profile(cols, levels) == linalg.pivot_profile(as_fractions, levels)
+    assert kernel_basis(cols) == kernel_basis(as_fractions)
+
+
 def test_fill_in_chain_kernel():
     """Column 3 meets only the pivot at row a; reducing by it brings in row
     b, the pivot of column 1, and that brings in row c, the pivot of

@@ -96,6 +96,17 @@ def test_chi_closed_form_matches_brute_force_on_full_support():
         assert report.zwindow == window
 
 
+def test_euler_series_matches_closed_form_at_q_max_10():
+    """The brute-force Euler series of f = z^(d+1) equals the closed form on
+    its full support through q^10, for d = 2, 3."""
+    qmax = 10
+    for d in (2, 3):
+        window = (-d - qmax * d, qmax * d - 1)
+        tw = default_torus_weights(Potential.single_variable(d + 1))
+        report = compare(euler_series(OMEGA1, qmax, window, tw), chi_closed_form(d, qmax))
+        assert report, report.first_mismatch
+
+
 def test_compare_reports():
     p = _reduced_theta(3, 1)
     assert compare(p, p)
