@@ -44,6 +44,7 @@ from .fock import (
     Side,
     State,
     TorusWeights,
+    UnboundedBasisError,
     _creator_classes,
     enumerate_basis,
     make_space,
@@ -222,7 +223,10 @@ class ProblemSpec:
         if self.torus_weights is not None:
             return self.torus_weights
         if self.potential is not None:
-            return default_torus_weights(self.potential)
+            try:
+                return default_torus_weights(self.potential)
+            except FockError as exc:
+                raise SpecError(f"spec.torus_weights: {exc}")
         raise SpecError("spec: need torus_weights or a potential to derive them")
 
     def charge(self):
@@ -341,7 +345,7 @@ def cmd_basis(spec: ProblemSpec):
         # each x_0-free base stands for (cap + 1)^dim monomials, one per
         # placement of its x_0 letters, all of its weight and degree
         placements = (spec.x0_cap + 1) ** space.dim
-        for (q, degree, _), n in _creator_classes(space, 0, spec.weight_max).items():
+        for (q, degree, _), n in _creator_classes(space, spec.weight_max).items():
             dims[(q, degree)] = n * placements
     else:
         tw = spec.default_weights()
@@ -415,6 +419,8 @@ def _cohomology_table(spec: ProblemSpec, command: str):
     space = spec.space()
     charge = spec.charge()
     if spec.torus_weights is not None and spec.z_window is not None:
+        if charge.torus_shift(spec.torus_weights) is None:
+            raise SpecError("spec.torus_weights: charge is not torus homogeneous")
         return cohomology_dims_torus(
             charge, space, spec.weight_max, spec.torus_weights, spec.z_window
         )
@@ -508,7 +514,11 @@ def _brst_vector(charge, space):
 def cmd_reconstruct_check(spec: ProblemSpec):
     space = spec.space()
     charge = spec.charge()
-    brst = residue_charge(space, _brst_vector(charge, space), spec.weight_max)
+    vector = _brst_vector(charge, space)
+    try:
+        brst = residue_charge(space, vector, spec.weight_max)
+    except FockError as exc:  # the vector is read off the charge's own field
+        raise SpecError(f"spec.{'lie' if spec.lie is not None else 'potential'}: {exc}")
     cap = spec.x0_cap if spec.x0_cap is not None else 2
     op = charge_operator(charge, space, spec.weight_max)
     for q in range(spec.weight_max + 1):
@@ -606,6 +616,9 @@ def main(argv=None) -> int:
         spec = ProblemSpec(doc, validate_lie=(args.command != "nilpotency"))
         options = {"oracle": args.oracle} if args.command in _ORACLE_COMMANDS else {}
         payload, code, extra = _COMMANDS[args.command](spec, **options)
+    except UnboundedBasisError as exc:  # raised only for the x_0 torus weights
+        print(f"error: spec.torus_weights.x: {exc}", file=sys.stderr)
+        return 2
     except (SpecError, FockError, SeriesError, CohomologyError, ModuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

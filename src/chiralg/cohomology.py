@@ -16,11 +16,12 @@ a failure raises ``CohomologyError`` with its witness.
 Pairs.  A basis monomial x_0^a b is kept as the pair (b, a): its x_0-free
 base b and the exponents a of x{1}_0 .. x{d}_0, in the blocks' rows and
 columns alike.  The bases of a weight come from one walk that carries each
-base's degree (``fock._creator_multisets`` under a cap, ``fock._torus_runs``
-in a torus window, which also carries the torus value), so no monomial is
-built or summed.  The charge runs once per weight on each base (the
-``base_image`` of ``oper.ChargeOperator``), and ``oper._spread`` carries
-those entries to every pair of the base by falling factorials in a.
+base's degree and torus value (``fock._creator_multisets``), so no monomial
+is built or summed, and each regime places the x_0 letters itself: under a
+cap it crosses each base with its exponent box, in a torus window with the
+runs of ``fock._x0_odometer``.  The charge runs once per weight on each
+base (the ``base_image`` of ``oper.ChargeOperator``), and ``oper._spread``
+carries those entries to every pair of the base by falling factorials in a.
 
 Levels.  Each pair of weight q has a level, read off its exponents, and
 each selection, S or the pairs whose images span I, is a level threshold:
@@ -82,7 +83,7 @@ from .fock import (
     SpaceSpec,
     TorusWeights,
     _creator_multisets,
-    _torus_runs,
+    _x0_odometer,
     monomial_text,
     torus_window_counts,
 )
@@ -196,12 +197,14 @@ def cohomology_dims_torus(
     # the window's cells and the sources t - shift of their incoming maps
     reach = (min(lo, lo - shift), max(hi, hi - shift))
     stride = torus_weights.wx[-1]
+    value, runs = _x0_odometer(torus_weights, reach)
 
     def pairs(q: int):
-        for _, base, degree, exps, k, t, n in _torus_runs(space, q, q, torus_weights, reach):
-            head = tuple(exps)
-            for a in range(n):
-                yield (t + a * stride, degree), base, head + (k + a,)
+        for degree, u, base in _creator_multisets(space, q, 0, True, value):
+            for exps, k, t, n in runs(u):
+                head = tuple(exps)
+                for a in range(n):
+                    yield (t + a * stride, degree), base, head + (k + a,)
 
     for q in range(max_weight + 1):
         # every pair and every image row at level 0 (module docstring)
@@ -254,8 +257,8 @@ def cohomology_dims_capped(
     dims: Dict[Tuple[int, int], int] = {}
     stab: Dict[int, bool] = {}
     for q in range(max_weight + 1):
-        walk = _creator_multisets(space, q, q, 0, True)
-        pairs = ((degree, base, exps) for _, degree, _, base in walk for exps in box)
+        walk = _creator_multisets(space, q, 0, True)
+        pairs = ((degree, base, exps) for degree, _, base in walk for exps in box)
         # a row with an exponent above top is outside the basis: level 4
         blocks = _WeightBlocks(charge, space, q, pairs, levels, 4)
         rows = []

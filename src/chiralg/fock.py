@@ -16,17 +16,17 @@ tuple is the vacuum; its weight and degree are the sums over its modes.
 The x_0 modes have weight 0, so a fixed-weight piece is finite only under an
 x_0-degree cap or a torus grading that regularizes x_0 (nonzero weights of
 one sign).  Both kinds of piece rest on one list of creators.  An explicit
-stack over them in mode order emits each multiset of a range of weights as a
-canonically ordered tuple, with its weight, degree and torus value carried
-down the stack; ``enumerate_basis`` runs it for one weight with each x{j}_0
-allowed up to the cap and sorts the piece once.  A knapsack over the same
-creators counts the x_0-free bases per (weight, degree, torus value) class
-without visiting one.  In a torus window an odometer over the x_0 exponents
-of all directions but the last yields, per x_0-free torus value and
-position, the range of last-direction exponents whose torus values land in
-a closed window: ``_torus_runs`` runs it per base for the cohomology, and
-``torus_window_counts`` once per class for the counts of every weight up to
-a top one, building no monomial.
+stack over them in mode order emits each multiset of one weight as a
+canonically ordered tuple, with its degree and torus value carried down the
+stack; ``enumerate_basis`` runs it with each x{j}_0 allowed up to the cap
+and sorts the piece once.  A knapsack over the same creators counts the
+x_0-free bases per (weight, degree, torus value) class without visiting
+one.  In a torus window an odometer over the x_0 exponents of all
+directions but the last (``_x0_odometer``) yields, per x_0-free torus
+value and position, the range of last-direction exponents whose torus
+values land in a closed window: the torus cohomology runs it on each base
+the walk yields, and ``torus_window_counts`` once per class for the counts
+of every weight up to a top one, building no monomial.
 """
 
 from __future__ import annotations
@@ -175,10 +175,6 @@ class TorusWeights:
         if len(self.wx) != len(self.wphi):
             raise FockError("torus weight tuples must have equal length")
 
-    @property
-    def dim(self) -> int:
-        return len(self.wx)
-
     def of_mode(self, mode: ModeKey) -> int:
         j = mode.direction - 1
         if mode.family is Family.X:
@@ -279,7 +275,9 @@ def _koszul_sort(modes: Sequence[ModeKey]):
     letters on the way flips the sign, or None if a fermionic letter
     repeats (the product is zero).  ``normalize`` and normal ordering go
     through it; a mode action merges its creators into a canonical monomial
-    with ``oper._insert``, which gives the same result from positions.
+    with ``oper._insert``, which gives the same result from positions.  A
+    whole raw word is sorted here at once, faster than inserted letter by
+    letter.
     """
     keys = [m.key for m in modes if m.fermionic]
     sign = 1
@@ -329,42 +327,39 @@ def _creators(space: SpaceSpec, hi: int, x0_cap: int, zero_fermions: bool) -> It
 
 def _creator_multisets(
     space: SpaceSpec,
-    lo: int,
-    hi: int,
+    weight: int,
     x0_cap: int,
     zero_fermions: bool,
     value: Optional[Callable[[ModeKey], int]] = None,
-) -> Iterator[Tuple[int, int, int, tuple]]:
-    """Every multiset of creator modes of total weight ``lo..hi`` with at most
+) -> Iterator[Tuple[int, int, tuple]]:
+    """Every multiset of creator modes of total weight ``weight`` with at most
     ``x0_cap`` letters x{j}_0 per direction, and the weight-0 fermions only if
-    ``zero_fermions``, as ``(weight, degree, value, modes)``: ``modes`` the
+    ``zero_fermions``, as ``(degree, value, modes)``: ``modes`` the
     canonically ordered mode tuple, ``degree`` and ``value`` the sums over
     it of the cohomological degrees and of ``value`` (0 if None); unsorted.
 
-    An explicit stack walks the creators of index <= hi in mode order and
-    chooses how often each one occurs, so each tuple comes out ordered.  A
-    node carries the weight still free and the running degree and value,
+    An explicit stack walks the creators of index <= weight in mode order
+    and chooses how often each one occurs, so each tuple comes out ordered.
+    A node carries the weight still free and the running degree and value,
     added per mode as the node is pushed, so no leaf is summed again.
     """
-    lo = max(lo, 0)
-    if hi < lo or x0_cap < 0:
+    if x0_cap < 0:
         return
     gens = [
         (mode, cap, mode.degree, value(mode) if value else 0)
-        for mode, cap in _creators(space, hi, x0_cap, zero_fermions)
+        for mode, cap in _creators(space, weight, x0_cap, zero_fermions)
     ]
     indices = [mode.index for mode, _, _, _ in gens]
     n = len(gens)
-    slack = hi - lo  # a leaf leaves at most this much weight free
-    stack = [(0, hi, 0, 0, ())]
+    stack = [(0, weight, 0, 0, ())]
     while stack:
         pos, remaining, degree, val, acc = stack.pop()
         # step past the modes too heavy for what remains without a frame each
         while pos < n and indices[pos] > remaining:
             pos += 1
         if pos == n:
-            if remaining <= slack:
-                yield hi - remaining, degree, val, acc
+            if not remaining:
+                yield degree, val, acc
             continue
         mode, cap, d, v = gens[pos]
         index = indices[pos]
@@ -379,18 +374,17 @@ def _creator_multisets(
 
 
 def _creator_classes(
-    space: SpaceSpec, lo: int, hi: int, value: Optional[Callable[[ModeKey], int]] = None
+    space: SpaceSpec, hi: int, value: Optional[Callable[[ModeKey], int]] = None
 ) -> Dict[Tuple[int, int, int], int]:
     """The number of x_0-free bases per ``(weight, degree, value)`` for every
-    weight ``lo..hi``, the tally of the leaves of ``_creator_multisets(space,
-    lo, hi, 0, True, value)``, from a knapsack over the same creators that
-    visits no base.  Per weight layer it counts each (degree, value) reached
-    so far.  A boson adds any multiple of its index, so its layers are swept
-    upwards, each reading a layer it has already fed; a fermion adds at most
-    once, so its layers are swept downwards (a weight-0 fermion reads a copy
-    of the layer itself)."""
-    lo = max(lo, 0)
-    if hi < lo:
+    weight 0..hi, the tally of the leaves of ``_creator_multisets(space, q,
+    0, True, value)`` over q = 0..hi, from a knapsack over the same creators
+    that visits no base.  Per weight layer it counts each (degree, value)
+    reached so far.  A boson adds any multiple of its index, so its layers
+    are swept upwards, each reading a layer it has already fed; a fermion
+    adds at most once, so its layers are swept downwards (a weight-0 fermion
+    reads a copy of the layer itself)."""
+    if hi < 0:
         return {}
     layers = [{} for _ in range(hi + 1)]
     layers[0][0, 0] = 1
@@ -402,7 +396,7 @@ def _creator_classes(
             for (k, u), c in list(layers[w - n].items()):
                 key = (k + d, u + v)
                 layer[key] = layer.get(key, 0) + c
-    return {(w, k, u): c for w in range(lo, hi + 1) for (k, u), c in layers[w].items()}
+    return {(w, k, u): c for w, layer in enumerate(layers) for (k, u), c in layer.items()}
 
 
 def _check_regularizing(wx: Sequence[int]) -> None:
@@ -463,23 +457,6 @@ def _x0_odometer(torus_weights: TorusWeights, window: Tuple[int, int]):
     return value, runs
 
 
-def _torus_runs(
-    space: SpaceSpec,
-    lo: int,
-    hi: int,
-    torus_weights: TorusWeights,
-    window: Tuple[int, int],
-) -> Iterator[tuple]:
-    """Yield ``(weight, base, degree, exps, k, t, n)``: the runs of
-    ``_x0_odometer`` in the closed ``window`` for every x_0-free base of
-    weight ``lo..hi``, from one walk of ``_creator_multisets`` that carries
-    each base's weight, degree and torus value."""
-    value, runs = _x0_odometer(torus_weights, window)
-    for weight, degree, u, base in _creator_multisets(space, lo, hi, 0, True, value):
-        for exps, k, t, n in runs(u):
-            yield weight, base, degree, exps, k, t, n
-
-
 def torus_window_counts(
     space: SpaceSpec,
     max_weight: int,
@@ -495,9 +472,10 @@ def torus_window_counts(
     stride = torus_weights.wx[-1]
     value, runs = _x0_odometer(torus_weights, window)
     # a run adds c from its first torus value on and -c one stride past its
-    # last; summing along each stride then gives the counts
+    # last; summing along each stride then gives the counts, so a run costs
+    # two updates however long it is
     edges: Dict[Tuple[int, int, int], int] = {}
-    for (weight, degree, u), c in _creator_classes(space, 0, max_weight, value).items():
+    for (weight, degree, u), c in _creator_classes(space, max_weight, value).items():
         for _, _, first, n in runs(u):
             key = (weight, first, degree)
             edges[key] = edges.get(key, 0) + c
@@ -525,11 +503,9 @@ def enumerate_basis(
     x_0 is the other way (``torus_window_counts``).  Without the weight-0
     fermions and with cap 0 the basis is the free positive-mode part.
     """
-    out = [
-        modes
-        for _, _, _, modes in _creator_multisets(
-            space, weight, weight, x0_cap, zero_fermion_allowed
-        )
-    ]
+    # the walk places the x_0 letters and drops the weight-0 fermions itself,
+    # cheaper than crossing bases with an exponent box or filtering after
+    walk = _creator_multisets(space, weight, x0_cap, zero_fermion_allowed)
+    out = [modes for _, _, modes in walk]
     out.sort(key=monomial_key)
     return out

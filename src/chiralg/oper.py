@@ -305,7 +305,8 @@ def instantiate_charge(charge: SymbolicCharge, space: SpaceSpec, window: int) ->
         for fam, direction in letters:
             space.check_direction(ModeKey(fam, direction, 0))
         # without a letter of the conjugate family in its direction, no pair
-        # of a word contracts: each word is its normal product alone
+        # of a word contracts: each word is its normal product alone, built
+        # without the contraction search
         if any((_CONJUGATE[f], d) in letters for f, d in letters):
             for modes in mode_words(letters, 0, window):
                 raw.extend(normal_order(space, coeff, modes))
@@ -430,7 +431,8 @@ class ChargeOperator:
         if not entries:
             return {}
         if exps is self._no_x0 and len(entries) == 1 and () in entries:
-            # no x_0 in mono and none moved: the base's image is mono's
+            # no x_0 in mono and none moved: the base's image is mono's, with
+            # no spread and no join, as for every positive monomial of modfun
             return {b: c for b, c in entries[()].items() if c}
         return {self._join(b, e): c for (b, e), c in _spread(entries, exps).items()}
 

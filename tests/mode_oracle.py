@@ -54,7 +54,8 @@
   ``reference_euler_series`` is verbatim apart from its name.
 - The torus-window basis of one weight as the package enumerated it before
   it counted the runs of x_0 placements: ``enumerate_torus_window``
-  expands each run of ``fock._torus_runs`` into its monomials, verbatim.
+  composes ``fock._x0_odometer`` with the walk of one weight and expands
+  each run into its monomials, cutting each base once.
 - The odometer over index tuples that charge instantiation and field
   reconstruction walked before one stack of mode words served both:
   ``reference_index_assignments``, verbatim apart from its name; its
@@ -79,7 +80,8 @@ from chiralg.fock import (
     State,
     TorusWeights,
     _check_regularizing,
-    _torus_runs,
+    _creator_multisets,
+    _x0_odometer,
     enumerate_basis,
 )
 from chiralg.linalg import kernel_basis, rank
@@ -485,31 +487,28 @@ def enumerate_torus_window(
     """Yield ``(t, degree, monomial)`` for every basis monomial of the weight
     whose torus value t lies in the closed window ``lo..hi``; unsorted.
 
-    Each run of ``_torus_runs`` is expanded into its monomials, the x_0
-    letters going in at their insertion points in the base.
+    The walk of the weight (``_creator_multisets``) gives each x_0-free base
+    with its degree and torus value, and each run of ``_x0_odometer`` on it
+    is expanded into its monomials, the x_0 letters going in at their
+    insertion points in the base.
     """
     x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
     last, stride = x0[-1], torus_weights.wx[-1]
-    base = None
-    for _, run_base, degree, exps, k, first, n in _torus_runs(
-        space, weight, weight, torus_weights, window
-    ):
-        # consecutive runs share their base, so cut each base once: the
-        # segments before, between and after its x_0 insertion points
-        if run_base is not base:
-            base = run_base
-            cuts = [bisect_left(base, m.key, key=ModeKey.sort_key) for m in x0]
-            front, *between = [
-                base[i:j] for i, j in zip([0] + cuts, cuts + [len(base)])
-            ]
-            rest = between[-1]
-        letters = front
-        for letter, e, segment in zip(x0, exps, between):
-            letters += (letter,) * e + segment
-        letters += (last,) * k
-        for t in range(first, first + n * stride, stride):
-            yield t, degree, letters + rest
-            letters += (last,)
+    value, runs = _x0_odometer(torus_weights, window)
+    for degree, u, base in _creator_multisets(space, weight, 0, True, value):
+        # the segments of the base before, between and after its x_0
+        # insertion points
+        cuts = [bisect_left(base, m.key, key=ModeKey.sort_key) for m in x0]
+        front, *between = [base[i:j] for i, j in zip([0] + cuts, cuts + [len(base)])]
+        rest = between[-1]
+        for exps, k, first, n in runs(u):
+            letters = front
+            for letter, e, segment in zip(x0, exps, between):
+                letters += (letter,) * e + segment
+            letters += (last,) * k
+            for t in range(first, first + n * stride, stride):
+                yield t, degree, letters + rest
+                letters += (last,)
 
 
 def reference_basis(

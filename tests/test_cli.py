@@ -413,7 +413,9 @@ def test_zero_potential_has_no_default_torus_weights(tmp_path, capsys):
     for command in ("char", "basis"):
         code, _ = run(tmp_path, command, spec)
         assert code == 2
-        assert capsys.readouterr().err == "error: the zero potential has no quasi-homogeneous degree\n"
+        assert capsys.readouterr().err == (
+            "error: spec.torus_weights: the zero potential has no quasi-homogeneous degree\n"
+        )
         code, _ = run(tmp_path, command, dict(spec, torus_weights={"x": [1], "phi": [-2]}))
         assert code == 0
 
@@ -736,9 +738,10 @@ def small_specs(draw):
 @settings(max_examples=500, deadline=None)
 @given(small_specs())
 def test_cli_contract_on_small_specs(tmp_path_factory, case):
-    """Exit 0, 1 or 2; an exit 2 prints one stderr line, ``error: ...``; an
-    exit 0 or 1 reruns to the same document but for ``timing_ms``; and a
-    failed check's exit 1 carries a witness."""
+    """Exit 0, 1 or 2; an exit 2 prints one stderr line, ``error: spec...``,
+    naming the spec or the field at fault; an exit 0 or 1 reruns to the same
+    document but for ``timing_ms``; and a failed check's exit 1 carries a
+    witness."""
     command, spec = case
     spec_path = tmp_path_factory.mktemp("spec") / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -753,7 +756,7 @@ def test_cli_contract_on_small_specs(tmp_path_factory, case):
     code, text, err = runs[0]
     assert code in (0, 1, 2), err
     if code == 2:
-        assert text == "" and len(err.splitlines()) == 1 and err.startswith("error:")
+        assert text == "" and len(err.splitlines()) == 1 and err.startswith("error: spec"), err
         return
     docs = [json.loads(t) for _, t, _ in runs]
     for doc in docs:
