@@ -384,7 +384,10 @@ def _require_closed_form_scope(spec: ProblemSpec, what: str) -> int:
         raise SpecError(f"spec.potential: required for {what}")
     if not spec.potential.terms:
         raise SpecError(f"spec.potential: {what} needs a nonzero potential")
-    d = spec.potential.quasi_degree((1,)) - 1
+    try:
+        d = spec.potential.quasi_degree((1,)) - 1
+    except FockError as exc:
+        raise SpecError(f"spec.potential: {exc}")
     if d < 1:
         raise SpecError("spec.potential: degree must be >= 2 for the theta oracle")
     return d

@@ -400,6 +400,23 @@ def test_zero_potential_terms_are_dropped(tmp_path, capsys):
     )["payload"]["table"]
 
 
+def test_closed_form_refuses_a_potential_that_is_not_quasi_homogeneous(tmp_path, capsys):
+    """f = 1 + x has no degree for x = 1: theta-check and the theta oracle
+    refuse it as a spec error, not with a bare FockError message."""
+    spec = {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "1", "exps": [0]}, {"coeff": "1", "exps": [1]}]},
+        "caps": {"weight_max": 1, "x0_cap": 2, "q_max": 2, "z_window": [-6, 3]},
+    }
+    for args in (("theta-check",), ("chi-van", "--oracle", "theta")):
+        code, text = run(tmp_path, *args[:1], spec, *args[1:])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            "error: spec.potential: potential not quasi-homogeneous for wx=(1,)\n"
+        )
+
+
 def test_zero_potential_has_no_default_torus_weights(tmp_path, capsys):
     """f = 0 x^3 has no degree to derive the default torus weights from:
     `char` and `basis` refuse it as the zero potential, not as a potential
