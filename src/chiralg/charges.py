@@ -286,9 +286,11 @@ def _check_bracket(c1, c2, space, window) -> CheckReport:
             image = image + o2(o1(v))
         if not image.is_zero():
             return CheckReport(False, witness=mono, image=image, operator=o1)
-    # unreachable in theory, as the probe of a surviving term always
-    # witnesses it
-    return CheckReport(False, operator=o1)
+    # the probe of a surviving term always witnesses it, so a failed check
+    # without a witness is a fault of the package, not of the charge
+    raise RuntimeError(
+        f"Q^2 term {surviving[0].text(space.dim)} survives but no probe witnesses it"
+    )
 
 
 def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> CheckReport:
@@ -309,8 +311,10 @@ def check_nilpotent(charge: SymbolicCharge, space: SpaceSpec, window: int) -> Ch
     sum.  A charge with an even pattern is refused.  The probes are the
     monomials of conjugate creators of the surviving terms, fewest
     annihilators first; a witness is the first probe v with Q(Q(v))
-    nonzero, and its image is Q(Q(v)).  The report's ``operator`` is the
-    charge compiled from the same terms, valid on weight <= window.
+    nonzero, and its image is Q(Q(v)); a surviving term that no probe
+    witnesses is a fault of the package and raises ``RuntimeError``.  The
+    report's ``operator`` is the charge compiled from the same terms, valid
+    on weight <= window.
     """
     return _check_bracket(charge, None, space, window)
 

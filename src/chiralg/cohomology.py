@@ -118,10 +118,10 @@ class _WeightBlocks:
     columns are eliminated once, and only its pivot profile is kept.
 
     The charge is instantiated once, at window q: the Q^2 check runs on
-    those terms and hands back the operator that gives the columns.  Each
-    base's entries (the operator's ``base_image``) are computed once and
-    carried to each of its pairs by ``oper._spread``; they are dropped with
-    the weight.
+    those terms and hands back the operator that gives the columns.  A
+    pair's column is its base's entries (the operator's ``base_image``,
+    computed once per base) carried to the pair by ``oper._spread``; the
+    operator, and with it the entries, is dropped with the weight.
     """
 
     def __init__(
@@ -137,25 +137,18 @@ class _WeightBlocks:
         self.bases: Dict[Hashable, List[Tuple[tuple, tuple]]] = {}
         for key, base, exps in pairs:
             self.bases.setdefault(key, []).append((base, exps))
-        self._entries: Dict[tuple, dict] = {}
         self._profiles: Dict[Hashable, List[Tuple[int, Optional[int]]]] = {}
 
     def _row_level(self, row: Tuple[tuple, tuple]) -> int:
         return self.levels.get(row[1], self.outside)
-
-    def _image(self, base: tuple, exps: tuple) -> dict:
-        """scale * Q(x_0^exps base), {(base, exps): int}, zeros dropped."""
-        entries = self._entries.get(base)
-        if entries is None:
-            entries = self._entries[base] = self.op.base_image(base)
-        return _spread(entries, exps)
 
     def _profile(self, key) -> List[Tuple[int, Optional[int]]]:
         """(level of the pair, level of its column's pivot row or None) for
         the pairs of block ``key``, in elimination order."""
         if key not in self._profiles:
             level, outside = self.levels.get, self.outside
-            cols = [(level(e, outside), self._image(b, e)) for b, e in self.bases.get(key, [])]
+            image = self.op.base_image
+            cols = [(level(e, outside), _spread(image(b), e)) for b, e in self.bases.get(key, [])]
             cols.sort(key=lambda lc: (lc[0], len(lc[1])))
             pivots = pivot_profile([c for _, c in cols], self._row_level) if cols else []
             self._profiles[key] = [(lv, p) for (lv, _), p in zip(cols, pivots)]

@@ -268,18 +268,19 @@ class State:
         return f"State({self.text()})"
 
 
-def _koszul_sort(modes: Sequence[ModeKey]):
-    """Canonical order of mutually (super-)commuting modes.
+def _koszul_sort(modes: Sequence[ModeKey], key: Callable[[ModeKey], tuple]):
+    """The modes of a (super-)commuting product, sorted by ``key``.
 
-    Returns (sign, sorted modes), where each transposition of two fermionic
-    letters on the way flips the sign, or None if a fermionic letter
-    repeats (the product is zero).  ``normalize`` and normal ordering go
-    through it; a mode action merges its creators into a canonical monomial
-    with ``oper._insert``, which gives the same result from positions.  A
-    whole raw word is sorted here at once, faster than inserted letter by
-    letter.
+    Returns (sign, sorted modes), where each pair of fermionic letters out of
+    order flips the sign, or None if two fermionic letters share a key (the
+    product is zero).  ``normalize`` sorts creators by the mode order;
+    ``oper.normal_product`` sorts a word with every creator before every
+    annihilator.  A mode action merges its creators into a canonical
+    monomial with ``oper._insert``, which gives the same result from
+    positions.  A whole raw word is sorted here at once, faster than
+    inserted letter by letter.
     """
-    keys = [m.key for m in modes if m.fermionic]
+    keys = [key(m) for m in modes if m.fermionic]
     sign = 1
     for i, a in enumerate(keys):
         for b in keys[i + 1 :]:
@@ -287,7 +288,7 @@ def _koszul_sort(modes: Sequence[ModeKey]):
                 if a == b:
                     return None
                 sign = -sign
-    return sign, tuple(sorted(modes, key=ModeKey.sort_key))
+    return sign, tuple(sorted(modes, key=key))
 
 
 def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
@@ -301,7 +302,7 @@ def normalize(space: SpaceSpec, modes: Iterable[ModeKey], coeff=1) -> State:
         space.check_direction(m)
         if not space.is_creator(m):
             raise FockError(f"{m.text(space.dim)} is not a creator in {space.side.value}")
-    placed = _koszul_sort(modes)
+    placed = _koszul_sort(modes, ModeKey.sort_key)
     if placed is None:
         return State.zero()
     sign, ordered = placed

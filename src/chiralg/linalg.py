@@ -13,15 +13,14 @@ vector that Gauss-Jordan elimination gives for that free column.
 The reduction runs on integers only:
 
 - A column that holds a ``Fraction`` is multiplied by the lcm of its
-  denominators, so it enters as an ``int`` vector, and its combination
-  starts as that lcm on itself; an all-``int`` column enters as it is.
+  denominators, so it enters as an ``int`` vector; an all-``int`` column
+  enters as it is.
 - A pivot is its row, a positive ``int`` leading entry p at that row, and the
-  rest of its vector (with its combination of columns when tracking), all
-  divided by their joint content, so the entries stay small.
+  rest of its vector, all divided by their joint content, so the entries
+  stay small.
 - A vector whose entry at a pivot's row is f is reduced by that pivot as
   vec <- (p/g) vec - (f/g) pivot, with g = gcd(p, f), which clears the row
-  and is exact; then the content of the vector, taken jointly with its
-  combination when tracking, is divided out.
+  and is exact; then the content of the vector is divided out.
 - A column meets only the pivots whose rows it holds, so it keeps a min-heap
   of their pivot numbers: seeded from its own rows, with a number pushed
   whenever a subtraction brings in a pivot's row.  A pivot vector holds no
@@ -29,20 +28,25 @@ The reduction runs on integers only:
   subtraction brings in only rows of later pivots, and the heap visits the
   pivots in increasing order: the very subtractions, in the same order, that
   a scan over every earlier pivot would make.
-- A column that reduces to zero leaves an integer combination with a nonzero
-  coefficient on itself; dividing by that coefficient gives the relation
-  above, which is unique, so it is exactly the rational kernel vector.
+- ``kernel_basis`` gives each column an identity row of level -1 (below),
+  holding 1, or the lcm once scaled.  The reduction carries along those
+  rows the integer combination of columns each vector equals, so a column
+  that reduces to zero leaves a combination with a nonzero coefficient on
+  itself; dividing by that coefficient gives the relation above, which is
+  unique, so it is exactly the rational kernel vector.
 
 ``Fraction`` arithmetic is used only to scale an input column and to build a
 relation; the reduction loop in between is ``int`` arithmetic only.
 
 Every row has a level, and a pivot's row is the first row of the highest
 level in its vector, so the vector is zero on every row above its pivot
-row's level.  ``rank`` and ``kernel_basis`` give every row level 0, so their
-pivot is the vector's first row.  The elimination returns its pivot
-profile, per column None if the column depends on earlier ones, else its
-pivot row's level.  Rank is the number of pivots, of any prefix of the
-columns too; ``pivot_profile`` serves the cohomology cells, which read
+row's level.  A row of negative level is never a pivot: a vector left with
+no other rows depends on earlier columns, and the elimination hands back
+what is left of it.  ``rank`` and ``kernel_basis`` give every other row
+level 0, so their pivot is the vector's first row.  The elimination returns
+its pivot profile, per column None if the column depends on earlier ones,
+else its pivot row's level.  Rank is the number of pivots, of any prefix of
+the columns too; ``pivot_profile`` serves the cohomology cells, which read
 several ranks off one profile.
 """
 
@@ -57,26 +61,24 @@ Column = Dict[Hashable, Fraction]
 
 
 def _eliminate(
-    columns: Sequence[Column],
-    track: bool,
-    level: Callable[[Hashable], int],
-) -> Tuple[List[Optional[int]], List[Dict[int, Fraction]]]:
-    """The pivot profile of the columns and, when ``track`` is set, the
-    relation {column: coefficient} of each column that depends on earlier
-    ones.
+    columns: Sequence[Column], level: Callable[[Hashable], int]
+) -> Tuple[List[Optional[int]], List[Dict[Hashable, int]]]:
+    """The pivot profile of the columns, and for each column that depends on
+    earlier ones, in column order, what is left of its vector: its rows of
+    negative level, {row: int}.
 
     The profile holds, per column, None if it depends on earlier columns,
     else ``level`` of its pivot row, the first row of the highest level in
-    its vector."""
+    its vector.  A row of negative level is never a pivot: a vector left
+    with no other rows depends on earlier columns."""
     index: Dict[Hashable, int] = {}  # row keys are hashed once, then ints
     row_level: List[int] = []  # level per row int
     profile: List[Optional[int]] = []
     where: Dict[int, int] = {}  # pivot row -> pivot number
-    # (pivot row, leading entry p > 0, vector with the row left out,
-    # combination of columns it equals)
-    pivots: List[Tuple[int, int, Dict[int, int], Optional[Dict[int, int]]]] = []
-    relations = []
-    for c, col in enumerate(columns):
+    # (pivot row, leading entry p > 0, vector with the row left out)
+    pivots: List[Tuple[int, int, Dict[int, int]]] = []
+    left = []
+    for col in columns:
         vec = {}
         den = 0  # the lcm of the Fraction entries' denominators; 0 if none
         for r, v in col.items():
@@ -90,11 +92,10 @@ def _eliminate(
                     den = lcm(den or 1, v.denominator)
         if den:
             vec = {i: v.numerator * (den // v.denominator) for i, v in vec.items()}
-        comb = {c: den or 1} if track else None
         heap = [where[r] for r in vec if r in where]
         heapify(heap)
         while heap:
-            row, p, pvec, pcomb = pivots[heappop(heap)]
+            row, p, pvec = pivots[heappop(heap)]
             f = vec.pop(row, None)
             if f is None:  # its row cancelled, or a number pushed twice
                 continue
@@ -115,41 +116,30 @@ def _eliminate(
                         vec[r] = new
                     else:
                         del vec[r]
-            if track:
-                if a != 1:
-                    for j in comb:
-                        comb[j] *= a
-                for j, v in pcomb.items():
-                    new = comb.get(j, 0) - b * v
-                    if new:
-                        comb[j] = new
-                    else:
-                        del comb[j]
-            g = gcd(*vec.values(), *comb.values()) if track else gcd(*vec.values())
+            g = gcd(*vec.values())
             if g > 1:
                 vec = {r: v // g for r, v in vec.items()}
-                if track:
-                    comb = {j: v // g for j, v in comb.items()}
         if vec:
             row = max(vec, key=row_level.__getitem__)
-            profile.append(row_level[row])
-            p = vec.pop(row)
-            g = gcd(p, *vec.values(), *comb.values()) if track else gcd(p, *vec.values())
-            if p < 0:
-                g = -g
-            if g != 1:
-                p //= g
-                vec = {r: v // g for r, v in vec.items()}
-                if track:
-                    comb = {j: v // g for j, v in comb.items()}
-            where[row] = len(pivots)
-            pivots.append((row, p, vec, comb))
-        else:
+            top = row_level[row]
+        if not vec or top < 0:
             profile.append(None)
-            if track:
-                d = comb[c]
-                relations.append({j: Fraction(v, d) for j, v in comb.items()})
-    return profile, relations
+            left.append(vec)
+            continue
+        profile.append(top)
+        p = vec.pop(row)
+        g = gcd(p, *vec.values())
+        if p < 0:
+            g = -g
+        if g != 1:
+            p //= g
+            vec = {r: v // g for r, v in vec.items()}
+        where[row] = len(pivots)
+        pivots.append((row, p, vec))
+    if any(left):  # the row ints were handed out in insertion order
+        keys = list(index)
+        left = [{keys[r]: v for r, v in vec.items()} for vec in left]
+    return profile, left
 
 
 def _flat(row: Hashable) -> int:
@@ -157,7 +147,7 @@ def _flat(row: Hashable) -> int:
 
 
 def rank(columns: Sequence[Column]) -> int:
-    return len(columns) - _eliminate(columns, False, _flat)[0].count(None)
+    return len(columns) - _eliminate(columns, _flat)[0].count(None)
 
 
 def pivot_profile(
@@ -168,13 +158,34 @@ def pivot_profile(
     vector.  The first n columns hold as many pivots as their rank, and as
     many pivots of level above s as the rank of their projection onto the
     rows of level above s (proved in the ``cohomology`` module docstring)."""
-    return _eliminate(columns, False, level)[0]
+    return _eliminate(columns, level)[0]
+
+
+class _Unit:
+    """The identity row ``kernel_basis`` gives a column; equal only to
+    itself, so it is no row of the caller's."""
+
+    __slots__ = ("column",)
+
+    def __init__(self, column: int):
+        self.column = column
 
 
 def kernel_basis(columns: Sequence[Column]) -> List[Dict[int, Fraction]]:
     """Basis of the right kernel, as sparse {column: coefficient} vectors.
 
     One vector per column that depends on earlier ones, in column order,
-    with 1 on that column and the rest on earlier pivot columns.
+    with 1 on that column and the rest on earlier pivot columns: what is
+    left of the column on the identity rows (module docstring), divided by
+    its own entry.
     """
-    return _eliminate(columns, True, _flat)[1]
+    units = [_Unit(c) for c in range(len(columns))]
+    profile, left = _eliminate(
+        [{**col, u: 1} for col, u in zip(columns, units)],
+        lambda row: -1 if type(row) is _Unit else 0,
+    )
+    dependent = (c for c, p in enumerate(profile) if p is None)
+    return [
+        {u.column: Fraction(v, rest[units[c]]) for u, v in rest.items()}
+        for c, rest in zip(dependent, left)
+    ]

@@ -172,10 +172,12 @@ class InducedTruncation:
         if key not in self._images:
             _LINE.check_direction(mode)
             slots = {m: p for p, m in enumerate(self.positive[weight + mode.index])}
-            # one term of coefficient 1: scale 1, so the image is the action
+            # one term of coefficient 1: scale 1, so the entries are the
+            # action; a mode of nonzero index moves no x_0, so they are all
+            # in the () group, and one plan leaves no entry cancelled to 0
             op = ChargeOperator(_LINE, [OperatorTerm(Fraction(1), (mode,))])
             self._images[key] = [
-                [(slots[m], c) for m, c in op.image(mono).items()]
+                [(slots[m], c) for m, c in op.base_image(mono).get((), {}).items()]
                 for mono in self.positive[weight]
             ]
         return self._images[key]

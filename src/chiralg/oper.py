@@ -15,15 +15,19 @@ Every computation here is Wick's theorem run on two steps of a canonical
 mode tuple: an annihilator removes one letter of its conjugate creator
 (``_remove``), and creators are merged in (``_insert``), whose Koszul sign is
 read off positions, as the fermions of a canonical monomial are its suffix.
-``normal_order`` folds a word's letters in from the right with them.  A
-charge is applied by ``ChargeOperator``, which splits its terms once into
-records (integer coefficient over one common denominator, its ``scale``;
-creators; annihilators), and ``_take`` compiles a record with any set of
-its annihilators acting.  ``_run`` is the one loop that runs filed plans on
-a monomial: the operator's own, all annihilators acting, on an x_0-free base
-(``ChargeOperator.base_image``, spread to every x_0 exponent by ``_spread``),
-and in ``_contract_into`` the sub-plans of one record, on the creators of
-another, which give the contractions of the Q^2 check in ``charges``.
+``normal_order`` folds a word's letters in from the right with them; the
+normal product of a word, its term without contractions, is the one Koszul
+sort ``fock._koszul_sort`` of the word with every creator before every
+annihilator (``normal_product``).  A charge is applied by ``ChargeOperator``,
+which splits its terms once into records (integer coefficient over one
+common denominator, its ``scale``; creators; annihilators), and ``_take``
+compiles a record with any set of its annihilators acting.  ``_run`` is the
+one loop that runs filed plans on a monomial: the operator's own, all
+annihilators acting, on an x_0-free base (``ChargeOperator.base_image``;
+every application of a charge, to a state, a cohomology column or a module
+vector, carries those entries to the x_0 exponents with ``_spread``), and in
+``_contract_into`` the sub-plans of one record, on the creators of another,
+which give the contractions of the Q^2 check in ``charges``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from .fock import (
     _FAMILY_ORDER,
@@ -178,25 +182,15 @@ def normal_product(
     """The normally ordered product :modes:, the one term of ``normal_order``
     without contractions; None if a fermion repeats.
 
-    Each annihilator moves right past the creators after it, with a Koszul
-    sign for each fermion pair, and each block is put in canonical order.
+    Inside :...: the letters supercommute, so it is the Koszul sort of the
+    word with every creator before every annihilator, each block in mode
+    order.
     """
-    creators, annihilators = [], []
-    sign, odd = 1, False  # odd: an odd number of fermionic creators to the right
-    for m in reversed(modes):
-        if space.is_creator(m):
-            creators.append(m)
-            odd ^= m.fermionic
-        else:
-            annihilators.append(m)
-            if odd and m.fermionic:
-                sign = -sign
-    sc = _koszul_sort(creators[::-1])
-    sa = _koszul_sort(annihilators[::-1])
-    if sc is None or sa is None:
+    placed = _koszul_sort(modes, lambda m: (not space.is_creator(m), m.key))
+    if placed is None:
         return None
-    sign *= sc[0] * sa[0]
-    return OperatorTerm(coeff if sign > 0 else -coeff, sc[1] + sa[1])
+    sign, ordered = placed
+    return OperatorTerm(coeff if sign > 0 else -coeff, ordered)
 
 
 def combine_terms(terms: Iterable[OperatorTerm]) -> list:
@@ -362,9 +356,9 @@ class ChargeOperator:
     annihilators remove, in the order they act, and its creators, merged in
     together, with the derivation rule signs folded into the coefficient.  A
     plan runs on the mode tuple with integer multiplicities and Koszul signs,
-    so ``image`` is ``int`` arithmetic only and gives scale * Q of a
-    monomial; calling the operator on a state divides by ``scale`` and is
-    the exact rational action.
+    so its entries are ``int`` arithmetic only, scale * Q; calling the
+    operator on a state divides by ``scale`` and is the exact rational
+    action.
 
     The weight-0 letters x{d}_0 are split off every plan: per direction d it
     records j_d, the x{d}_0 letters it takes (only y{d}_0 = d/dx{d}_0 takes
@@ -372,46 +366,51 @@ class ChargeOperator:
     ``moves`` (d - 1, j_d, shift_d) over the directions where either is
     nonzero.  The rest of the plan is filed for ``_run`` and runs once on an
     x_0-free base b (``base_image``, whose entries are grouped by their
-    moves), and ``_spread`` carries each entry to x_0^a b: x{d}_0 occurs a_d
-    times, so taking j_d of them multiplies by the falling factorial
-    a_d (a_d - 1) ... (a_d - j_d + 1), zero if a_d < j_d, and the exponent
-    becomes a_d + shift_d.  No Koszul sign depends on a: x_0 is bosonic and
-    sorts before every fermion, so removing or adding an x_0 moves no
-    fermion position relative to the fermion suffix that ``_remove`` and
-    ``_insert`` read their signs from.  ``image`` splits a monomial into
-    base and exponents, spreads the base's entries and joins each result
-    back.  When no plan is target-free, a base holding none of the filed
-    first targets has no image at all.
+    moves and kept for the operator's life), and ``_spread`` carries each
+    entry to x_0^a b: x{d}_0 occurs a_d times, so taking j_d of them
+    multiplies by the falling factorial a_d (a_d - 1) ... (a_d - j_d + 1),
+    zero if a_d < j_d, and the exponent becomes a_d + shift_d.  No Koszul
+    sign depends on a: x_0 is bosonic and sorts before every fermion, so
+    removing or adding an x_0 moves no fermion position relative to the
+    fermion suffix that ``_remove`` and ``_insert`` read their signs from.
+    Calling the operator splits each monomial into base and exponents,
+    spreads the base's entries and joins each result back.  When no plan is
+    target-free, a base holding none of the filed first targets has no
+    image at all.
     """
 
     def __init__(self, space: SpaceSpec, terms: Sequence[OperatorTerm]):
         self.scale = lcm(*(t.coefficient.denominator for t in terms))
         self.terms = [(int(t.coefficient * self.scale), *_split(space, t.modes)) for t in terms]
         self._x0 = tuple(ModeKey(Family.X, d, 0) for d in range(1, space.dim + 1))
-        self._x0_set = frozenset(self._x0)
-        self._no_x0 = (0,) * space.dim
+        x0_set = frozenset(self._x0)
         self.plans: dict = {}  # first non-x_0 target or None -> plans with their moves
         for coeff, creators, annihilators in self.terms:
             coeff, targets, _ = _take(coeff, annihilators, (1 << len(annihilators)) - 1)
             moves = ()
-            if not self._x0_set.isdisjoint(targets + creators):
+            if not x0_set.isdisjoint(targets + creators):
                 moves = tuple(
                     (d, targets.count(x), creators.count(x) - targets.count(x))
                     for d, x in enumerate(self._x0)
                     if x in targets or x in creators
                 )
-                targets = tuple(t for t in targets if t not in self._x0_set)
-                creators = tuple(c for c in creators if c not in self._x0_set)
+                targets = tuple(t for t in targets if t not in x0_set)
+                creators = tuple(c for c in creators if c not in x0_set)
             self.plans.setdefault(targets[0] if targets else None, []).append(
                 _plan(coeff, targets, creators, moves)
             )
         self._firsts = None if None in self.plans else frozenset(self.plans)
+        self._images: Dict[tuple, dict] = {}
 
     def base_image(self, base: tuple) -> dict:
         """The entries of scale * Q on the x_0-free ``base``, grouped by
         their moves, {moves: {result base: coefficient}}; a coefficient may
-        cancel to 0.  ``_spread`` carries them to x_0^a base."""
-        acc = {}
+        cancel to 0.  ``_spread`` carries them to x_0^a base.  Each base's
+        entries are computed once; the caller must not change them."""
+        acc = self._images.get(base)
+        if acc is not None:
+            return acc
+        acc = self._images[base] = {}
         if self._firsts is not None and self._firsts.isdisjoint(base):
             return acc
         for coeff, _, modes, moves in _run(self.plans, base):
@@ -420,21 +419,6 @@ class ChargeOperator:
                 group = acc[moves] = {}
             _accumulate(group, modes, coeff)
         return acc
-
-    def image(self, mono: tuple) -> dict:
-        """scale * Q(mono), {monomial: int}, zeros dropped."""
-        if self._x0_set.isdisjoint(mono):
-            base, exps = mono, self._no_x0
-        else:
-            base, exps = self._split_x0(mono)
-        entries = self.base_image(base)
-        if not entries:
-            return {}
-        if exps is self._no_x0 and len(entries) == 1 and () in entries:
-            # no x_0 in mono and none moved: the base's image is mono's, with
-            # no spread and no join, as for every positive monomial of modfun
-            return {b: c for b, c in entries[()].items() if c}
-        return {self._join(b, e): c for (b, e), c in _spread(entries, exps).items()}
 
     def _split_x0(self, mono: tuple) -> tuple:
         """(base, exps): ``mono`` without its x_0 letters, and the number of
@@ -459,8 +443,9 @@ class ChargeOperator:
     def __call__(self, state: State) -> State:
         acc = {}
         for mono, coeff in state.terms.items():
-            for m, c in self.image(mono).items():
-                _accumulate(acc, m, coeff * c)
+            base, exps = self._split_x0(mono)
+            for (b, e), c in _spread(self.base_image(base), exps).items():
+                _accumulate(acc, self._join(b, e), coeff * c)
         return State({m: v / self.scale for m, v in acc.items()})
 
 

@@ -6,7 +6,10 @@
   path to give exactly the same states.
 - The worklist normal ordering the package used before it expanded products
   by Wick's theorem: ``reference_normal_order`` moves one annihilator right
-  past one creator at a time and is verbatim apart from its name.  The
+  past one creator at a time and is verbatim apart from its name and its
+  last step, which puts each block of a word in canonical order with the
+  oracle's own ``_fermion_sort_sign`` rather than with
+  ``oper.normal_product``, the routine it is the reference for.  The
   scalar contraction of a pair that it uses, ``_contraction``, is the
   package's own from before it folded words onto the two plan steps.
 - The square of a charge expanded over every pair of terms, as the
@@ -91,7 +94,6 @@ from chiralg.oper import (
     OperatorTerm,
     combine_terms,
     instantiate_charge,
-    normal_product,
 )
 from chiralg.qseries import TruncatedSeries
 
@@ -220,10 +222,12 @@ def reference_normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[Mo
             work.append((-c if a.fermionic and b.fermionic else c, swapped, resume))
             continue
         # No annihilator sits left of a creator: what is left of the word
-        # is its own normal product.
-        term = normal_product(space, c, word)
-        if term is not None:
-            out.append(term)
+        # is its own normal product, each block put in canonical order.
+        blocks = ([m for m in word if creator(m)], [m for m in word if not creator(m)])
+        signs = [_fermion_sort_sign([m for m in b if m.fermionic]) for b in blocks]
+        if None not in signs:
+            ordered = tuple(m for b in blocks for m in sorted(b, key=ModeKey.sort_key))
+            out.append(OperatorTerm(c * signs[0] * signs[1], ordered))
     return out
 
 

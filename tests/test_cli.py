@@ -710,6 +710,24 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
+def test_unwitnessed_square_exits_3(tmp_path, capsys, monkeypatch):
+    """A Q^2 term that survives with no probe to witness it is a fault of the
+    package, not of the spec: with every operator application made zero, the
+    Jacobi violation's probes witness nothing, and the check names the term
+    as an internal error, with nothing on stdout."""
+    from chiralg.fock import State
+    from chiralg.oper import ChargeOperator
+
+    monkeypatch.setattr(ChargeOperator, "__call__", lambda self, state: State())
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"dim": 3, "lie": BAD_JACOBI, "caps": {"weight_max": 1}}))
+    assert main(["nilpotency", "--spec", str(spec_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "internal error: RuntimeError: Q^2 term " in err
+    assert "survives but no probe witnesses it" in err
+
+
 COEFFS = hst.sampled_from(["1", "-1", "2", "1/2", "-3/2", "0"])
 # every command but the two that take a zero-mode module
 SPACE_COMMANDS = (

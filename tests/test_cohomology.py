@@ -225,9 +225,9 @@ def _elimination_sizes(run):
     sizes = []
     real = linalg._eliminate
 
-    def count(columns, track, level):
+    def count(columns, level):
         sizes.append(len(columns))
-        return real(columns, track, level)
+        return real(columns, level)
 
     with mock.patch.object(linalg, "_eliminate", count):
         run()

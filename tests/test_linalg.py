@@ -224,14 +224,16 @@ def real_runs(draw):
 
 
 def eliminated_blocks(run):
-    """Every column list the run hands to the elimination, with its level
+    """Every column list the run hands to the elimination, without the
+    identity rows ``kernel_basis`` gives its columns, with its level
     function."""
     blocks = []
     real = linalg._eliminate
 
-    def record(columns, track, level):
-        blocks.append((columns, level))
-        return real(columns, track, level)
+    def record(columns, level):
+        plain = [{r: v for r, v in col.items() if type(r) is not linalg._Unit} for col in columns]
+        blocks.append((plain, level))
+        return real(columns, level)
 
     with mock.patch.object(linalg, "_eliminate", record):
         run()
@@ -247,19 +249,29 @@ def test_elimination_matches_fraction_reference_on_real_blocks(run):
     level 0 (as in ``rank`` and ``kernel_basis``); the profile marks exactly
     the columns the relations are for.  With the block's levels the pivots
     move, but the rank, the dependent columns and the kernel vectors (each
-    unique) stay."""
+    unique), read off the same identity rows, stay."""
     for cols, level in eliminated_blocks(run):
-        for track in (False, True):
-            profile, rels = linalg._eliminate(cols, track, lambda row: 0)
-            ref_r, ref_rels = reference_eliminate(cols, track)
-            assert len(cols) - profile.count(None) == ref_r
-            assert set(profile) <= {None, 0}
-            assert [list(rel.items()) for rel in rels] == [list(rel.items()) for rel in ref_rels]
-            assert all(type(v) is Fraction for rel in rels for v in rel.values())
+        profile, left = linalg._eliminate(cols, lambda row: 0)
+        assert len(cols) - profile.count(None) == reference_eliminate(cols, False)[0]
+        assert set(profile) <= {None, 0}
+        assert left == [{}] * profile.count(None)
+        units = [linalg._Unit(c) for c in range(len(cols))]
+        with_units = [{**col, u: 1} for col, u in zip(cols, units)]
+        tracked = linalg._eliminate(with_units, lambda row: -1 if type(row) is linalg._Unit else 0)
+        assert tracked[0] == profile
+        rels, (_, ref_rels) = kernel_basis(cols), reference_eliminate(cols, True)
+        assert [list(rel.items()) for rel in rels] == [list(rel.items()) for rel in ref_rels]
+        assert all(type(v) is Fraction for rel in rels for v in rel.values())
         dependent = [c for c, p in enumerate(profile) if p is None]
         assert dependent == [next(iter(rel)) for rel in ref_rels]
-        leveled, leveled_rels = linalg._eliminate(cols, True, level)
+        leveled, left = linalg._eliminate(
+            with_units, lambda row: -1 if type(row) is linalg._Unit else level(row)
+        )
         assert [c for c, p in enumerate(leveled) if p is None] == dependent
+        leveled_rels = [
+            {u.column: Fraction(v, rest[units[c]]) for u, v in rest.items()}
+            for c, rest in zip(dependent, left)
+        ]
         assert leveled_rels == ref_rels
         assert all(type(v) is Fraction for rel in leveled_rels for v in rel.values())
 

@@ -130,3 +130,47 @@ def test_oracle_use_check_sees_both_import_forms():
         "    other.reference_basis\n"
     )
     assert oracle_names_used(tree) == {"apply_term", "translate", "apply_mode"}
+
+
+# the routines ``mode_oracle`` is the reference for: an oracle that calls one
+# of them agrees with it by construction
+ORACLE_SUBJECTS = {"normal_product", "normal_order", "_koszul_sort", "_insert"}
+
+
+def imported_names(tree: ast.AST) -> set:
+    """Names a module takes from others: by ``from module import name``, or
+    as an attribute, at any depth, of a name an import binds
+    (``chiralg.oper.normal_order``, ``o._insert``)."""
+    names, bound = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if isinstance(node, ast.ImportFrom):
+                    names.add(alias.name)
+                bound.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in bound:
+                names.add(node.attr)
+    return names
+
+
+def test_oracle_imports_none_of_its_subjects():
+    oracle = ast.parse((TESTS / "mode_oracle.py").read_text())
+    assert sorted(imported_names(oracle) & ORACLE_SUBJECTS) == []
+
+
+def test_import_check_sees_both_import_forms():
+    tree = ast.parse(
+        "import chiralg.oper\n"
+        "from chiralg.fock import _koszul_sort, State as S\n"
+        "from chiralg import oper as o\n"
+        "def f(word):\n"
+        "    o._insert((), word)\n"
+        "    chiralg.oper.normal_order(1, 2, word)\n"
+        "    word.normal_product\n"
+    )
+    assert imported_names(tree) == {"_koszul_sort", "State", "oper", "_insert", "normal_order"}
