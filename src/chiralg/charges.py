@@ -211,16 +211,17 @@ def lie_charge(sc: StructureConstants) -> SymbolicCharge:
                     patterns.append(
                         (v, ((Family.X, k + 1), (Family.PSI, j + 1), (Family.Y, i + 1)))
                     )
+    # The ghost block is -1/2 c^i_{jk} psi_j psi_k phi_i over all (j, k).  The
+    # psi letters anticommute and c is antisymmetric in (j, k), so the terms
+    # of (j, k) and (k, j) are equal and those of j = k vanish: each pair
+    # j < k is emitted once, with coefficient -c^i_{jk}.
     for i in range(n):
         for j in range(n):
-            for k in range(n):
+            for k in range(j + 1, n):
                 v = sc.c[i][j][k]
                 if v:
                     patterns.append(
-                        (
-                            -Fraction(1, 2) * v,
-                            ((Family.PSI, j + 1), (Family.PSI, k + 1), (Family.PHI, i + 1)),
-                        )
+                        (-v, ((Family.PSI, j + 1), (Family.PSI, k + 1), (Family.PHI, i + 1)))
                     )
     return SymbolicCharge(patterns=tuple(patterns), side=Side.THETA)
 

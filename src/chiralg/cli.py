@@ -289,7 +289,8 @@ class ProblemSpec:
                 for c, entry in enumerate(row):
                     v = _fraction(entry, f"{where}.actions.{name}[{r}][{c}]")
                     if v:
-                        cols[c][r] = v
+                        # integral entries as int, so they act by int arithmetic
+                        cols[c][r] = v.numerator if v.denominator == 1 else v
             actions[name] = cols
         try:
             return ZeroModeModule(tuple(labels), tuple(degrees), tuple(parities), cap, actions)

@@ -9,6 +9,14 @@ index acts on the positive factor as a one-term ``oper.ChargeOperator``, the
 action on Fock spaces, and never touches the zero-mode factor; zero modes
 act on the zero-mode factor with the Koszul sign of the positive modes they
 pass.  Only d = 1 is implemented; products of lines reduce to it.
+
+Entries are ``int`` wherever they are integers: the built-in modules, the
+images of modes of nonzero index (``oper.ChargeOperator`` entries at scale
+1) and the accumulators are all integral, so a product is ``int`` arithmetic.  A
+``Fraction`` enters only where something divides: a kernel vector of
+``linalg.kernel_basis`` that is not integral, or a module entry that is not
+an integer.  The epsilon check builds the column of each positive monomial
+from the column of its tail, one mode application each.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .fock import Family, ModeKey, Side, enumerate_basis, make_space
 from .linalg import kernel_basis, rank
 from .oper import ChargeOperator, OperatorTerm
 
-Vector = Dict[int, Fraction]  # basis index -> coefficient
+Vector = Dict[int, int | Fraction]  # basis index -> exact coefficient
 
 
 class ModuleError(ValueError):
@@ -69,20 +77,20 @@ class ZeroModeModule:
         out: Vector = {}
         for i, c in vec.items():
             for r, v in mat[i].items():
-                out[r] = out.get(r, Fraction(0)) + c * v
+                out[r] = out.get(r, 0) + c * v
         return {r: v for r, v in out.items() if v}
 
     def _check_relations(self):
         def commutator(a, b, i, sign):
             # a(b(e_i)) + sign * b(a(e_i))
-            va = self.apply(a, self.apply(b, {i: Fraction(1)}))
-            vb = self.apply(b, self.apply(a, {i: Fraction(1)}))
+            va = self.apply(a, self.apply(b, {i: 1}))
+            vb = self.apply(b, self.apply(a, {i: 1}))
             out = dict(va)
             for r, v in vb.items():
-                out[r] = out.get(r, Fraction(0)) + sign * v
+                out[r] = out.get(r, 0) + sign * v
             return {r: v for r, v in out.items() if v}
 
-        unit = lambda i: {i: Fraction(1)}
+        unit = lambda i: {i: 1}
         for i in range(self.dim):
             # [y0, x0] = 1, checked where x0's image stays under the cap
             if self.degrees[i] < self.cap:
@@ -120,13 +128,13 @@ def _line_zero_modes(
     actions = {name: [dict() for _ in labels] for name in ZERO_MODE_NAMES}
     for (k, eps), i in index.items():
         if k + 1 <= cap:
-            actions[raising][i] = {index[(k + 1, eps)]: Fraction(1)}
+            actions[raising][i] = {index[(k + 1, eps)]: 1}
         if k >= 1:
-            actions[lowering][i] = {index[(k - 1, eps)]: Fraction(sign * k)}
+            actions[lowering][i] = {index[(k - 1, eps)]: sign * k}
         if eps == 0:
-            actions["psi0"][i] = {index[(k, 1)]: Fraction(1)}
+            actions["psi0"][i] = {index[(k, 1)]: 1}
         else:
-            actions["phi0"][i] = {index[(k, 0)]: Fraction(1)}
+            actions["phi0"][i] = {index[(k, 0)]: 1}
     return ZeroModeModule(tuple(labels), tuple(degrees), tuple(parities), cap, actions)
 
 
@@ -202,17 +210,17 @@ class InducedTruncation:
                 p, b = divmod(i, n)
                 for slot, v in images[p]:
                     j = slot * n + b
-                    out[j] = out.get(j, Fraction(0)) + c * v
+                    out[j] = out.get(j, 0) + c * v
         else:
             # an odd zero mode passes the positive factor to reach the base
-            name = f"{mode.family.value}0"
+            mat = self.base.actions[f"{mode.family.value}0"]
             for i, c in vec.items():
                 p, b = divmod(i, n)
                 odd = sum(m.fermionic for m in self.positive[weight][p]) & 1
                 sign = -1 if mode.fermionic and odd else 1
-                for r, v in self.base.apply(name, {b: Fraction(1)}).items():
+                for r, v in mat[b].items():
                     j = p * n + r
-                    out[j] = out.get(j, Fraction(0)) + c * sign * v
+                    out[j] = out.get(j, 0) + c * sign * v
         return new_weight, {j: v for j, v in out.items() if v}
 
 
@@ -260,7 +268,10 @@ def check_epsilon(base: ZeroModeModule, weight_cap: int) -> EpsilonReport:
     For M induced from N: the weight-0 singular vectors must span exactly N,
     there must be none in weights 1..cap, and the multiplication map from
     (free positive monomials) x (singular vectors) to M must be bijective
-    weight by weight.
+    weight by weight.  The column of a positive monomial on a singular
+    vector is its modes applied right to left, so it is the monomial's first
+    mode applied to the column of the rest, which has lower weight: the
+    columns are built weight by weight, each from its tail's.
     """
     module = InducedTruncation(base, weight_cap)
     details = {"weights": {}}
@@ -275,15 +286,23 @@ def check_epsilon(base: ZeroModeModule, weight_cap: int) -> EpsilonReport:
         details["weights"][q] = {"singular_dim": dq}
         if dq != 0:
             ok = False
-    # epsilon: positive monomials applied to weight-0 singular vectors
+    # epsilon: positive monomials applied to weight-0 singular vectors, kept
+    # per monomial as (weight, column) per singular vector, integral entries
+    # of the kernel vectors as int
+    columns: Dict[tuple, List[Tuple[int, Vector]]] = {
+        (): [
+            (0, {j: v.numerator if v.denominator == 1 else v for j, v in vec.items()})
+            for vec in sing0
+        ]
+    }
     for q in range(weight_cap + 1):
         cols = []
         for pos in module.positive[q]:
-            for vec in sing0:
-                w, cur = 0, dict(vec)
-                for mode in reversed(pos):
-                    w, cur = module.apply_mode(mode, w, cur)
-                cols.append({j: v for j, v in cur.items()})
+            if pos:
+                columns[pos] = [
+                    module.apply_mode(pos[0], w, cur) for w, cur in columns[pos[1:]]
+                ]
+            cols.extend(cur for _, cur in columns[pos])
         r = rank(cols)
         full = module.dim(q)
         info = details["weights"].setdefault(q, {})

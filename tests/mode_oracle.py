@@ -49,6 +49,12 @@
   basis vector of the whole weight piece, each built by
   ``InducedTruncation.apply_mode``.  ``reference_singular_vectors`` is
   verbatim apart from its name.
+- The columns of the epsilon check as the package built them before it
+  built each from the column of its monomial's tail:
+  ``reference_epsilon_columns`` applies every mode of each positive
+  monomial, right to left, to each weight-0 singular vector, in
+  ``Fraction``, and lists the columns per weight in the order
+  ``modfun.check_epsilon`` hands them to ``rank``.
 - The Jacobi check of ``StructureConstants`` over every index quadruple,
   before it visited i < j < k only: ``reference_check_jacobi``, verbatim
   apart from taking the constants as an argument.
@@ -748,6 +754,27 @@ def reference_singular_vectors(module: InducedTruncation, weight: int) -> List[V
                 for j, v in img.items():
                     columns[i][(fam, idx, j)] = v
     return kernel_basis(columns)
+
+
+def reference_epsilon_columns(module: InducedTruncation) -> List[List[Vector]]:
+    """Per weight 0..cap, one column per positive monomial and weight-0
+    singular vector (monomial outer): the monomial's modes applied one by
+    one to the vector."""
+    sing0 = [
+        {j: Fraction(v) for j, v in vec.items()}
+        for vec in reference_singular_vectors(module, 0)
+    ]
+    out = []
+    for q in range(module.weight_cap + 1):
+        cols = []
+        for pos in module.positive[q]:
+            for vec in sing0:
+                w, cur = 0, dict(vec)
+                for mode in reversed(pos):
+                    w, cur = module.apply_mode(mode, w, cur)
+                cols.append(cur)
+        out.append(cols)
+    return out
 
 
 def reference_check_jacobi(sc: StructureConstants) -> None:

@@ -4,12 +4,14 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from chiralg import modfun
 from chiralg.charges import Potential, potential_charge
-from chiralg.cli import ProblemSpec
+from chiralg.cli import ProblemSpec, main
 from chiralg.fock import (
     Family,
     ModeKey,
@@ -31,7 +33,7 @@ from chiralg.modfun import (
 )
 from chiralg.oper import instantiate_charge
 from conftest import partition_gf_coeffs
-from mode_oracle import apply_mode, reference_singular_vectors
+from mode_oracle import apply_mode, reference_epsilon_columns, reference_singular_vectors
 
 THETA1 = make_space(Side.THETA, 1)
 
@@ -325,3 +327,83 @@ def test_singular_vectors_match_reference(base, weight_cap, seed):
         assert [list(v) for v in got] == [list(v) for v in want], q
     with pytest.raises(ModuleError, match="head-room"):
         singular_vectors(module, weight_cap + 1)
+
+
+def _explicit_json(base, x0=1, y0=1):
+    """The spec object of ``base`` as an explicit module, with the entries
+    of x0 and y0 multiplied by ``x0`` and ``y0``."""
+    doc = _direct_sum_json([base], range(base.dim))
+    for name, factor in (("x0", x0), ("y0", y0)):
+        doc["actions"][name] = [
+            [str(Fraction(entry) * factor) for entry in row] for row in doc["actions"][name]
+        ]
+    return doc
+
+
+# the polynomial module with x0 scaled by 3 and y0 by 1/3: [y0, x0] = 1
+# still holds, and its entries mix int and Fraction
+_RESCALED_JSON = _explicit_json(polynomial_zero_modes(2), 3, Fraction(1, 3))
+
+
+def _entry_types(base):
+    return {type(v) for mat in base.actions.values() for col in mat for v in col.values()}
+
+
+@pytest.mark.parametrize("command", ["epsilon-check", "singular"])
+def test_explicit_modules_match_the_builtin_payload(tmp_path, command):
+    """An explicit copy of the built-in polynomial module keeps its integral
+    entries as int and gives the built-in's payload byte for byte; the copy
+    with x0 scaled by 3 and y0 by 1/3 gives the same report."""
+    copy = _explicit_json(polynomial_zero_modes(2))
+    assert _entry_types(ProblemSpec({"dim": 1, "zero_modes": copy}).zero_mode_module()) == {int}
+    rescaled = ProblemSpec({"dim": 1, "zero_modes": _RESCALED_JSON}).zero_mode_module()
+    assert _entry_types(rescaled) == {int, Fraction}
+    payloads = []
+    for zero_modes in ({"builtin": "polynomial", "cap": 2}, copy, _RESCALED_JSON):
+        spec_path, out_path = tmp_path / "spec.json", tmp_path / "out.json"
+        spec_path.write_text(json.dumps({"dim": 1, "zero_modes": zero_modes, "caps": {"weight_max": 3}}))
+        assert main([command, "--spec", str(spec_path), "--out", str(out_path)]) == 0
+        payload = json.loads(out_path.read_text())["payload"]
+        payloads.append(json.dumps(payload, indent=2, sort_keys=True))
+    assert payloads[1] == payloads[0]
+    assert payloads[2] == payloads[0]
+
+
+def _epsilon_columns(base, weight_cap):
+    """The report of ``check_epsilon`` and the columns of each of its
+    ``rank`` calls."""
+    seen = []
+    real = modfun.rank
+
+    def capture(columns):
+        seen.append(list(columns))
+        return real(columns)
+
+    with mock.patch.object(modfun, "rank", capture):
+        report = check_epsilon(base, weight_cap)
+    return report, seen
+
+
+@pytest.mark.parametrize("weight_cap", range(4))
+@pytest.mark.parametrize(
+    "name, cap",
+    [("polynomial", c) for c in range(4)] + [("delta", c) for c in range(4)] + [("rescaled", 2)],
+)
+def test_epsilon_columns_match_reference(name, cap, weight_cap):
+    """The columns built each from its monomial's tail are, in order and
+    with their keys in order, the monomial's modes applied one by one to
+    each weight-0 singular vector in ``Fraction``; on the built-in modules
+    every entry is an int."""
+    if name == "rescaled":
+        base = ProblemSpec({"dim": 1, "zero_modes": _RESCALED_JSON}).zero_mode_module()
+    else:
+        base = {"polynomial": polynomial_zero_modes, "delta": delta_zero_modes}[name](cap)
+    report, got = _epsilon_columns(base, weight_cap)
+    want = reference_epsilon_columns(InducedTruncation(base, weight_cap))
+    assert report
+    assert got == want
+    assert [[list(col) for col in cols] for cols in got] == [
+        [list(col) for col in cols] for cols in want
+    ]
+    if name != "rescaled":
+        assert {type(v) for cols in got for col in cols for v in col.values()} == {int}

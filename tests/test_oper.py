@@ -229,6 +229,52 @@ def test_instantiate_abelian_lie_charge_is_empty():
     assert instantiate_charge(charge, make_space(Side.THETA, 2), 3) == []
 
 
+def _two_ordering_lie_charge(sc):
+    """``lie_charge`` with its ghost block summed over both orderings of
+    each pair, -1/2 c^i_{jk} psi_j psi_k phi_i over every (j, k)."""
+    n, c = sc.dim, sc.c
+    patterns = [
+        (c[k][j][i], ((Family.X, k + 1), (Family.PSI, j + 1), (Family.Y, i + 1)))
+        for k in range(n) for i in range(n) for j in range(n) if c[k][j][i]
+    ]
+    patterns += [
+        (-c[i][j][k] / 2, ((Family.PSI, j + 1), (Family.PSI, k + 1), (Family.PHI, i + 1)))
+        for i in range(n) for j in range(n) for k in range(n) if c[i][j][k]
+    ]
+    return SymbolicCharge(tuple(patterns), Side.THETA)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "dim, entries",
+    [
+        (3, [(3, 1, 2, 1), (1, 3, 1, 2), (2, 3, 2, -2)]),  # sl2
+        (2, [(2, 1, 2, 1)]),  # b2
+        (3, [(3, 1, 2, 1)]),  # Heisenberg
+    ],
+    ids=["sl2", "b2", "heisenberg"],
+)
+def test_lie_charge_emits_each_ghost_pair_once(dim, entries, seed):
+    """Emitting psi_j psi_k phi_i once per pair j < k with coefficient
+    -c^i_{jk} instantiates to the same terms, one for one, as summing
+    -1/2 c^i_{jk} over both orderings, under a seeded diagonal rescaling
+    e_i -> s_i e_i of the basis."""
+    rng = random.Random(seed)
+    scales = [Fraction(s) for s in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3))]
+    s = [rng.choice(scales) for _ in range(dim)]
+    sc = StructureConstants.from_entries(
+        dim, [(k, i, j, v * s[i - 1] * s[j - 1] / s[k - 1]) for k, i, j, v in entries]
+    )
+    charge = lie_charge(sc)
+    ghosts = [letters for _, letters in charge.patterns if letters[-1][0] is Family.PHI]
+    assert len(ghosts) == len(entries)  # one per nonzero c^i_{jk}, j < k
+    space = make_space(Side.THETA, dim)
+    for window in range(3):
+        got = instantiate_charge(charge, space, window)
+        assert got == instantiate_charge(_two_ordering_lie_charge(sc), space, window), window
+        assert got
+
+
 def test_translate_examples():
     assert translate(THETA1, State.of(())).is_zero()
     assert translate(THETA1, st(THETA1, X(0))) == st(THETA1, X(1))
