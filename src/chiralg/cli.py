@@ -254,6 +254,8 @@ class ProblemSpec:
             raise SpecError(f"spec.dim: zero-mode modules need dim 1, got {self.dim}")
         if "builtin" in zm:
             cap = _field(zm, "cap", int, "spec.zero_modes", False, 2)
+            if cap < 0:
+                raise SpecError("spec.zero_modes.cap: must be >= 0")
             name = zm["builtin"]
             if name == "polynomial":
                 return polynomial_zero_modes(cap)

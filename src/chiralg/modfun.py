@@ -5,14 +5,16 @@ the zero-mode algebra on the odd cotangent bundle of the affine line
 (generators x0, y0, phi0, psi0 with [y0, x0] = 1 and {psi0, phi0} = 1).
 Induction adjoins free positive modes of all four families: the induced
 module is (free positive part) x (zero-mode module).  A mode of nonzero
-index acts on the positive factor as a one-term ``oper.ChargeOperator``, the
-action on Fock spaces, and never touches the zero-mode factor; zero modes
-act on the zero-mode factor with the Koszul sign of the positive modes they
-pass.  Only d = 1 is implemented; products of lines reduce to it.
+index acts on the positive factor by one Wick step of the action on Fock
+spaces (``oper._act``: a creator is merged in, an annihilator removes one
+conjugate letter), so it sends each positive monomial to one monomial or to
+zero, and never touches the zero-mode factor; zero modes act on the
+zero-mode factor with the Koszul sign of the positive modes they pass.
+Only d = 1 is implemented; products of lines reduce to it.
 
 Entries are ``int`` wherever they are integers: the built-in modules, the
-images of modes of nonzero index (``oper.ChargeOperator`` entries at scale
-1) and the accumulators are all integral, so a product is ``int`` arithmetic.  A
+images of modes of nonzero index (a multiplicity or a sign) and the
+accumulators are all integral, so a product is ``int`` arithmetic.  A
 ``Fraction`` enters only where something divides: a kernel vector of
 ``linalg.kernel_basis`` that is not integral, or a module entry that is not
 an integer.  The epsilon check builds the column of each positive monomial
@@ -27,7 +29,7 @@ from typing import Dict, List, Tuple
 
 from .fock import Family, ModeKey, Side, enumerate_basis, make_space
 from .linalg import kernel_basis, rank
-from .oper import ChargeOperator, OperatorTerm
+from .oper import _act
 
 Vector = Dict[int, int | Fraction]  # basis index -> exact coefficient
 
@@ -169,24 +171,25 @@ class InducedTruncation:
             q: enumerate_basis(_LINE, q, x0_cap=0, zero_fermion_allowed=False)
             for q in range(weight_cap + 1)
         }
-        # (mode, weight) -> per positive monomial, its image as (slot, coeff)
-        self._images: Dict[Tuple[ModeKey, int], List[list]] = {}
+        # weight -> {positive monomial: its position in positive[weight]}
+        self._slots = {
+            q: {m: p for p, m in enumerate(monos)} for q, monos in self.positive.items()
+        }
+        # (mode, weight) -> per positive monomial, its image as (slot, coeff),
+        # or None where the mode kills it
+        self._images: Dict[Tuple[ModeKey, int], list] = {}
 
     def dim(self, weight: int) -> int:
         return len(self.positive.get(weight, [])) * self.base.dim
 
-    def _positive_images(self, mode: ModeKey, weight: int) -> List[list]:
+    def _positive_images(self, mode: ModeKey, weight: int) -> list:
         key = (mode, weight)
         if key not in self._images:
             _LINE.check_direction(mode)
-            slots = {m: p for p, m in enumerate(self.positive[weight + mode.index])}
-            # one term of coefficient 1: scale 1, so the entries are the
-            # action; a mode of nonzero index moves no x_0, so they are all
-            # in the () group, and one plan leaves no entry cancelled to 0
-            op = ChargeOperator(_LINE, [OperatorTerm(Fraction(1), (mode,))])
+            slots = self._slots[weight + mode.index]
+            images = (_act(_LINE, mode, mono) for mono in self.positive[weight])
             self._images[key] = [
-                [(slots[m], c) for m, c in op.base_image(mono).get((), {}).items()]
-                for mono in self.positive[weight]
+                None if image is None else (slots[image[1]], image[0]) for image in images
             ]
         return self._images[key]
 
@@ -208,9 +211,10 @@ class InducedTruncation:
             images = self._positive_images(mode, weight)
             for i, c in vec.items():
                 p, b = divmod(i, n)
-                for slot, v in images[p]:
-                    j = slot * n + b
-                    out[j] = out.get(j, 0) + c * v
+                image = images[p]
+                if image is not None:
+                    j = image[0] * n + b
+                    out[j] = out.get(j, 0) + c * image[1]
         else:
             # an odd zero mode passes the positive factor to reach the base
             mat = self.base.actions[f"{mode.family.value}0"]
@@ -243,8 +247,8 @@ def singular_vectors(module: InducedTruncation, weight: int) -> List[Vector]:
         for fam in (Family.X, Family.Y, Family.PHI, Family.PSI):
             images = module._positive_images(ModeKey(fam, 1, -idx), weight)
             for col, image in zip(columns, images):
-                for slot, v in image:
-                    col[(fam, idx, slot)] = v
+                if image is not None:
+                    col[(fam, idx, image[0])] = image[1]
     n = module.base.dim
     return [
         {p * n + b: c for p, c in vec.items()}

@@ -15,19 +15,21 @@ Every computation here is Wick's theorem run on two steps of a canonical
 mode tuple: an annihilator removes one letter of its conjugate creator
 (``_remove``), and creators are merged in (``_insert``), whose Koszul sign is
 read off positions, as the fermions of a canonical monomial are its suffix.
-``normal_order`` folds a word's letters in from the right with them; the
-normal product of a word, its term without contractions, is the one Koszul
-sort ``fock._koszul_sort`` of the word with every creator before every
-annihilator (``normal_product``).  A charge is applied by ``ChargeOperator``,
-which splits its terms once into records (integer coefficient over one
-common denominator, its ``scale``; creators; annihilators), and ``_take``
-compiles a record with any set of its annihilators acting.  ``_run`` is the
-one loop that runs filed plans on a monomial: the operator's own, all
-annihilators acting, on an x_0-free base (``ChargeOperator.base_image``;
-every application of a charge, to a state, a cohomology column or a module
-vector, carries those entries to the x_0 exponents with ``_spread``), and in
-``_contract_into`` the sub-plans of one record, on the creators of another,
-which give the contractions of the Q^2 check in ``charges``.
+``_act`` is one mode acting by one of them, as the positive modes of an
+induced module act in ``modfun``.  ``normal_order`` folds a word's letters
+in from the right with them; the normal product of a word, its term without
+contractions, is the one Koszul sort ``fock._koszul_sort`` of the word with
+every creator before every annihilator (``normal_product``).  A charge is
+applied by ``ChargeOperator``, which splits its terms once into records
+(integer coefficient over one common denominator, its ``scale``; creators;
+annihilators), and ``_take`` compiles a record with any set of its
+annihilators acting.  ``_run`` is the one loop that runs filed plans on a
+monomial: the operator's own, all annihilators acting, on an x_0-free base
+(``ChargeOperator.base_image``; every application of a charge, to a state
+or a cohomology column, carries those entries to the x_0 exponents with
+``_spread``), and in ``_contract_into`` the sub-plans of one record, on the
+creators of another, which give the contractions of the Q^2 check in
+``charges``.
 """
 
 from __future__ import annotations
@@ -127,6 +129,23 @@ def _insert(creators: tuple, modes: tuple):
         p += shift  # the creators merged so far sit before it
         out = out[:p] + (c,) + out[p:]
     return (-1 if parity & 1 else 1), out
+
+
+def _act(space: SpaceSpec, mode: ModeKey, modes: tuple):
+    """One mode on the canonical monomial ``modes``, one of the two steps:
+    (coefficient, monomial), or None if the mode kills it.
+
+    A creator is merged in (``_insert``); an annihilator removes one letter
+    of its conjugate (``_remove``), with the derivation sign of its family.
+    This is the plan of the one-term operator 1 * mode, run on ``modes``.
+    """
+    if space.is_creator(mode):
+        return _insert((mode,), modes)
+    target = _conjugate(mode)
+    if target not in modes:
+        return None
+    f, rest = _remove(modes, target)
+    return _DERIVATION_SIGN[mode.family] * f, rest
 
 
 @dataclass(frozen=True)

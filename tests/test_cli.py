@@ -6,7 +6,7 @@ import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as hst
+from hypothesis import example, given, settings, strategies as hst
 
 from chiralg.cli import LEDGER_HASH, ProblemSpec, SpecError, main
 from chiralg.modfun import polynomial_zero_modes
@@ -575,21 +575,25 @@ def test_basis_dims_count_classes_without_walking_bases(
     assert json.loads(text)["payload"]["regularization"] == "torus"
 
 
+# C[psi0] at x-degree cap 0, a valid explicit module: psi0 e0 = e1, phi0 e1 = e0
+FERMION_LINE = {
+    "labels": ["1", "psi0"],
+    "degrees": [0, 0],
+    "parities": [0, 1],
+    "cap": 0,
+    "actions": {
+        "x0": [["0", "0"], ["0", "0"]],
+        "y0": [["0", "0"], ["0", "0"]],
+        "phi0": [["0", "1"], ["0", "0"]],
+        "psi0": [["0", "0"], ["1", "0"]],
+    },
+}
+
+
 def test_malformed_zero_mode_actions_exit_2(tmp_path, capsys):
     names = ("x0", "y0", "phi0", "psi0")
     zero_modes = {"labels": [], "degrees": [], "parities": [], "cap": 0}
-    # C[psi0] at x-degree cap 0, a valid module: psi0 e0 = e1, phi0 e1 = e0
-    valid = {
-        "labels": ["1", "psi0"],
-        "degrees": [0, 0],
-        "parities": [0, 1],
-        "cap": 0,
-        "actions": dict(
-            {name: [["0", "0"], ["0", "0"]] for name in names},
-            psi0=[["0", "0"], ["1", "0"]],
-            phi0=[["0", "1"], ["0", "0"]],
-        ),
-    }
+    valid = FERMION_LINE
     bad = [
         # a list, not a name -> matrix object
         (dict(zero_modes, actions=["x0", "y0", "phi0", "psi0"]), "actions"),
@@ -677,7 +681,9 @@ def test_zero_mode_commands_refuse_other_dims(tmp_path, capsys):
 
 
 def test_negative_zero_mode_cap_exits_2(tmp_path, capsys):
-    for builtin in ("polynomial", "delta"):
+    """A built-in module's negative cap is refused as a spec field; an
+    explicit module's, by the module check under ``spec.zero_modes``."""
+    for builtin in ("polynomial", "delta", "unknown"):
         spec = {
             "dim": 1,
             "zero_modes": {"builtin": builtin, "cap": -1},
@@ -686,7 +692,7 @@ def test_negative_zero_mode_cap_exits_2(tmp_path, capsys):
         for command in ("singular", "epsilon-check"):
             code, text = run(tmp_path, command, spec)
             assert code == 2 and text == "", (builtin, command)
-            assert "degree cap must be >= 0" in capsys.readouterr().err
+            assert capsys.readouterr().err == "error: spec.zero_modes.cap: must be >= 0\n"
     labels = {"labels": [], "degrees": [], "parities": [], "cap": -1}
     spec = {
         "dim": 1,
@@ -695,7 +701,7 @@ def test_negative_zero_mode_cap_exits_2(tmp_path, capsys):
     }
     code, _ = run(tmp_path, "singular", spec)
     assert code == 2
-    assert "degree cap must be >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: spec.zero_modes: degree cap must be >= 0")
 
 
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
@@ -770,14 +776,11 @@ def small_specs(draw):
     return draw(hst.sampled_from(SPACE_COMMANDS)), spec
 
 
-@settings(max_examples=500, deadline=None)
-@given(small_specs())
-def test_cli_contract_on_small_specs(tmp_path_factory, case):
+def _assert_contract(tmp_path_factory, command, spec):
     """Exit 0, 1 or 2; an exit 2 prints one stderr line, ``error: spec...``,
     naming the spec or the field at fault; an exit 0 or 1 reruns to the same
     document but for ``timing_ms``; and a failed check's exit 1 carries a
     witness."""
-    command, spec = case
     spec_path = tmp_path_factory.mktemp("spec") / "spec.json"
     spec_path.write_text(json.dumps(spec))
     runs = []
@@ -799,3 +802,61 @@ def test_cli_contract_on_small_specs(tmp_path_factory, case):
     assert runs[1][0] == code and docs[0] == docs[1]
     if code == 1 and command in WITNESSED:
         assert "witness" in docs[0]["payload"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_specs())
+def test_cli_contract_on_small_specs(tmp_path_factory, case):
+    """The contract of ``_assert_contract`` on every command that takes no
+    zero-mode module."""
+    _assert_contract(tmp_path_factory, *case)
+
+
+ZERO_MODE_ENTRIES = hst.sampled_from(["0", "1", "-1", "1/2"])
+
+
+@hst.composite
+def zero_mode_specs(draw):
+    """(command, spec): ``singular`` or ``epsilon-check`` on a spec of dim
+    1-2 whose zero-mode module is a built-in (or an unknown name) with a cap
+    of -1 to 2, or an explicit module: C[psi0] with maybe its cap or one
+    entry changed, or 0-2 basis vectors whose matrices may be of the wrong
+    size and whose parities may lie outside {0, 1}."""
+    spec = {"dim": draw(hst.integers(1, 2)), "caps": {"weight_max": draw(hst.integers(0, 2))}}
+    kind = draw(hst.sampled_from(["builtin", "fermion line", "drawn"]))
+    if kind == "builtin":
+        name = draw(hst.sampled_from(["polynomial", "delta", "cubic"]))
+        zero_modes = {"builtin": name, "cap": draw(hst.integers(-1, 2))}
+    elif kind == "fermion line":
+        zero_modes = json.loads(json.dumps(FERMION_LINE))
+        if draw(hst.booleans()):
+            zero_modes["cap"] = draw(hst.integers(-1, 2))
+        if draw(hst.booleans()):
+            mat = zero_modes["actions"][draw(hst.sampled_from(sorted(zero_modes["actions"])))]
+            mat[draw(hst.integers(0, 1))][draw(hst.integers(0, 1))] = draw(ZERO_MODE_ENTRIES)
+    else:
+        n = draw(hst.integers(0, 2))
+        sizes = hst.integers(max(n - 1, 0), n + 1)
+
+        def matrix():
+            rows, cols = draw(sizes), draw(sizes)
+            return [[draw(ZERO_MODE_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+        zero_modes = {
+            "labels": [f"e{i}" for i in range(n)],
+            "degrees": draw(hst.lists(hst.integers(0, 1), min_size=n, max_size=n)),
+            "parities": draw(hst.lists(hst.integers(-1, 2), min_size=n, max_size=n)),
+            "cap": draw(hst.integers(-1, 2)),
+            "actions": {name: matrix() for name in ("x0", "y0", "phi0", "psi0")},
+        }
+    spec["zero_modes"] = zero_modes
+    return draw(hst.sampled_from(["singular", "epsilon-check"])), spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_mode_specs())
+@example(("singular", {"dim": 1, "zero_modes": {"builtin": "delta", "cap": -1}}))
+def test_cli_contract_on_zero_mode_specs(tmp_path_factory, case):
+    """The contract of ``test_cli_contract_on_small_specs`` for the two
+    commands that take a zero-mode module."""
+    _assert_contract(tmp_path_factory, *case)

@@ -31,7 +31,7 @@ from chiralg.modfun import (
     polynomial_zero_modes,
     singular_vectors,
 )
-from chiralg.oper import instantiate_charge
+from chiralg.oper import ChargeOperator, instantiate_charge
 from conftest import partition_gf_coeffs
 from mode_oracle import apply_mode, reference_epsilon_columns, reference_singular_vectors
 
@@ -303,7 +303,7 @@ class _RescaledInduction(InducedTruncation):
             images = super()._positive_images(mode, weight)
             factors = (0, 0, 1, -1, 2, Fraction(1, 3))
             self._images[key] = [
-                [(slot, c * self._rng.choice(factors)) for slot, c in image]
+                None if image is None else (image[0], image[1] * self._rng.choice(factors))
                 for image in images
             ]
         return self._images[key]
@@ -407,3 +407,21 @@ def test_epsilon_columns_match_reference(name, cap, weight_cap):
     ]
     if name != "rescaled":
         assert {type(v) for cols in got for col in cols for v in col.values()} == {int}
+
+
+@pytest.mark.parametrize("command", ["singular", "epsilon-check"])
+@pytest.mark.parametrize("builtin", ["polynomial", "delta"])
+def test_zero_mode_commands_build_no_charge_operator(tmp_path, command, builtin):
+    """Induced modules act by one Wick step per mode: both commands run on
+    the built-in modules with ``ChargeOperator`` made unbuildable."""
+    assert not {"ChargeOperator", "OperatorTerm"} & set(vars(modfun))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a ChargeOperator")
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        json.dumps({"dim": 1, "zero_modes": {"builtin": builtin, "cap": 2}, "caps": {"weight_max": 3}})
+    )
+    with mock.patch.object(ChargeOperator, "__init__", refuse):
+        assert main([command, "--spec", str(spec_path), "--out", str(tmp_path / "out.json")]) == 0

@@ -33,6 +33,7 @@ from chiralg.oper import (
     ChargeOperator,
     OperatorTerm,
     SymbolicCharge,
+    _act,
     _contract_into,
     _insert,
     _spread,
@@ -691,3 +692,22 @@ def test_sub_plan_of_every_annihilator_is_the_compiled_plan(case):
             calls.clear()
             _contract_into({}, op.terms, [(1, (), ())], 0)
             assert calls == []
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_act_is_the_one_term_operator(family):
+    """One Wick step, ``_act``, of a mode of index +-1..+-4 on every positive
+    monomial of the line of weight 0-4 is the ``()`` group of the one-term
+    operator's ``base_image``: the same coefficient and monomial, or None
+    where that group is empty."""
+    for k in range(1, 5):
+        for mode in (ModeKey(family, 1, k), ModeKey(family, 1, -k)):
+            op = ChargeOperator(THETA1, [OperatorTerm(Fraction(1), (mode,))])
+            assert op.scale == 1
+            for q in range(5):
+                for mono in enumerate_basis(THETA1, q, x0_cap=0, zero_fermion_allowed=False):
+                    groups = op.base_image(mono)
+                    assert set(groups) <= {()}
+                    want = [(c, m) for m, c in groups.get((), {}).items()]
+                    got = _act(THETA1, mode, mono)
+                    assert ([] if got is None else [got]) == want, (mode, mono)
