@@ -79,6 +79,11 @@ _CONVENTIONS = "\n".join(
 )
 LEDGER_HASH = hashlib.sha256(_CONVENTIONS.encode()).hexdigest()
 
+# The most torus values a spec's z window may span.  Counting a window takes
+# time linear in its width; the full support of the closed form at q_max
+# 10, d = 6 spans 126 values.
+MAX_Z_WINDOW = 10_000
+
 
 class SpecError(ValueError):
     """Invalid problem spec; the message names the offending field."""
@@ -204,6 +209,11 @@ class ProblemSpec:
         if zw is not None:
             if len(zw) != 2 or not all(_is_int(v) for v in zw) or zw[0] > zw[1]:
                 raise SpecError("spec.caps.z_window: expected [lo, hi] with lo <= hi")
+            if zw[1] - zw[0] + 1 > MAX_Z_WINDOW:
+                raise SpecError(
+                    f"spec.caps.z_window: spans {zw[1] - zw[0] + 1} torus values, "
+                    f"more than {MAX_Z_WINDOW}"
+                )
             zw = tuple(zw)
         self.z_window = zw
         for name, val in (("weight_max", self.weight_max), ("q_max", self.q_max)):

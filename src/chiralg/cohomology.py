@@ -85,7 +85,7 @@ from .fock import (
     _creator_multisets,
     _x0_odometer,
     monomial_text,
-    torus_window_counts,
+    torus_window_euler,
 )
 from .charges import check_nilpotent
 from .linalg import pivot_profile
@@ -283,16 +283,16 @@ def euler_series(
     """Bigraded Euler characteristic of the plain graded space.
 
     No differential is involved: per bigrade the Euler characteristic of a
-    complex equals that of its chains.  One call of ``torus_window_counts``
+    complex equals that of its chains.  One call of ``torus_window_euler``
     counts every weight through ``max_weight``: the x_0-free bases per
-    (weight, degree, torus value) class, and each class's x_0 placements
-    once, so no base or monomial is visited.
+    (weight, degree, torus value) class, folded to one signed count per
+    (weight, torus value), and each such count's x_0 placements once, so no
+    base or monomial is visited.
     """
     chis: Dict[int, Dict[int, int]] = {q: {} for q in range(max_weight + 1)}
-    for (q, t, degree), n in torus_window_counts(space, max_weight, weights, torus_window).items():
-        chi = chis[q]
-        chi[t] = chi.get(t, 0) + (-n if degree % 2 else n)
-    rows = {q: {t: chi[t] for t in sorted(chi) if chi[t]} for q, chi in chis.items()}
+    for (q, t), chi in torus_window_euler(space, max_weight, weights, torus_window).items():
+        chis[q][t] = chi
+    rows = {q: {t: chi[t] for t in sorted(chi)} for q, chi in chis.items()}
     return TruncatedSeries(max_weight, rows, torus_window)
 
 

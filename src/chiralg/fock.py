@@ -25,8 +25,12 @@ one.  In a torus window an odometer over the x_0 exponents of all
 directions but the last (``_x0_odometer``) yields, per x_0-free torus
 value and position, the range of last-direction exponents whose torus
 values land in a closed window: the torus cohomology runs it on each base
-the walk yields, and ``torus_window_counts`` once per class for the counts
-of every weight up to a top one, building no monomial.
+the walk yields, and one stage (``_placed_counts``) once per class for the
+counts of every weight up to a top one, building no monomial.
+``torus_window_counts`` hands it the classes keyed by degree;
+``torus_window_euler`` first folds each class to its Euler sign, one
+signed count per (weight, torus value), so the odometer runs once per
+torus value instead of once per degree.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple
 
 
 class FockError(ValueError):
@@ -458,6 +462,40 @@ def _x0_odometer(torus_weights: TorusWeights, window: Tuple[int, int]):
     return value, runs
 
 
+def _placed_counts(
+    classes: Dict[Tuple[int, Hashable, int], int],
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+    runs: Callable[[int], Iterator[tuple]],
+) -> Dict[Tuple[int, int, Hashable], int]:
+    """``{(weight, t, key): count}`` of the monomials in the closed torus
+    ``window`` from ``{(weight, key, u): c}``: c x_0-free bases of value u
+    (the odometer's units), each crossed with its x_0 placements, the runs
+    of ``_x0_odometer``; zero counts are dropped.
+
+    A run adds c from its first torus value on and -c one stride past its
+    last; summing along each stride then gives the counts, so a run costs
+    two updates however long it is.
+    """
+    stride = torus_weights.wx[-1]
+    edges: Dict[tuple, int] = {}
+    for (weight, key, u), c in classes.items():
+        for _, _, first, n in runs(u):
+            edge = (weight, first, key)
+            edges[edge] = edges.get(edge, 0) + c
+            edge = (weight, first + n * stride, key)
+            edges[edge] = edges.get(edge, 0) - c
+    lo, hi = window
+    ts = range(lo, hi + 1) if stride > 0 else range(hi, lo - 1, -1)
+    counts: Dict[tuple, int] = {}
+    for weight, key in {(w, k) for w, _, k in edges}:
+        for t in ts:
+            n = counts.get((weight, t - stride, key), 0) + edges.get((weight, t, key), 0)
+            if n:
+                counts[weight, t, key] = n
+    return counts
+
+
 def torus_window_counts(
     space: SpaceSpec,
     max_weight: int,
@@ -468,29 +506,36 @@ def torus_window_counts(
     ``window``, per ``(weight, t, degree)``, for every weight
     0..max_weight.  The x_0-free bases are counted per (weight, degree,
     torus value) class (``_creator_classes``), and the x_0 odometer runs
-    once per class, its runs counted with the class's multiplicity; no
-    base or monomial is visited."""
-    stride = torus_weights.wx[-1]
+    once per class, its runs counted with the class's multiplicity
+    (``_placed_counts``); no base or monomial is visited."""
     value, runs = _x0_odometer(torus_weights, window)
-    # a run adds c from its first torus value on and -c one stride past its
-    # last; summing along each stride then gives the counts, so a run costs
-    # two updates however long it is
-    edges: Dict[Tuple[int, int, int], int] = {}
+    classes = _creator_classes(space, max_weight, value)
+    return _placed_counts(classes, torus_weights, window, runs)
+
+
+def torus_window_euler(
+    space: SpaceSpec,
+    max_weight: int,
+    torus_weights: TorusWeights,
+    window: Tuple[int, int],
+) -> Dict[Tuple[int, int], int]:
+    """The Euler characteristic, the sum of (-1)^degree over the basis
+    monomials whose torus value t lies in the closed ``window``, per
+    ``(weight, t)`` for every weight 0..max_weight, zeros dropped: the
+    counts of ``torus_window_counts`` summed over the degree.
+
+    An x_0 letter has degree 0, so every placement of a base keeps its
+    sign: each (weight, degree, torus value) class is folded to its signed
+    count per (weight, torus value) before the x_0 odometer runs, which
+    then runs once per (weight, torus value) instead of once per degree.
+    """
+    value, runs = _x0_odometer(torus_weights, window)
+    signed: Dict[Tuple[int, None, int], int] = {}
     for (weight, degree, u), c in _creator_classes(space, max_weight, value).items():
-        for _, _, first, n in runs(u):
-            key = (weight, first, degree)
-            edges[key] = edges.get(key, 0) + c
-            key = (weight, first + n * stride, degree)
-            edges[key] = edges.get(key, 0) - c
-    lo, hi = window
-    ts = range(lo, hi + 1) if stride > 0 else range(hi, lo - 1, -1)
-    counts: Dict[Tuple[int, int, int], int] = {}
-    for weight, degree in {(w, k) for w, _, k in edges}:
-        for t in ts:
-            n = counts.get((weight, t - stride, degree), 0) + edges.get((weight, t, degree), 0)
-            if n:
-                counts[weight, t, degree] = n
-    return counts
+        key = (weight, None, u)
+        signed[key] = signed.get(key, 0) + (-c if degree & 1 else c)
+    classes = {key: c for key, c in signed.items() if c}
+    return {(q, t): n for (q, t, _), n in _placed_counts(classes, torus_weights, window, runs).items()}
 
 
 def enumerate_basis(

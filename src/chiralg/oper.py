@@ -16,8 +16,9 @@ mode tuple: an annihilator removes one letter of its conjugate creator
 (``_remove``), and creators are merged in (``_insert``), whose Koszul sign is
 read off positions, as the fermions of a canonical monomial are its suffix.
 ``_act`` is one mode acting by one of them, as the positive modes of an
-induced module act in ``modfun``.  ``normal_order`` folds a word's letters
-in from the right with them; the normal product of a word, its term without
+induced module act in ``modfun`` and as an annihilator contracts with the
+creators in ``normal_order``, which folds a word's letters in from the
+right with them; the normal product of a word, its term without
 contractions, is the one Koszul sort ``fock._koszul_sort`` of the word with
 every creator before every annihilator (``normal_product``).  A charge is
 applied by ``ChargeOperator``, which splits its terms once into records
@@ -59,6 +60,7 @@ _CONJUGATE = {Family.X: Family.Y, Family.Y: Family.X, Family.PHI: Family.PSI, Fa
 _DERIVATION_SIGN = {Family.X: -1, Family.Y: 1, Family.PHI: 1, Family.PSI: 1}
 
 
+@lru_cache(maxsize=None)  # one entry per mode: modes are interned
 def _conjugate(mode: ModeKey) -> ModeKey:
     return ModeKey(_CONJUGATE[mode.family], mode.direction, -mode.index)
 
@@ -165,8 +167,8 @@ def normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) ->
 
     A creator is merged into C (``_insert``).  An annihilator a gives
     a C A = [a, C} A + (-1)^{|a||C|} C (a A): the bracket is a acting on
-    C|0>, which removes one conjugate letter (``_remove``) with the
-    derivation sign, and a is merged into A, giving zero if it repeats.
+    C|0> (``_act``, which removes one conjugate letter with the derivation
+    sign), and a is merged into A, giving zero if it repeats.
     """
     coeff = Fraction(coeff)
     if not coeff:
@@ -180,11 +182,10 @@ def normal_order(space: SpaceSpec, coeff: Fraction, modes: Sequence[ModeKey]) ->
                 if placed is not None:
                     _accumulate(out, (placed[1], annihilators), placed[0] * c)
         else:
-            target, rule = _conjugate(m), _DERIVATION_SIGN[m.family]
             for (creators, annihilators), c in acc.items():
-                if target in creators:
-                    f, rest = _remove(creators, target)
-                    _accumulate(out, (rest, annihilators), rule * f * c)
+                contracted = _act(space, m, creators)
+                if contracted is not None:
+                    _accumulate(out, (contracted[1], annihilators), contracted[0] * c)
                 placed = _insert((m,), annihilators)
                 if placed is not None:
                     sign = placed[0]

@@ -9,10 +9,12 @@ theta(z) = (1 - z) P(z) with P(z) = prod_{n>=1} (1 - q^n z)(1 - q^n / z):
 
     -z^-d theta(z^d) / theta(z) = -z^-d (1 + z + ... + z^(d-1)) P(z^d) / P(z).
 
-Modulo q^(qmax+1) every factor on the right is a Laurent polynomial in z,
-and the q^0 row of P is 1, so P is inverted q-adically with no z-truncation.
-The identity holds in Z((z))[[q]], where inverses are unique, so the rows
-equal the expansion of 1/(1 - z) in nonnegative powers of z.
+Modulo q^(qmax+1) only the factors with n <= qmax differ from 1.  The head
+row is multiplied in place by each factor of P(z^d) and divided in place by
+each factor (1 - q^n z^{+-1}) of P(z), a geometric series in q^n, so no z
+is truncated.  The identity holds in Z((z))[[q]], where inverses are
+unique, so the rows equal the expansion of 1/(1 - z) in nonnegative powers
+of z.  ``mul`` and ``invert`` are the general product and q-adic inverse.
 """
 
 from __future__ import annotations
@@ -147,28 +149,47 @@ def compare(
     return CompareReport(True, qm, (lo, hi))
 
 
-def _reduced_theta(qmax: int, step: int) -> TruncatedSeries:
-    """P(z^step) = prod_{n>=1} (1 - q^n z^step)(1 - q^n z^-step) modulo
-    q^(qmax+1); factors with n > qmax are 1 there."""
-    rows: Dict[int, Dict[int, int]] = {0: {0: 1}}
-    for n in range(1, qmax + 1):
-        for z_exp in (step, -step):
-            # times (1 - q^n z^z_exp); highest rows first, so none is read
-            # after it has been added to
-            for j in sorted(rows, reverse=True):
-                if j + n <= qmax:
-                    target = rows.setdefault(j + n, {})
-                    for e, v in rows[j].items():
-                        target[e + z_exp] = target.get(e + z_exp, 0) - v
-    return TruncatedSeries(qmax, rows)
+def _times_factor(rows: Dict[int, Dict[int, int]], qmax: int, n: int, z_exp: int) -> None:
+    """rows times (1 - q^n z^z_exp) modulo q^(qmax+1), in place: row j + n
+    takes away row j shifted by z^z_exp, highest rows first, so that no row
+    is read after it has been added to."""
+    for j in range(qmax - n, -1, -1):
+        row = rows.get(j)
+        if row:
+            target = rows.setdefault(j + n, {})
+            for e, v in row.items():
+                target[e + z_exp] = target.get(e + z_exp, 0) - v
+
+
+def _over_factor(rows: Dict[int, Dict[int, int]], qmax: int, n: int, z_exp: int) -> None:
+    """rows over (1 - q^n z^z_exp) modulo q^(qmax+1), in place: times the
+    geometric series sum_k q^(nk) z^(k z_exp), so row j adds row j - n
+    shifted by z^z_exp, lowest rows first, each row read after it has taken
+    in every earlier term of the series."""
+    for j in range(n, qmax + 1):
+        row = rows.get(j - n)
+        if row:
+            target = rows.setdefault(j, {})
+            for e, v in row.items():
+                target[e + z_exp] = target.get(e + z_exp, 0) + v
 
 
 def chi_closed_form(d: int, qmax: int) -> TruncatedSeries:
     """The closed-form character -z^{-d} theta_q(z^d) / theta_q(z), exact on
-    every row; row q^j lies in z^{-d-jd} .. z^{jd-1}."""
+    every row; row q^j lies in z^{-d-jd} .. z^{jd-1}.
+
+    The head row -z^{-d}(1 + ... + z^{d-1}) is multiplied in place, for
+    each n <= qmax, by the two factors (1 - q^n z^{+-d}) of P(z^d) and
+    divided by the two factors (1 - q^n z^{+-1}) of P(z); factors with
+    n > qmax are 1 modulo q^(qmax+1)."""
     if d < 1:
         raise SeriesError("d must be >= 1")
     if qmax < 0:
         raise SeriesError("qmax must be >= 0")
-    head = TruncatedSeries(qmax, {0: {e: -1 for e in range(-d, 0)}})
-    return head.mul(_reduced_theta(qmax, d)).mul(_reduced_theta(qmax, 1).invert())
+    rows: Dict[int, Dict[int, int]] = {0: {e: -1 for e in range(-d, 0)}}
+    for n in range(1, qmax + 1):
+        for z_exp in (d, -d):
+            _times_factor(rows, qmax, n, z_exp)
+        for z_exp in (1, -1):
+            _over_factor(rows, qmax, n, z_exp)
+    return TruncatedSeries(qmax, rows)

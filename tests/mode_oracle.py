@@ -70,6 +70,11 @@
   ``reference_index_assignments``, verbatim apart from its name; its
   tuples, zipped with a word's letters, are the words ``oper.mode_words``
   yields, in the same order.
+- The closed-form character as the package computed it before it swept
+  the theta factors into the head row in place: ``reference_chi_closed_form``
+  multiplies the head row by P(z^d) and by the q-adic inverse of P(z), both
+  built by ``reduced_theta``, with ``TruncatedSeries.mul`` and ``invert``.
+  Both are verbatim apart from their names and the docstring.
 """
 
 from __future__ import annotations
@@ -856,3 +861,26 @@ def reference_index_assignments(n: int, total: int, window: int):
         rem[i + 1] = rem[i] - idx[i]
         room[i + 1] = room[i] + min(idx[i], 0)
         i += 1
+
+
+def reduced_theta(qmax: int, step: int) -> TruncatedSeries:
+    """P(z^step) = prod_{n>=1} (1 - q^n z^step)(1 - q^n z^-step) modulo
+    q^(qmax+1); factors with n > qmax are 1 there."""
+    rows: Dict[int, Dict[int, int]] = {0: {0: 1}}
+    for n in range(1, qmax + 1):
+        for z_exp in (step, -step):
+            # times (1 - q^n z^z_exp); highest rows first, so none is read
+            # after it has been added to
+            for j in sorted(rows, reverse=True):
+                if j + n <= qmax:
+                    target = rows.setdefault(j + n, {})
+                    for e, v in rows[j].items():
+                        target[e + z_exp] = target.get(e + z_exp, 0) - v
+    return TruncatedSeries(qmax, rows)
+
+
+def reference_chi_closed_form(d: int, qmax: int) -> TruncatedSeries:
+    """-z^{-d} (1 + ... + z^{d-1}) P(z^d) / P(z), with P(z) inverted
+    q-adically."""
+    head = TruncatedSeries(qmax, {0: {e: -1 for e in range(-d, 0)}})
+    return head.mul(reduced_theta(qmax, d)).mul(reduced_theta(qmax, 1).invert())

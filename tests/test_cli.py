@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from chiralg.cli import LEDGER_HASH, ProblemSpec, SpecError, main
+from chiralg.cli import LEDGER_HASH, MAX_Z_WINDOW, ProblemSpec, SpecError, main
 from chiralg.modfun import polynomial_zero_modes
 
 SL2 = {"dim": 3, "c": [[3, 1, 2, "1"], [1, 3, 1, "2"], [2, 3, 2, "-2"]]}
@@ -447,6 +447,39 @@ def test_theta_check_names_itself_without_a_z_window(tmp_path, capsys):
     code, _ = run(tmp_path, "theta-check", spec)
     assert code == 2
     assert "spec.caps.z_window: required for 'theta-check'" in capsys.readouterr().err
+
+def _cubic_with_window(lo, hi):
+    return {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "1", "exps": [3]}]},
+        "caps": {"q_max": 2, "z_window": [lo, hi]},
+    }
+
+
+@pytest.mark.parametrize("command", ["char", "theta-check", "cohomology"])
+def test_z_window_wider_than_the_budget_exits_2(tmp_path, capsys, command):
+    lo = -MAX_Z_WINDOW // 2
+    code, text = run(tmp_path, command, _cubic_with_window(lo, lo + MAX_Z_WINDOW))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: spec.caps.z_window: spans {MAX_Z_WINDOW + 1} torus values, "
+        f"more than {MAX_Z_WINDOW}\n"
+    )
+
+
+def test_widest_accepted_z_window(tmp_path):
+    """A window of exactly ``MAX_Z_WINDOW`` values runs, and its rows are
+    those of a window just wide enough for the closed form's support."""
+    lo = -MAX_Z_WINDOW // 2
+    code, text = run(tmp_path, "theta-check", _cubic_with_window(lo, lo + MAX_Z_WINDOW - 1))
+    assert code == 0
+    wide = json.loads(text)["payload"]
+    assert wide["equal"] is True
+    code, text = run(tmp_path, "theta-check", _cubic_with_window(-6, 3))
+    assert code == 0
+    assert json.loads(text)["payload"]["series"]["rows"] == wide["series"]["rows"]
+
 
 def test_anticommute_command(tmp_path):
     spec = {

@@ -20,6 +20,7 @@ from chiralg.fock import (
     monomial_text,
     normalize,
     torus_window_counts,
+    torus_window_euler,
 )
 from chiralg.cohomology import euler_series
 from conftest import X, Y, PHI, PSI, degree, partition_gf_coeffs, st, weight
@@ -306,7 +307,7 @@ def _counts_of_weight(counts: dict, weight: int) -> dict:
 def test_window_counts_and_euler_series_match_the_monomials(data):
     """The counts of every weight through the drawn one equal the (t, degree)
     tally of the enumerated window and of the recursive reference, and the
-    Euler series built from them equals the per-monomial sum."""
+    Euler series equals the per-monomial sum."""
     space, weight, tw, window = _torus_case(data)
     counts = torus_window_counts(space, weight, tw, window)
     assert {q for q, _, _ in counts} <= set(range(weight + 1))
@@ -318,6 +319,24 @@ def test_window_counts_and_euler_series_match_the_monomials(data):
     want = reference_euler_series(space, weight, window, tw)
     assert got == want
     assert repr(got) == repr(want)  # the same rows in the same order
+
+
+@settings(max_examples=150, deadline=None)
+@given(hst.data())
+def test_folded_euler_counts_are_the_signed_window_counts(data):
+    """Folding the classes to their Euler signs before the x_0 odometer runs
+    gives, per (weight, t), the sum over the degree of (-1)^degree times the
+    window counts, zeros dropped, under x_0 weights of either sign with
+    |wx| <= 3, so that a stride is longer than one torus value; and the
+    Euler series holds exactly those values in its rows."""
+    space, weight, tw, window = _torus_case(data)
+    signed = {}
+    for (q, t, k), n in torus_window_counts(space, weight, tw, window).items():
+        signed[q, t] = signed.get((q, t), 0) + (-n if k % 2 else n)
+    want = {key: chi for key, chi in signed.items() if chi}
+    assert torus_window_euler(space, weight, tw, window) == want
+    series = euler_series(space, weight, window, tw)
+    assert {(q, t): chi for q, row in series.rows.items() for t, chi in row.items()} == want
 
 
 def test_window_counts_of_empty_and_unreachable_windows():

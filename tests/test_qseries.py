@@ -7,13 +7,8 @@ from hypothesis import given, settings, strategies as hst
 from chiralg.charges import Potential, default_torus_weights
 from chiralg.cohomology import euler_series
 from chiralg.fock import Side, make_space
-from chiralg.qseries import (
-    SeriesError,
-    TruncatedSeries,
-    _reduced_theta,
-    chi_closed_form,
-    compare,
-)
+from chiralg.qseries import SeriesError, TruncatedSeries, chi_closed_form, compare
+from mode_oracle import reduced_theta, reference_chi_closed_form
 
 OMEGA1 = make_space(Side.OMEGA, 1)
 ONE_MINUS_Z = TruncatedSeries(5, {0: {0: 1, 1: -1}})
@@ -39,14 +34,14 @@ def test_geometric_inverse():
 
 def test_theta_low_rows():
     # theta(z) = (1 - z) P(z)
-    th = ONE_MINUS_Z.mul(_reduced_theta(5, 1))
+    th = ONE_MINUS_Z.mul(reduced_theta(5, 1))
     assert th.rows[0] == {0: 1, 1: -1}  # 1 - z
     assert th.rows[1] == {-1: -1, 0: 1, 1: -1, 2: 1}  # 1 + z^2 - z - 1/z
 
 
 def test_theta_times_inverse_is_one():
     for step in (1, 2, 3):
-        p = _reduced_theta(4, step)
+        p = reduced_theta(4, step)
         assert p.mul(p.invert()).rows == {0: {0: 1}}
 
 
@@ -108,7 +103,7 @@ def test_euler_series_matches_closed_form_at_q_max_10():
 
 
 def test_compare_reports():
-    p = _reduced_theta(3, 1)
+    p = reduced_theta(3, 1)
     assert compare(p, p)
     rows = {j: dict(r) for j, r in p.rows.items()}
     rows[1][3] = rows[1].get(3, 0) + 1
@@ -160,7 +155,7 @@ def test_validity_window_is_honest():
 
 
 def test_json_round_trip():
-    p = _reduced_theta(4, 1)
+    p = reduced_theta(4, 1)
     doc = p.to_json_dict((-4, 4))
     assert all(isinstance(v, str) for row in doc["rows"].values() for v in row.values())
     back = {int(j): {int(e): int(v) for e, v in r.items()} for j, r in doc["rows"].items()}
@@ -168,6 +163,16 @@ def test_json_round_trip():
         j: {e: v for e, v in p.rows.get(j, {}).items() if -4 <= e <= 4}
         for j in range(p.qmax + 1)
     }
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_chi_closed_form_matches_the_q_adic_inverse(d):
+    """The factors swept into the head row in place give the series of the
+    product with P(z^d) and the q-adic inverse of P(z), row for row."""
+    for qmax in range(11):
+        got = chi_closed_form(d, qmax)
+        want = reference_chi_closed_form(d, qmax)
+        assert got == want, qmax
 
 
 def test_chi_closed_form_rejects_bad_degree():

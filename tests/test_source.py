@@ -134,7 +134,16 @@ def test_oracle_use_check_sees_both_import_forms():
 
 # the routines ``mode_oracle`` is the reference for: an oracle that calls one
 # of them agrees with it by construction
-ORACLE_SUBJECTS = {"normal_product", "normal_order", "_koszul_sort", "_insert", "check_epsilon"}
+ORACLE_SUBJECTS = {
+    "normal_product",
+    "normal_order",
+    "_koszul_sort",
+    "_insert",
+    "check_epsilon",
+    "chi_closed_form",
+    "_times_factor",
+    "_over_factor",
+}
 
 
 def imported_names(tree: ast.AST) -> set:
