@@ -17,6 +17,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .charges import (
@@ -358,8 +359,9 @@ def cmd_basis(spec: ProblemSpec):
         # each x_0-free base stands for (cap + 1)^dim monomials, one per
         # placement of its x_0 letters, all of its weight and degree
         placements = (spec.x0_cap + 1) ** space.dim
-        for (q, degree, _), n in _creator_classes(space, spec.weight_max).items():
-            dims[(q, degree)] = n * placements
+        for q, rows in enumerate(_creator_classes(space, spec.weight_max)):
+            for degree, row in rows.items():
+                dims[(q, degree)] = row[0] * placements
     else:
         tw = spec.default_weights()
         window = spec.z_window or (-2 * spec.weight_max - 2, spec.weight_max + 2)
@@ -600,7 +602,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+# built on the first call and kept: building costs about ten parses, and parsing leaves it unchanged
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiralg",
         description="Exact chiral characters and BRST cohomology at desk scale.",
@@ -610,7 +614,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="write the result document here")
     parser.add_argument("--oracle", choices=["theta", "none"], default="none")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.format == "csv" and args.command not in _CSV_COMMANDS:
         print(f"error: '{args.command}' has no CSV output", file=sys.stderr)
         return 2

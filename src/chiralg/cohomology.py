@@ -284,10 +284,10 @@ def euler_series(
 
     No differential is involved: per bigrade the Euler characteristic of a
     complex equals that of its chains.  One call of ``torus_window_euler``
-    counts every weight through ``max_weight``: the x_0-free bases per
-    (weight, degree, torus value) class, folded to one signed count per
-    (weight, torus value), and each such count's x_0 placements once, so no
-    base or monomial is visited.
+    counts every weight through ``max_weight``: a knapsack gives the signed
+    count of the x_0-free bases per (weight, torus value), and one
+    prefix-sum sweep per x_0 direction places the x_0 letters on each
+    weight's counts, so no base or monomial is visited.
     """
     chis: Dict[int, Dict[int, int]] = {q: {} for q in range(max_weight + 1)}
     for (q, t), chi in torus_window_euler(space, max_weight, weights, torus_window).items():

@@ -20,17 +20,14 @@ stack over them in mode order emits each multiset of one weight as a
 canonically ordered tuple, with its degree and torus value carried down the
 stack; ``enumerate_basis`` runs it with each x{j}_0 allowed up to the cap
 and sorts the piece once.  A knapsack over the same creators counts the
-x_0-free bases per (weight, degree, torus value) class without visiting
-one.  In a torus window an odometer over the x_0 exponents of all
-directions but the last (``_x0_odometer``) yields, per x_0-free torus
-value and position, the range of last-direction exponents whose torus
-values land in a closed window: the torus cohomology runs it on each base
-the walk yields, and one stage (``_placed_counts``) once per class for the
-counts of every weight up to a top one, building no monomial.
-``torus_window_counts`` hands it the classes keyed by degree;
-``torus_window_euler`` first folds each class to its Euler sign, one
-signed count per (weight, torus value), so the odometer runs once per
-torus value instead of once per degree.
+x_0-free bases per weight, degree and torus value without visiting one, or,
+for the Euler series, signs each count as a fermion enters.  Each x{j}_0 is
+a boson of weight 0 and step |wx_j| in the units in which every x_0 weight
+is positive, so in a torus window one prefix-sum sweep per direction over
+each row of the knapsack places every x_0 letter (``torus_window_counts``,
+``torus_window_euler``).  Where bases are walked one at a time, as in the
+torus cohomology, an odometer (``_x0_odometer``) yields per base the runs of
+x_0 placements that land in the window.
 """
 
 from __future__ import annotations
@@ -38,7 +35,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class FockError(ValueError):
@@ -379,67 +377,73 @@ def _creator_multisets(
 
 
 def _creator_classes(
-    space: SpaceSpec, hi: int, value: Optional[Callable[[ModeKey], int]] = None
-) -> Dict[Tuple[int, int, int], int]:
-    """The number of x_0-free bases per ``(weight, degree, value)`` for every
-    weight 0..hi, the tally of the leaves of ``_creator_multisets(space, q,
-    0, True, value)`` over q = 0..hi, from a knapsack over the same creators
-    that visits no base.  Per weight layer it counts each (degree, value)
-    reached so far.  A boson adds any multiple of its index, so its layers
-    are swept upwards, each reading a layer it has already fed; a fermion
-    adds at most once, so its layers are swept downwards (a weight-0 fermion
-    reads a copy of the layer itself)."""
-    if hi < 0:
-        return {}
-    layers = [{} for _ in range(hi + 1)]
-    layers[0][0, 0] = 1
+    space: SpaceSpec,
+    hi: int,
+    value: Optional[Callable[[ModeKey], int]] = None,
+    signed: bool = False,
+) -> List[Dict[int, Dict[int, int]]]:
+    """Per weight 0..hi, ``{key: {value: count}}`` of the x_0-free bases: the
+    tally of the leaves of ``_creator_multisets(space, q, 0, True, value)``
+    by degree and value, from a knapsack over the same creators that visits
+    no base.  With ``signed`` a fermion adds no degree but flips the sign, so
+    each weight has the one key 0 and its counts are Euler sums.  A boson
+    adds any multiple of its index, so its layers are swept upwards, each
+    reading a layer it has already fed; a fermion adds at most once, so its
+    layers are swept downwards (a weight-0 fermion reads a copy of the layer
+    itself)."""
+    layers: List[Dict[int, Dict[int, int]]] = [{} for _ in range(hi + 1)]
+    if layers:
+        layers[0][0] = {0: 1}
     for mode, _ in _creators(space, hi, 0, True):
-        n, d, v = mode.index, mode.degree, value(mode) if value else 0
+        n, v = mode.index, value(mode) if value else 0
+        d, sign = (0, -1 if mode.fermionic else 1) if signed else (mode.degree, 1)
         sweep = range(hi, n - 1, -1) if mode.fermionic else range(n, hi + 1)
         for w in sweep:
             layer = layers[w]
-            for (k, u), c in list(layers[w - n].items()):
-                key = (k + d, u + v)
-                layer[key] = layer.get(key, 0) + c
-    return {(w, k, u): c for w, layer in enumerate(layers) for (k, u), c in layer.items()}
+            source = layers[w - n].items() if n else [(k, dict(row)) for k, row in layer.items()]
+            for k, row in source:
+                out = layer.setdefault(k + d, {})
+                for u, c in row.items():
+                    out[u + v] = out.get(u + v, 0) + sign * c
+    return layers
 
 
-def _check_regularizing(wx: Sequence[int]) -> None:
-    """Raise unless the x_0 torus weights are nonzero and of one sign, which
-    leaves each torus value finitely many x_0 exponent vectors."""
-    if any(w == 0 for w in wx):
-        j = next(j for j, w in enumerate(wx) if w == 0)
+def _x0_units(torus_weights: TorusWeights, window: Tuple[int, int]):
+    """``(value, flip, steps, bottom, top)`` in units u = flip * t in which
+    every x_0 weight is positive: ``value(mode)`` a mode's torus value, the
+    steps |wx_j| and the closed ``window`` as bottom..top.  Raises
+    ``UnboundedBasisError`` unless the x_0 weights are nonzero and of one
+    sign, which leaves each torus value finitely many x_0 exponent vectors."""
+    wx = torus_weights.wx
+    if 0 in wx:
         raise UnboundedBasisError(
-            f"torus weight of x{j + 1}_0 is zero; weight-0 piece unbounded"
+            f"torus weight of x{wx.index(0) + 1}_0 is zero; weight-0 piece unbounded"
         )
     if len({w > 0 for w in wx}) > 1:
         raise UnboundedBasisError(
             "mixed-sign torus weights on x_0 generators; weight-0 piece unbounded"
         )
-
-
-def _x0_odometer(torus_weights: TorusWeights, window: Tuple[int, int]):
-    """``(value, runs)`` for placing x_0 letters in a torus window.
-
-    ``value(mode)`` is a mode's torus value in units u = flip * t in which
-    every x_0 weight is positive.  ``runs(u)`` yields ``(exps, k, t, n)`` for
-    an x_0-free base of value u: an odometer over the x_0 exponents ``exps``
-    of directions 1..d-1 (its own list, so read it before asking for the
-    next run), and per placement the run of the n >= 1 monomials with k,
-    k + 1, ..., k + n - 1 letters x{d}_0, at torus values t, t + wx_d, ...
-    in the closed ``window``.  The x_0 weights must be nonzero and of one
-    sign, so that the window is finite; otherwise ``UnboundedBasisError`` is
-    raised.
-    """
-    wx = torus_weights.wx
-    _check_regularizing(wx)
     flip = -1 if wx[0] < 0 else 1
-    steps = [flip * w for w in wx]
-    step = steps[-1]
     bottom, top = window if flip > 0 else (-window[1], -window[0])
 
     def value(mode: ModeKey) -> int:
         return flip * torus_weights.of_mode(mode)
+
+    return value, flip, [flip * w for w in wx], bottom, top
+
+
+def _x0_odometer(torus_weights: TorusWeights, window: Tuple[int, int]):
+    """``(value, runs)`` for placing x_0 letters on bases one at a time.
+
+    ``value`` is that of ``_x0_units``.  ``runs(u)`` yields ``(exps, k, t,
+    n)`` for an x_0-free base of value u: an odometer over the x_0 exponents
+    ``exps`` of directions 1..d-1 (its own list, so read it before asking
+    for the next run), and per placement the run of the n >= 1 monomials
+    with k, k + 1, ..., k + n - 1 letters x{d}_0, at torus values t, t +
+    wx_d, ... in the closed ``window``.
+    """
+    value, flip, steps, bottom, top = _x0_units(torus_weights, window)
+    step = steps[-1]
 
     def runs(u: int) -> Iterator[tuple]:
         # the last direction's exponents that land in bottom..top form a range
@@ -462,38 +466,32 @@ def _x0_odometer(torus_weights: TorusWeights, window: Tuple[int, int]):
     return value, runs
 
 
-def _placed_counts(
-    classes: Dict[Tuple[int, Hashable, int], int],
-    torus_weights: TorusWeights,
-    window: Tuple[int, int],
-    runs: Callable[[int], Iterator[tuple]],
-) -> Dict[Tuple[int, int, Hashable], int]:
-    """``{(weight, t, key): count}`` of the monomials in the closed torus
-    ``window`` from ``{(weight, key, u): c}``: c x_0-free bases of value u
-    (the odometer's units), each crossed with its x_0 placements, the runs
-    of ``_x0_odometer``; zero counts are dropped.
-
-    A run adds c from its first torus value on and -c one stride past its
-    last; summing along each stride then gives the counts, so a run costs
-    two updates however long it is.
-    """
-    stride = torus_weights.wx[-1]
-    edges: Dict[tuple, int] = {}
-    for (weight, key, u), c in classes.items():
-        for _, _, first, n in runs(u):
-            edge = (weight, first, key)
-            edges[edge] = edges.get(edge, 0) + c
-            edge = (weight, first + n * stride, key)
-            edges[edge] = edges.get(edge, 0) - c
-    lo, hi = window
-    ts = range(lo, hi + 1) if stride > 0 else range(hi, lo - 1, -1)
-    counts: Dict[tuple, int] = {}
-    for weight, key in {(w, k) for w, _, k in edges}:
-        for t in ts:
-            n = counts.get((weight, t - stride, key), 0) + edges.get((weight, t, key), 0)
-            if n:
-                counts[weight, t, key] = n
-    return counts
+def _placed(layers: List[Dict[int, Dict[int, int]]], steps: Sequence[int], bottom: int, top: int):
+    """``(weight, key, u, n)`` for each (weight, key) row of the knapsack's
+    ``layers`` and each u in bottom..top with n != 0, the coefficient of z^u
+    in sum_u row[u] z^u * prod_j 1/(1 - z^steps[j]): the row's bases crossed
+    with every placement of their x_0 letters.  A dense row from its least
+    value up to ``top`` takes one prefix-sum sweep per step, row[u] +=
+    row[u - s] rising.  With one step, a value below ``bottom`` first moves
+    up by whole steps into the window, and the row starts at ``bottom``."""
+    for weight, rows in enumerate(layers):
+        for key, row in rows.items():
+            lo = min(row) if len(steps) > 1 else max(min(row), bottom)
+            if lo > top:
+                continue
+            dense = [0] * (top - lo + 1)
+            for u, c in row.items():
+                if u < lo:
+                    u = lo + (u - lo) % steps[0]
+                if u <= top:
+                    dense[u - lo] += c
+            for s in steps:
+                for r in range(s):
+                    dense[r::s] = accumulate(dense[r::s])
+            start = max(bottom - lo, 0)
+            for u, n in enumerate(dense[start:], lo + start):
+                if n:
+                    yield weight, key, u, n
 
 
 def torus_window_counts(
@@ -503,14 +501,13 @@ def torus_window_counts(
     window: Tuple[int, int],
 ) -> Dict[Tuple[int, int, int], int]:
     """The number of basis monomials whose torus value t lies in the closed
-    ``window``, per ``(weight, t, degree)``, for every weight
-    0..max_weight.  The x_0-free bases are counted per (weight, degree,
-    torus value) class (``_creator_classes``), and the x_0 odometer runs
-    once per class, its runs counted with the class's multiplicity
-    (``_placed_counts``); no base or monomial is visited."""
-    value, runs = _x0_odometer(torus_weights, window)
-    classes = _creator_classes(space, max_weight, value)
-    return _placed_counts(classes, torus_weights, window, runs)
+    ``window``, per ``(weight, t, degree)``, for every weight 0..max_weight:
+    one knapsack keyed by degree (``_creator_classes``), and one sweep of
+    each (weight, degree) row that places the x_0 letters (``_placed``).  No
+    base or monomial is visited."""
+    value, flip, steps, bottom, top = _x0_units(torus_weights, window)
+    layers = _creator_classes(space, max_weight, value)
+    return {(q, flip * u, k): n for q, k, u, n in _placed(layers, steps, bottom, top)}
 
 
 def torus_window_euler(
@@ -522,20 +519,13 @@ def torus_window_euler(
     """The Euler characteristic, the sum of (-1)^degree over the basis
     monomials whose torus value t lies in the closed ``window``, per
     ``(weight, t)`` for every weight 0..max_weight, zeros dropped: the
-    counts of ``torus_window_counts`` summed over the degree.
-
-    An x_0 letter has degree 0, so every placement of a base keeps its
-    sign: each (weight, degree, torus value) class is folded to its signed
-    count per (weight, torus value) before the x_0 odometer runs, which
-    then runs once per (weight, torus value) instead of once per degree.
-    """
-    value, runs = _x0_odometer(torus_weights, window)
-    signed: Dict[Tuple[int, None, int], int] = {}
-    for (weight, degree, u), c in _creator_classes(space, max_weight, value).items():
-        key = (weight, None, u)
-        signed[key] = signed.get(key, 0) + (-c if degree & 1 else c)
-    classes = {key: c for key, c in signed.items() if c}
-    return {(q, t): n for (q, t, _), n in _placed_counts(classes, torus_weights, window, runs).items()}
+    counts of ``torus_window_counts`` summed over the degree.  An x_0 letter
+    has degree 0, so every placement of a base keeps its sign: the knapsack
+    signs each count as a fermion enters, and one sweep per weight places
+    the x_0 letters."""
+    value, flip, steps, bottom, top = _x0_units(torus_weights, window)
+    layers = _creator_classes(space, max_weight, value, signed=True)
+    return {(q, flip * u): n for q, _, u, n in _placed(layers, steps, bottom, top)}
 
 
 def enumerate_basis(

@@ -93,9 +93,9 @@ from chiralg.fock import (
     SpaceSpec,
     State,
     TorusWeights,
-    _check_regularizing,
     _creator_multisets,
     _x0_odometer,
+    _x0_units,
     enumerate_basis,
 )
 from chiralg.linalg import kernel_basis, rank
@@ -478,12 +478,8 @@ def reference_torus_window(
     window.  The x_0 weights must be nonzero and of one sign, so that the
     window is finite; otherwise ``UnboundedBasisError`` is raised.
     """
-    wx = torus_weights.wx
-    _check_regularizing(wx)
     # solve in units u = flip * t, in which every x_0 weight is positive
-    flip = -1 if wx[0] < 0 else 1
-    steps = [flip * w for w in wx]
-    lo, hi = window if flip > 0 else (-window[1], -window[0])
+    _, flip, steps, lo, hi = _x0_units(torus_weights, window)
     x0 = [ModeKey(Family.X, j + 1, 0) for j in range(space.dim)]
     for base in _bases(space, weight, True):
         # x_0 letters have degree 0, so the degree is the base's

@@ -331,6 +331,41 @@ def test_chi_van_with_theta_oracle(tmp_path):
     assert code == 2
 
 
+def test_consecutive_calls_share_one_parser(tmp_path, capsys):
+    """The parser is built once per process; calls after it, after a usage
+    error among them, parse their own command, format and oracle."""
+    from chiralg.cli import _parser
+
+    spec = {
+        "dim": 1,
+        "side": "omega",
+        "potential": {"terms": [{"coeff": "1", "exps": [2]}]},
+        "caps": {"q_max": 2, "weight_max": 2, "x0_cap": 2, "z_window": [-6, 3]},
+    }
+    code, first = run(tmp_path, "char", spec)
+    assert code == 0 and json.loads(first)["command"] == "char"
+    code, text = run(tmp_path, "chi-van", spec, "--oracle", "theta")
+    assert code == 0 and json.loads(text)["payload"]["oracle_rows"] == {"0": -1, "1": 0, "2": 0}
+    for bad in (["nosuch"], ["char", "--format", "xml"], ["chi-van", "--oracle", "other"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*bad, "--spec", str(tmp_path / "spec.json")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+    code, text = run(tmp_path, "char", spec, "--format", "csv")
+    assert code == 0 and text.splitlines()[0] == "q,z,coeff"
+    code, text = run(tmp_path, "basis", spec)
+    assert code == 0 and json.loads(text)["payload"]["regularization"] == "x0_cap"
+    # an option of an earlier call does not carry over
+    code, text = run(tmp_path, "char", spec)
+    assert code == 0
+    assert json.loads(text)["payload"] == json.loads(first)["payload"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage: chiralg" in capsys.readouterr().out
+    assert _parser() is _parser()
+
+
 def test_theta_oracle_refuses_degree_1_before_computing(tmp_path, capsys, monkeypatch):
     """f = x has d = 0, outside the closed form: both oracle commands refuse
     it before any cohomology or character is computed."""

@@ -302,6 +302,19 @@ def _counts_of_weight(counts: dict, weight: int) -> dict:
     return {(t, k): n for (q, t, k), n in counts.items() if q == weight}
 
 
+def _euler_of_weight(euler: dict, weight: int) -> dict:
+    """The ``t: chi`` sums of one weight in ``torus_window_euler``."""
+    return {t: chi for (q, t), chi in euler.items() if q == weight}
+
+
+def _signed(tally: dict) -> dict:
+    """The nonzero sums of (-1)^degree per t of a ``(t, degree)`` tally."""
+    signed = {}
+    for (t, k), n in tally.items():
+        signed[t] = signed.get(t, 0) + (-n if k % 2 else n)
+    return {t: chi for t, chi in signed.items() if chi}
+
+
 @settings(max_examples=150, deadline=None)
 @given(hst.data())
 def test_window_counts_and_euler_series_match_the_monomials(data):
@@ -324,11 +337,12 @@ def test_window_counts_and_euler_series_match_the_monomials(data):
 @settings(max_examples=150, deadline=None)
 @given(hst.data())
 def test_folded_euler_counts_are_the_signed_window_counts(data):
-    """Folding the classes to their Euler signs before the x_0 odometer runs
-    gives, per (weight, t), the sum over the degree of (-1)^degree times the
-    window counts, zeros dropped, under x_0 weights of either sign with
-    |wx| <= 3, so that a stride is longer than one torus value; and the
-    Euler series holds exactly those values in its rows."""
+    """Signing the knapsack's counts as each fermion enters, before the x_0
+    letters are placed, gives, per (weight, t), the sum over the degree of
+    (-1)^degree times the window counts, zeros dropped, under x_0 weights
+    of either sign with |wx| <= 3, so that a stride is longer than one
+    torus value; and the Euler series holds exactly those values in its
+    rows."""
     space, weight, tw, window = _torus_case(data)
     signed = {}
     for (q, t, k), n in torus_window_counts(space, weight, tw, window).items():
@@ -348,8 +362,12 @@ def test_window_counts_of_empty_and_unreachable_windows():
     assert torus_window_counts(theta2, 0, tw, (-9, -1)) == {}
     # the vacuum and psi1_0
     assert torus_window_counts(theta2, 0, tw, (0, 0)) == {(0, 0, 0): 1, (0, 0, -1): 1}
-    with pytest.raises(UnboundedBasisError):
-        torus_window_counts(theta2, 1, TorusWeights((1, -1), (0, 0)), (0, 3))
+    for window in ((1, 0), (-9, -1), (0, 0)):
+        assert torus_window_euler(theta2, 2 if window == (1, 0) else 0, tw, window) == {}
+    for wx in ((1, -1), (0, 1), (-2, 0)):
+        for count in (torus_window_counts, torus_window_euler):
+            with pytest.raises(UnboundedBasisError):
+                count(theta2, 1, TorusWeights(wx, (0, 0)), (0, 3))
 
 
 def _capped_window_tally(space, weight, tw, window) -> dict:
@@ -410,6 +428,79 @@ def test_window_counts_match_the_capped_enumeration(case):
         assert got == _capped_window_tally(space, q, tw, window)
 
 
+@hst.composite
+def _wide_windows(draw):
+    """A space of dim 2-3, either side, x_0 strides 1-3 of either sign (wphi
+    in -1..1), a top weight (0-2 at dim 2, 0-1 at dim 3) and a window that
+    holds every torus value of an x_0-free base: up to 40 values wide, its
+    low end down to -30.  In units in which the x_0 weights are positive,
+    its top lies at most 40 (dim 2) or 24 (dim 3) above the least such
+    value, which keeps the enumerated window small."""
+    dim = draw(hst.integers(2, 3))
+    space = make_space(draw(hst.sampled_from(Side)), dim)
+    max_weight = draw(hst.integers(0, 4 - dim))
+    sign = draw(hst.sampled_from((1, -1)))
+    tw = TorusWeights(
+        tuple(sign * draw(hst.integers(1, 3)) for _ in range(dim)),
+        tuple(draw(hst.integers(-1, 1)) for _ in range(dim)),
+    )
+    values = [
+        sign * torus(m, tw)
+        for q in range(max_weight + 1)
+        for m in enumerate_basis(space, q, x0_cap=0)
+    ]
+    least, most = min(values), max(values)
+    bottom = draw(hst.integers(max(-30, most - 40), least))
+    top = draw(hst.integers(most, min(bottom + 40, least + (40, 24)[dim - 2])))
+    window = (bottom, top) if sign > 0 else (-top, -bottom)
+    return space, max_weight, tw, window
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_windows())
+def test_wide_window_counts_match_the_monomials(case):
+    """Windows wider than the range of the bases' torus values, where most
+    monomials carry several x_0 letters of several directions: the counts
+    and the Euler sums of every weight equal the tallies of the enumerated
+    window."""
+    space, max_weight, tw, window = case
+    counts = torus_window_counts(space, max_weight, tw, window)
+    euler = torus_window_euler(space, max_weight, tw, window)
+    for q in range(max_weight + 1):
+        tally = _tally(enumerate_torus_window(space, q, tw, window))
+        assert _counts_of_weight(counts, q) == tally
+        assert _euler_of_weight(euler, q) == _signed(tally)
+
+
+def test_window_counts_run_no_odometer(monkeypatch):
+    """The window counts and the Euler sums place the x_0 letters by the
+    sweep alone: with the odometer made to raise, they still equal the
+    tallies of the enumerated windows, which walk it."""
+    import chiralg.fock as fock
+
+    cases = [
+        (make_space(Side.OMEGA, 1), 4, TorusWeights((1,), (-2,)), (-10, 4)),
+        (make_space(Side.THETA, 2), 2, TorusWeights((-1, -2), (1, 0)), (-6, 9)),
+        (make_space(Side.OMEGA, 3), 1, TorusWeights((2, 2, 3), (-4, -4, -3)), (-14, 2)),
+    ]
+    wanted = []
+    for space, max_weight, tw, window in cases:
+        tallies = [_tally(enumerate_torus_window(space, q, tw, window)) for q in range(max_weight + 1)]
+        assert any(tallies)
+        wanted.append(tallies)
+
+    def refuse(*args):
+        raise AssertionError("the counting path ran the x_0 odometer")
+
+    monkeypatch.setattr(fock, "_x0_odometer", refuse)
+    for (space, max_weight, tw, window), tallies in zip(cases, wanted):
+        counts = torus_window_counts(space, max_weight, tw, window)
+        euler = torus_window_euler(space, max_weight, tw, window)
+        for q, tally in enumerate(tallies):
+            assert _counts_of_weight(counts, q) == tally
+            assert _euler_of_weight(euler, q) == _signed(tally)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_pieces(), hst.integers(0, 2), hst.booleans(), hst.booleans())
 def test_walker_carries_the_grades_of_its_one_weight(piece, cap, zero_fermions, valued):
@@ -432,7 +523,8 @@ def test_walker_carries_the_grades_of_its_one_weight(piece, cap, zero_fermions, 
 def test_creator_classes_tally_the_walked_bases(data, valued):
     """The knapsack's count per (weight, degree, value) equals the tally of
     the x_0-free bases that the walks of the weights 0..hi yield, torus
-    values taken from weights of any sign, zero included."""
+    values taken from weights of any sign, zero included; signed, its count
+    per (weight, value) is the sum of (-1)^degree over them."""
     dim = data.draw(hst.integers(1, 3))
     space = make_space(data.draw(hst.sampled_from(Side)), dim)
     hi = data.draw(hst.integers(0, (6, 4, 3)[dim - 1]))
@@ -441,11 +533,21 @@ def test_creator_classes_tally_the_walked_bases(data, valued):
         tuple(data.draw(hst.integers(-3, 3)) for _ in range(dim)),
     )
     value = tw.of_mode if valued else None
-    tally = {}
+    tally, signed = {}, {}
     for q in range(hi + 1):
         for k, t, _ in _creator_multisets(space, q, 0, True, value):
             tally[q, k, t] = tally.get((q, k, t), 0) + 1
-    assert _creator_classes(space, hi, value) == tally
+            signed[q, 0, t] = signed.get((q, 0, t), 0) + (-1) ** (k % 2)
+
+    def flat(layers):
+        return {(q, k, t): c for q, rows in enumerate(layers) for k, row in rows.items()
+                for t, c in row.items() if c}
+
+    assert len(_creator_classes(space, hi, value)) == hi + 1
+    assert flat(_creator_classes(space, hi, value)) == tally
+    assert flat(_creator_classes(space, hi, value, signed=True)) == {
+        key: c for key, c in signed.items() if c
+    }
 
 
 @given(hst.lists(hst.lists(hst.sampled_from(_CREATORS), max_size=5), max_size=12))

@@ -51,6 +51,39 @@ def test_golden_payload(case, tmp_path, capsys):
     assert out == (GOLDEN / f"{case['name']}.out").read_text()
 
 
+# every case whose command counts a torus window without a differential
+COUNTING = [
+    c for c in CASES
+    if c["command"] in ("char", "theta-check")
+    or (c["command"] == "basis" and "x0_cap" not in c["spec"].get("caps", {}))
+]
+
+
+def test_counting_commands_run_no_odometer(tmp_path, capsys, monkeypatch):
+    """``char``, ``theta-check`` and torus ``basis`` place the x_0 letters by
+    the sweep alone: with ``fock._x0_odometer`` made to raise, each of
+    their golden cases still gives its golden output."""
+    import chiralg.fock as fock
+
+    def refuse(*args):
+        raise AssertionError("the counting path ran the x_0 odometer")
+
+    monkeypatch.setattr(fock, "_x0_odometer", refuse)
+    expected = json.loads((GOLDEN / "expected.json").read_text())
+    assert {c["command"] for c in COUNTING} == {"basis", "char", "theta-check"}
+    for case in COUNTING:
+        capsys.readouterr()
+
+        def capture():
+            captured = capsys.readouterr()
+            return captured.out, captured.err
+
+        code, out, err = _run(case, tmp_path / "spec.json", capture)
+        want = expected[case["name"]]
+        assert (code, err) == (want["exit_code"], want["stderr"]), case["name"]
+        assert out == (GOLDEN / f"{case['name']}.out").read_text(), case["name"]
+
+
 def _record():
     expected = {}
     with tempfile.TemporaryDirectory() as tmp:
